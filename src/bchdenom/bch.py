@@ -46,6 +46,14 @@ _BACKEND_ALIASES = {
 }
 
 
+def canonical_backend(name: str) -> str:
+    """The canonical name of a backend given by its name or an alias."""
+    try:
+        return _BACKEND_ALIASES[name]
+    except KeyError:
+        raise ValueError(f"unknown backend {name!r}") from None
+
+
 class CommonDenominatorError(RuntimeError):
     """A reduced coefficient denominator failed to divide n! * d_n.
 
@@ -190,10 +198,7 @@ def degree_coefficients(
         raise BudgetError(
             f"scan of {alphabet_size}^{n} words exceeds table budget {table_budget}"
         )
-    try:
-        backend = _BACKEND_ALIASES[backend]
-    except KeyError:
-        raise ValueError(f"unknown backend {backend!r}") from None
+    backend = canonical_backend(backend)
 
     if backend == BOTH_BACKENDS:
         from_series = degree_coefficients(

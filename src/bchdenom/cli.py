@@ -332,7 +332,11 @@ def _verify_scanning(args: argparse.Namespace, config: RunConfig, emitter: _Chec
     N = config.max_degree
     _warn_budgets(config, scan_degree=N)
     _announce_scan(N, K)
-    series = bch_series(K, N)
+    # theorem and minimal read the series only through the series backend
+    per_word_only = (
+        what in ("theorem", "minimal") and bch.canonical_backend(config.backend) == bch.DP_BACKEND
+    )
+    series = None if per_word_only else bch_series(K, N)
     failures: list[dict] = []
 
     if what in ("theorem", "minimal"):
@@ -402,7 +406,7 @@ def _verify_scanning(args: argparse.Namespace, config: RunConfig, emitter: _Chec
         # expected pattern: all degrees through 10 pass, degree 11 fails
         expected_ok = all(r.passed == (r.degree <= 10) for r in results if r.degree <= 11)
         if not expected_ok:
-            bad = next(r for r in results if r.degree <= 11 and r.passed != (r.degree <= 11))
+            bad = next(r for r in results if r.degree <= 11 and r.passed != (r.degree <= 10))
             _emit_violation({"check": "goldberg", **bad.to_json_dict()})
             return EXIT_VIOLATION
         return EXIT_OK

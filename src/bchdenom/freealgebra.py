@@ -10,7 +10,12 @@ Two independent backends compute the same coefficients:
 * ``bch_series`` -- full truncated-series arithmetic: multiply the
   exponential factors, subtract 1, and run the alternating log sum (the
   k-th power of a constant-free series has no words of degree < k, so the
-  sum stops at k = N).  Readable reference; materializes every table.
+  sum stops at k = N).  Materializes every table, but runs on Python
+  integers: a degree-d table of the exponential product is stored times
+  d! (its entries are multinomial coefficients), a degree-d table of the
+  log's Horner loop times d! * lcm(1..N).  Multiplying a degree-dx table
+  by a degree-dy table then only needs the weight comb(dx+dy, dx), and
+  each coefficient becomes a ``Fraction`` once, at the end.
 * ``bch_coeff_word`` -- a per-word dynamic program over prefix lengths
   that never builds tables.  A word has a nonzero coefficient in the
   exponential product only if its letters are nondecreasing ("staircase"
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 
 from .errors import BudgetError
 
@@ -186,44 +191,68 @@ def series_exp_generator(generator: int, max_degree: int, alphabet_size: int) ->
     if not 0 <= generator < alphabet_size:
         raise ValueError("generator index out of range")
     series = TruncatedSeries.zero(alphabet_size, max_degree)
-    for n in range(max_degree + 1):
-        packed = 0
-        for _ in range(n):
-            packed = packed * alphabet_size + generator
-        series.tables[n].coefficients[packed] = Fraction(1, factorial(n))
+    for n, table in enumerate(series.tables):
+        table.coefficients[_power_index(generator, n, alphabet_size)] = Fraction(1, factorial(n))
     return series
+
+
+def _power_index(generator: int, degree: int, alphabet_size: int) -> int:
+    # packed A_i^n: the base-K number with n digits i
+    packed = 0
+    for _ in range(degree):
+        packed = packed * alphabet_size + generator
+    return packed
+
+
+def _accumulate_product(
+    out: list[list], x: list[list], y: list[list], alphabet_size: int, *, binomial: bool = False
+) -> None:
+    """out[dx+dy] += x[dx] (x) y[dy] for every dx + dy below len(out).
+
+    Tables are coefficient lists indexed by packed word, one per degree
+    starting at 0; either factor may stop short of the output's degree.
+    Only nonzero entries of both factors are visited, which is what makes
+    the repeated multiplications in the log cheap (the exponential-product
+    series is supported on staircase words only).  With ``binomial`` each
+    degree pair is weighted by comb(dx+dy, dx): for tables scaled by dx!
+    and dy! that yields the product table scaled by (dx+dy)!.
+    """
+    top = len(out) - 1
+    nz_y = [[(py, cy) for py, cy in enumerate(t) if cy] for t in y[: top + 1]]
+    for dx, tx in enumerate(x[: top + 1]):
+        nz_x = [(px, cx) for px, cx in enumerate(tx) if cx]
+        if not nz_x:
+            continue
+        for dy, pairs in enumerate(nz_y[: top + 1 - dx]):
+            if not pairs:
+                continue
+            weight = comb(dx + dy, dx) if binomial else 1
+            shift = alphabet_size**dy
+            tab = out[dx + dy]
+            for px, cx in nz_x:
+                if weight != 1:
+                    cx *= weight
+                base = px * shift
+                for py, cy in pairs:
+                    tab[base + py] += cx * cy
 
 
 def series_multiply(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     """Concatenation product, truncated at the shared max degree.
 
     coeff(w, X*Y) = sum over splits w = u v of coeff(u, X) * coeff(v, Y).
-    Iterates only nonzero entries of both factors, which is what makes the
-    repeated multiplications in the log cheap (the exponential-product
-    series is supported on staircase words only).
     """
     if x.alphabet_size != y.alphabet_size:
         raise ValueError("alphabet size mismatch")
     if x.max_degree != y.max_degree:
         raise ValueError("max degree mismatch")
-    K = x.alphabet_size
-    N = x.max_degree
-    out = TruncatedSeries.zero(K, N)
-    nz_y = [list(t.nonzero_items()) for t in y.tables]
-    for dx in range(N + 1):
-        nz_x = list(x.tables[dx].nonzero_items())
-        if not nz_x:
-            continue
-        for dy in range(N + 1 - dx):
-            pairs = nz_y[dy]
-            if not pairs:
-                continue
-            shift = K**dy
-            tab = out.tables[dx + dy].coefficients
-            for px, cx in nz_x:
-                base = px * shift
-                for py, cy in pairs:
-                    tab[base + py] += cx * cy
+    out = TruncatedSeries.zero(x.alphabet_size, x.max_degree)
+    _accumulate_product(
+        [t.coefficients for t in out.tables],
+        [t.coefficients for t in x.tables],
+        [t.coefficients for t in y.tables],
+        x.alphabet_size,
+    )
     return out
 
 
@@ -255,8 +284,14 @@ def bch_series(
 ) -> TruncatedSeries:
     """H = log(e^{A_0} ... e^{A_{K-1}}) truncated at ``max_degree``.
 
-    The reference backend: exact, dense, and O(K^N) in memory, so the
-    table budget is enforced up front.
+    The dense backend: exact, and O(K^N) in memory, so the table budget is
+    enforced up front.  Computes what ``series_log1p`` of the exponential
+    product minus 1 would, but on integer tables: the product's degree-d
+    table times d!, the Horner tables times d! * lcm(1..N), where the
+    constants (-1)^{k+1}/k become +-lcm(1..N)/k.  The Horner value at step
+    k is only needed through degree N - k, since the remaining factors of
+    the product each raise the degree.  Each coefficient is reduced to a
+    ``Fraction`` once, when the result is built.
     """
     if alphabet_size < 2:
         raise ValueError("alphabet size must be >= 2")
@@ -267,11 +302,39 @@ def bch_series(
             f"degree table of {alphabet_size}^{max_degree} entries exceeds "
             f"budget {table_budget}"
         )
-    product = series_exp_generator(0, max_degree, alphabet_size)
-    for i in range(1, alphabet_size):
-        product = series_multiply(product, series_exp_generator(i, max_degree, alphabet_size))
-    product.tables[0].coefficients[0] -= 1
-    return series_log1p(product)
+    K = alphabet_size
+    N = max_degree
+
+    def zeros(top: int) -> list[list[int]]:
+        return [[0] * K**d for d in range(top + 1)]
+
+    def exp_generator(i: int) -> list[list[int]]:
+        tables = zeros(N)
+        for d, tab in enumerate(tables):
+            tab[_power_index(i, d, K)] = 1
+        return tables
+
+    product = exp_generator(0)
+    for i in range(1, K):
+        factor = product
+        product = zeros(N)
+        _accumulate_product(product, factor, exp_generator(i), K, binomial=True)
+    product[0][0] -= 1
+
+    scale = lcm(*range(1, N + 1))
+    horner = [[(-1) ** (N + 1) * scale // N]]
+    for k in range(N - 1, -1, -1):
+        factor = horner
+        horner = zeros(N - k)
+        _accumulate_product(horner, product, factor, K, binomial=True)
+        if k:
+            horner[0][0] += (-1) ** (k + 1) * scale // k
+
+    tables = []
+    for d, tab in enumerate(horner):
+        den = factorial(d) * scale
+        tables.append(DegreeTable(d, K, [Fraction(c, den) if c else _ZERO for c in tab]))
+    return TruncatedSeries(N, K, tables)
 
 
 def _staircase_rows(letters: tuple[int, ...]) -> list[list[Fraction]]:

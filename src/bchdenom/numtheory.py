@@ -20,6 +20,7 @@ property and acceptance suites.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -273,8 +274,13 @@ def squarefree_kernel(n: int) -> int:
     return kernel
 
 
+@functools.lru_cache(maxsize=None)
 def common_denominator(n: int) -> tuple[int, PrimeFactorization]:
-    """n! * d_n, the per-degree common denominator, with its factorization."""
+    """n! * d_n, the per-degree common denominator, with its factorization.
+
+    Memoized: a table of one degree asks for it once per word, and the
+    result (an int and a frozen factorization) is immutable.
+    """
     dn, dn_factors = compute_dn(n)
     value = math.factorial(n) * dn
     factors = []

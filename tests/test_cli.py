@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -142,6 +143,42 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert violation["degree"] == 1
 
 
+@pytest.mark.parametrize("what", ["theorem", "minimal"])
+def test_verify_dp_scan_builds_no_series(capsys, monkeypatch, what):
+    _, expected, _ = run(capsys, "verify", "--what", what, "--max", "6", "--backend", "series")
+
+    def no_series(*_args, **_kwargs):
+        raise AssertionError("the per-word scan must not build the dense series")
+
+    monkeypatch.setattr(cli, "bch_series", no_series)
+    code, out, _ = run(capsys, "verify", "--what", what, "--max", "6", "--backend", "dp")
+    assert code == 0
+    assert out == expected
+
+
+def test_verify_goldberg_regression_exits_1(capsys, monkeypatch):
+    # if degree 11 ever passed, the check must report it, not crash
+    real = cli.bch.goldberg_check
+
+    def degree_11_passes(*args, **kwargs):
+        results = real(*args, **kwargs)
+        return [
+            dataclasses.replace(r, passed=True, witness=None, witness_denominator=None, ratio=None)
+            if r.degree == 11
+            else r
+            for r in results
+        ]
+
+    monkeypatch.setattr(cli.bch, "goldberg_check", degree_11_passes)
+    code, out, err = run(capsys, "verify", "--what", "goldberg", "--max", "11")
+    assert code == 1
+    violation = json.loads(out.strip().splitlines()[-1])
+    assert violation["check"] == "goldberg"
+    assert violation["degree"] == 11
+    assert violation["passed"] is True
+    assert "Traceback" not in err
+
+
 def test_verify_usage_errors(capsys):
     code, _, _ = run(capsys, "verify", "--what", "nonsense", "--max", "5")
     assert code == 2
@@ -256,6 +293,39 @@ def test_table_deterministic_across_runs_and_backends(capsys):
         "--backend", "per-word-dp", "--parallelism", "2",
     )
     assert parallel == first
+
+
+def test_table_byte_identical_across_backends_and_parallelism(capsys):
+    outputs = set()
+    for backend in ("series", "dp", "both"):
+        for parallelism in ("1", "2"):
+            code, out, _ = run(
+                capsys,
+                "table", "--degree", "9", "--format", "json",
+                "--backend", backend, "--parallelism", parallelism,
+            )
+            assert code == 0
+            outputs.add(out)
+    assert len(outputs) == 1
+    assert len(outputs.pop().splitlines()) == 2**9
+
+
+def test_table_computes_common_denominator_once(capsys):
+    common_denominator = cli.numtheory.common_denominator
+    common_denominator.cache_clear()
+    code, out, _ = run(capsys, "table", "--degree", "5", "--backend", "dp", "--format", "json")
+    assert code == 0
+    assert len(out.splitlines()) == 32
+    info = common_denominator.cache_info()
+    assert (info.misses, info.hits) == (1, 32)
+
+
+def test_table_checks_every_word_against_the_common_denominator(capsys, monkeypatch):
+    # a common denominator one factor of 2 short cannot hold every coefficient
+    real = cli.bch.common_denominator
+    monkeypatch.setattr(cli.bch, "common_denominator", lambda n: (real(n)[0] // 2, real(n)[1]))
+    with pytest.raises(cli.bch.CommonDenominatorError):
+        run(capsys, "table", "--degree", "5", "--backend", "dp", "--format", "json")
 
 
 def test_table_budget_exceeded(capsys):

@@ -125,6 +125,11 @@ def test_series_exp_generator():
     assert e_a.constant_term == 1
 
 
+def test_series_exp_generator_one_letter_alphabet():
+    e_a = series_exp_generator(0, 4, 1)
+    assert [t.coefficients for t in e_a.tables] == [[Fraction(1, factorial(n))] for n in range(5)]
+
+
 def test_series_multiply_exponentials():
     e_a = series_exp_generator(0, 3, 2)
     e_b = series_exp_generator(1, 3, 2)
@@ -180,6 +185,51 @@ def test_series_log1p_zero_and_errors():
 
 # ---------------------------------------------------------------------------
 # the full series
+
+
+def fraction_bch_series(K, N):
+    """The Fraction Horner loop, built only from the public series arithmetic."""
+    product = series_exp_generator(0, N, K)
+    for i in range(1, K):
+        product = series_multiply(product, series_exp_generator(i, N, K))
+    product.tables[0].coefficients[0] -= 1
+    return series_log1p(product)
+
+
+@pytest.mark.parametrize(
+    "K, N", [(2, n) for n in range(1, 11)] + [(3, n) for n in range(1, 7)] + [(4, n) for n in range(1, 5)]
+)
+def test_bch_series_matches_fraction_horner(K, N):
+    series = bch_series(K, N)
+    reference = fraction_bch_series(K, N)
+    for table, expected in zip(series.tables, reference.tables, strict=True):
+        assert table == expected
+        assert all(type(c) is Fraction for c in table.coefficients)
+
+
+@st.composite
+def sparse_series(draw, K, N):
+    series = TruncatedSeries.zero(K, N)
+    for table in series.tables:
+        size = len(table.coefficients)
+        entries = draw(
+            st.dictionaries(
+                st.integers(min_value=0, max_value=size - 1),
+                st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                max_size=3,
+            )
+        )
+        for packed, value in entries.items():
+            table.coefficients[packed] = value
+    return series
+
+
+@given(st.data())
+def test_series_multiply_associative_on_sparse_series(data):
+    K = data.draw(st.integers(min_value=2, max_value=3))
+    N = data.draw(st.integers(min_value=0, max_value=4))
+    x, y, z = (data.draw(sparse_series(K, N)) for _ in range(3))
+    assert series_multiply(series_multiply(x, y), z) == series_multiply(x, series_multiply(y, z))
 
 
 def test_bch_series_degree_one():
