@@ -11,11 +11,18 @@ Scans are deterministic: words are visited in packed (lexicographic)
 order, reductions are commutative, and witnesses are always the
 lexicographically smallest word attaining the reported value, so parallel
 and serial runs produce identical reports.
+
+Word reversal and the relabelling i -> K-1-i each multiply a coefficient
+by (-1)^(n+1): reversal maps H(A_0, ..., A_{K-1}) to H(A_{K-1}, ..., A_0),
+and H(X, Y) = -H(-Y, -X).  Every word of an orbit of the group they
+generate therefore has the same denominator, and a per-word-DP degree
+report computes one word per orbit (``orbit_representatives``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -166,30 +173,37 @@ class TableEntry:
     word: Word  # lexicographically smallest word attaining the value
 
 
-def _dp_scan_chunk(task: tuple[int, int, int, int]) -> list[Fraction]:
-    degree, alphabet_size, start, stop = task
+def orbit_representatives(n: int, alphabet_size: int = 2) -> list[int]:
+    """The smallest packed word of each reversal/relabelling orbit of degree n.
+
+    The group is {id, reverse, relabel, reverse o relabel}, where relabel
+    maps letter i to K-1-i, i.e. packed p to K^n - 1 - p.  Returned in
+    increasing order; each orbit's words share one denominator.
+    """
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    K = alphabet_size
+    # reversed_[p] is the packed reversal of p, one digit at a time: the
+    # word q*K + d of length i+1 reverses to d*K^i + reverse(q)
+    reversed_ = [0]
+    for i in range(n):
+        place = K**i
+        reversed_ = [d * place + r for r in reversed_ for d in range(K)]
+    top = K**n - 1
+    # the range keeps p <= relabel(p); the test compares p with reverse(p)
+    # and relabel(reverse(p)) = top - reverse(p)
+    return [p for p in range(top // 2 + 1) if p <= (r := reversed_[p]) and p <= top - r]
+
+
+def _dp_scan_chunk(task: tuple[int, int, Sequence[int]]) -> list[Fraction]:
+    degree, alphabet_size, words = task
     return [
         bch_coeff_word(Word.unpack(packed, degree, alphabet_size), alphabet_size)
-        for packed in range(start, stop)
+        for packed in words
     ]
 
 
-def degree_coefficients(
-    n: int,
-    alphabet_size: int = 2,
-    backend: str = SERIES_BACKEND,
-    *,
-    series: TruncatedSeries | None = None,
-    parallelism: int = 1,
-    scan_limit: int = DEFAULT_SCAN_LIMIT,
-    table_budget: int = DEFAULT_TABLE_BUDGET,
-) -> list[Fraction]:
-    """All coefficients of degree n, indexed by packed word.
-
-    ``series`` may carry a precomputed series (reused across degrees);
-    otherwise the series backend builds one.  With backend "both" the two
-    backends are compared entry by entry before returning.
-    """
+def _check_scan(n: int, alphabet_size: int, scan_limit: int, table_budget: int) -> None:
     if n < 1:
         raise ValueError("degree must be >= 1")
     if n > scan_limit:
@@ -198,20 +212,44 @@ def degree_coefficients(
         raise BudgetError(
             f"scan of {alphabet_size}^{n} words exceeds table budget {table_budget}"
         )
+
+
+def degree_coefficients(
+    n: int,
+    alphabet_size: int = 2,
+    backend: str = SERIES_BACKEND,
+    *,
+    words: Sequence[int] | None = None,
+    series: TruncatedSeries | None = None,
+    parallelism: int = 1,
+    scan_limit: int = DEFAULT_SCAN_LIMIT,
+    table_budget: int = DEFAULT_TABLE_BUDGET,
+) -> list[Fraction]:
+    """The coefficients of the packed ``words`` of degree n, in their order.
+
+    ``words`` defaults to every word, so the result is indexed by packed
+    word.  ``series`` may carry a precomputed series (reused across
+    degrees); otherwise the series backend builds one.  With backend "both"
+    the two backends are compared entry by entry before returning.
+    """
+    _check_scan(n, alphabet_size, scan_limit, table_budget)
     backend = canonical_backend(backend)
+    total = alphabet_size**n
+    if words is not None and not all(0 <= packed < total for packed in words):
+        raise ValueError(f"packed word out of range for degree {n}")
 
     if backend == BOTH_BACKENDS:
         from_series = degree_coefficients(
             n, alphabet_size, SERIES_BACKEND,
-            series=series, scan_limit=scan_limit, table_budget=table_budget,
+            words=words, series=series, scan_limit=scan_limit, table_budget=table_budget,
         )
         from_dp = degree_coefficients(
-            n, alphabet_size, DP_BACKEND,
+            n, alphabet_size, DP_BACKEND, words=words,
             parallelism=parallelism, scan_limit=scan_limit, table_budget=table_budget,
         )
-        for packed, (a, b) in enumerate(zip(from_series, from_dp)):
+        for i, (a, b) in enumerate(zip(from_series, from_dp)):
             if a != b:
-                word = Word.unpack(packed, n, alphabet_size)
+                word = Word.unpack(i if words is None else words[i], n, alphabet_size)
                 raise RuntimeError(
                     f"backend disagreement at {word.to_string(alphabet_size)}: "
                     f"series {a} vs per-word {b}"
@@ -225,18 +263,20 @@ def degree_coefficients(
             raise ValueError("precomputed series has the wrong alphabet size")
         if series.max_degree < n:
             raise ValueError("precomputed series does not reach the requested degree")
-        return list(series.tables[n].coefficients)
+        table = series.tables[n].coefficients
+        return list(table) if words is None else [table[packed] for packed in words]
 
-    total = alphabet_size**n
+    if words is None:
+        words = range(total)
     if parallelism > 1:
-        chunk = max(1, -(-total // (parallelism * 4)))
-        tasks = [(n, alphabet_size, s, min(s + chunk, total)) for s in range(0, total, chunk)]
+        chunk = max(1, -(-len(words) // (parallelism * 4)))
+        tasks = [(n, alphabet_size, words[s : s + chunk]) for s in range(0, len(words), chunk)]
         out: list[Fraction] = []
         with multiprocessing.Pool(parallelism) as pool:
             for part in pool.map(_dp_scan_chunk, tasks):
                 out.extend(part)
         return out
-    return _dp_scan_chunk((n, alphabet_size, 0, total))
+    return _dp_scan_chunk((n, alphabet_size, words))
 
 
 def _integer_numerator(h: Fraction, common: int, word: Word, alphabet_size: int) -> int:
@@ -259,10 +299,21 @@ def degree_report(
     scan_limit: int = DEFAULT_SCAN_LIMIT,
     table_budget: int = DEFAULT_TABLE_BUDGET,
 ) -> DenominatorReport:
-    """Scan one degree and compare denominators against n! * d_n."""
+    """Scan one degree and compare denominators against n! * d_n.
+
+    The per-word DP computes one word per reversal/relabelling orbit: the
+    words of an orbit share a denominator, so the lcm is unchanged, and the
+    first word of maximal denominator is the smallest word of its orbit.
+    The series backend and "both" (the unreduced cross-check) scan every
+    word.
+    """
+    _check_scan(n, alphabet_size, scan_limit, table_budget)
+    words = None
+    if canonical_backend(backend) == DP_BACKEND:
+        words = orbit_representatives(n, alphabet_size)
     coeffs = degree_coefficients(
         n, alphabet_size, backend,
-        series=series, parallelism=parallelism,
+        words=words, series=series, parallelism=parallelism,
         scan_limit=scan_limit, table_budget=table_budget,
     )
     d_n, _ = compute_dn(n)
@@ -272,7 +323,7 @@ def degree_report(
     # two letters); the witness is then the first word of maximal denominator
     witness_packed = 0
     largest = 0
-    for packed, c in enumerate(coeffs):
+    for packed, c in zip(range(len(coeffs)) if words is None else words, coeffs):
         den = c.denominator
         observed = lcm(observed, den)
         if den > largest:
@@ -436,8 +487,10 @@ def goldberg_check(
 def coefficient_value_table(
     n: int,
     alphabet_size: int = 2,
+    backend: str = SERIES_BACKEND,
     *,
     series: TruncatedSeries | None = None,
+    parallelism: int = 1,
     scan_limit: int = DEFAULT_SCAN_LIMIT,
 ) -> list[TableEntry]:
     """The distinct nonzero coefficient values of one degree.
@@ -446,7 +499,10 @@ def coefficient_value_table(
     denominator, and the integer numerator over n! * d_n.  Sorted by
     decreasing absolute value, positive before negative on ties.
     """
-    coeffs = degree_coefficients(n, alphabet_size, series=series, scan_limit=scan_limit)
+    coeffs = degree_coefficients(
+        n, alphabet_size, backend,
+        series=series, parallelism=parallelism, scan_limit=scan_limit,
+    )
     first_seen: dict[Fraction, int] = {}
     for packed, h in enumerate(coeffs):
         if h and h not in first_seen:

@@ -330,6 +330,11 @@ def _verify_scanning(args: argparse.Namespace, config: RunConfig, emitter: _Chec
     what = args.what
     K = config.alphabet_size
     N = config.max_degree
+    if what in ("cor1", "cor2", "goldberg") and K != 2:
+        raise ValueError(f"{what} is a two-letter check")
+    if what == "goldberg" and N < 11:
+        # below 11 the expected failure at degree 11 is never examined
+        raise ValueError("goldberg needs --max 11 or more: the candidate first fails at degree 11")
     _warn_budgets(config, scan_degree=N)
     _announce_scan(N, K)
     # theorem and minimal read the series only through the series backend
@@ -356,8 +361,6 @@ def _verify_scanning(args: argparse.Namespace, config: RunConfig, emitter: _Chec
         return _finish(failures)
 
     if what == "cor1":
-        if K != 2:
-            raise ValueError("cor1 is a two-letter check")
         for p in numtheory.primes_below(N + 1):
             report = bch.check_corollary_prime(p, series=series, scan_limit=N)
             if not report.passed:
@@ -370,8 +373,6 @@ def _verify_scanning(args: argparse.Namespace, config: RunConfig, emitter: _Chec
         return _finish(failures)
 
     if what == "cor2":
-        if K != 2:
-            raise ValueError("cor2 is a two-letter check")
         for p in numtheory.primes_below(N):
             if p == 2 or p + 1 > N:
                 continue
@@ -386,10 +387,6 @@ def _verify_scanning(args: argparse.Namespace, config: RunConfig, emitter: _Chec
         return _finish(failures)
 
     if what == "goldberg":
-        if K != 2:
-            raise ValueError("goldberg is a two-letter check")
-        if N < 4:
-            raise ValueError("goldberg needs --max >= 4")
         results = bch.goldberg_check(N, series=series, scan_limit=N)
         for result in results:
             emitter.emit(
@@ -477,7 +474,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     common, _ = numtheory.common_denominator(n)
 
     if args.dedup:
-        entries = bch.coefficient_value_table(n, K, scan_limit=n)
+        entries = bch.coefficient_value_table(
+            n, K, config.backend, parallelism=config.parallelism, scan_limit=n
+        )
         rows = [
             (
                 e.word.to_string(K),

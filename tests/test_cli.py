@@ -125,9 +125,11 @@ def test_verify_goldberg(capsys):
 
 
 def test_verify_goldberg_below_counterexample(capsys):
-    code, out, _ = run(capsys, "verify", "--what", "goldberg", "--max", "8")
-    assert code == 0
-    assert "FAILS" not in out
+    # degree 11 is never examined below --max 11, so there is nothing to pass
+    code, out, err = run(capsys, "verify", "--what", "goldberg", "--max", "8")
+    assert code == 2
+    assert out == ""
+    assert "--max 11" in err
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -154,6 +156,22 @@ def test_verify_dp_scan_builds_no_series(capsys, monkeypatch, what):
     code, out, _ = run(capsys, "verify", "--what", what, "--max", "6", "--backend", "dp")
     assert code == 0
     assert out == expected
+
+
+@pytest.mark.parametrize("what", ["theorem", "minimal"])
+def test_verify_dp_scan_byte_identical(capsys, what):
+    # the per-word DP reports one word per orbit; the output must not show it
+    outputs = set()
+    for backend, parallelism in (("dp", "1"), ("dp", "2"), ("series", "1")):
+        code, out, _ = run(
+            capsys,
+            "verify", "--what", what, "--max", "10", "--format", "json",
+            "--backend", backend, "--parallelism", parallelism,
+        )
+        assert code == 0
+        outputs.add(out)
+    assert len(outputs) == 1
+    assert len(outputs.pop().splitlines()) == 10
 
 
 def test_verify_goldberg_regression_exits_1(capsys, monkeypatch):
@@ -310,6 +328,28 @@ def test_table_byte_identical_across_backends_and_parallelism(capsys):
     assert len(outputs.pop().splitlines()) == 2**9
 
 
+def test_table_dedup_honours_backend_and_parallelism(capsys, monkeypatch):
+    outputs = set()
+    for backend in ("series", "dp", "both"):
+        for parallelism in ("1", "2"):
+            code, out, _ = run(
+                capsys,
+                "table", "--degree", "9", "--dedup", "--format", "csv",
+                "--backend", backend, "--parallelism", parallelism,
+            )
+            assert code == 0
+            outputs.add(out)
+    assert len(outputs) == 1
+
+    def no_series(*_args, **_kwargs):
+        raise AssertionError("a per-word table must not build the dense series")
+
+    monkeypatch.setattr(cli.bch, "bch_series", no_series)
+    code, out, _ = run(capsys, "table", "--degree", "9", "--dedup", "--format", "csv", "--backend", "dp")
+    assert code == 0
+    assert {out} == outputs
+
+
 def test_table_computes_common_denominator_once(capsys):
     common_denominator = cli.numtheory.common_denominator
     common_denominator.cache_clear()
@@ -364,3 +404,89 @@ def test_parallelism_auto(capsys):
 
 def test_parallelism_rejects_garbage(capsys):
     assert cli.main(["table", "--degree", "3", "--parallelism", "zero"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: 0 pass, 1 violation, 2 usage, 3 budget
+
+
+def _plus_one(real):
+    return lambda n: (real(n)[0] + 1, real(n)[1])
+
+
+def _doubled(real):
+    return lambda n: (real(n)[0] * 2, real(n)[1])
+
+
+def _one(real):
+    return lambda n: (1, real(n)[1])
+
+
+def _always_divides(real):
+    # a candidate that every denominator divides: degree 11 no longer fails
+    return lambda n: cli.numtheory.common_denominator(n)[0]
+
+
+# (argv, (module attribute to patch, factory from the real function), exit code)
+EXIT_CASES = {
+    "dn-pass": (["dn", "--max", "5"], None, 0),
+    "dn-max-0": (["dn", "--max", "0"], None, 2),
+    "coeff-pass": (["coeff", "AAB"], None, 0),
+    "coeff-malformed": (["coeff", "AXB"], None, 2),
+    "coeff-letters-beyond-26": (["coeff", "AB", "--alphabet", "27"], None, 2),
+    "table-pass": (["table", "--degree", "4"], None, 0),
+    "table-dedup-pass": (["table", "--degree", "4", "--dedup", "--backend", "dp"], None, 0),
+    "table-degree-0": (["table", "--degree", "0"], None, 2),
+    "table-budget": (["table", "--degree", "25"], None, 3),
+    "theorem-pass": (["verify", "--what", "theorem", "--max", "6"], None, 0),
+    "theorem-violation": (["verify", "--what", "theorem", "--max", "6"], ("bch.common_denominator", _one), 1),
+    "minimal-pass-dp": (["verify", "--what", "minimal", "--max", "6", "--backend", "dp"], None, 0),
+    "minimal-violation-dp": (
+        ["verify", "--what", "minimal", "--max", "6", "--backend", "dp"],
+        ("bch.common_denominator", _doubled),
+        1,
+    ),
+    "minimal-max-0": (["verify", "--what", "minimal", "--max", "0"], None, 2),
+    "minimal-budget": (["verify", "--what", "minimal", "--alphabet", "3", "--max", "14"], None, 3),
+    "cor1-pass": (["verify", "--what", "cor1", "--max", "7"], None, 0),
+    "cor1-violation": (["verify", "--what", "cor1", "--max", "7"], ("bch.common_denominator", _doubled), 1),
+    "cor1-three-letters": (["verify", "--what", "cor1", "--max", "5", "--alphabet", "3"], None, 2),
+    "cor2-violation": (["verify", "--what", "cor2", "--max", "6"], None, 1),
+    "eq3-pass": (["verify", "--what", "eq3", "--max", "8"], None, 0),
+    "eq3-violation": (["verify", "--what", "eq3", "--max", "3"], ("numtheory.common_denominator", _plus_one), 1),
+    "eq3-budget": (["verify", "--what", "eq3", "--max", "22", "--enum-bound", "4"], None, 3),
+    "bernoulli-pass": (["verify", "--what", "bernoulli", "--max", "10"], None, 0),
+    "bernoulli-violation": (
+        ["verify", "--what", "bernoulli", "--max", "3"],
+        ("numtheory.squarefree_kernel", lambda real: lambda n: real(n) + 1),
+        1,
+    ),
+    "goldberg-pass": (["verify", "--what", "goldberg", "--max", "11"], None, 0),
+    "goldberg-violation": (
+        ["verify", "--what", "goldberg", "--max", "11"],
+        ("numtheory.goldberg_denominator", _always_divides),
+        1,
+    ),
+    "goldberg-max-10": (["verify", "--what", "goldberg", "--max", "10"], None, 2),
+    "goldberg-max-3": (["verify", "--what", "goldberg", "--max", "3"], None, 2),
+    "unknown-check": (["verify", "--what", "nonsense", "--max", "5"], None, 2),
+}
+
+
+@pytest.mark.parametrize("argv, patch, expected", EXIT_CASES.values(), ids=EXIT_CASES.keys())
+def test_exit_code_contract(capsys, monkeypatch, argv, patch, expected):
+    if patch is not None:
+        target, factory = patch
+        module_name, attr = target.split(".")
+        module = getattr(cli, module_name)
+        monkeypatch.setattr(module, attr, factory(getattr(module, attr)))
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    assert "Traceback" not in err
+    if expected == 1:
+        violation = json.loads(out.strip().splitlines()[-1])
+        assert violation["check"] == argv[2]
+    elif expected == 2:
+        assert err and out == ""
+    elif expected == 3:
+        assert "budget" in err  # eq3 streams the degrees it finished first
