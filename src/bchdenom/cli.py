@@ -143,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_ENUMERATION_BOUND,
         metavar="B",
-        help=f"composition enumeration bound (default {DEFAULT_ENUMERATION_BOUND}, "
-        f"hard cap {HARD_ENUMERATION_CAP})",
+        help=f"largest degree the eq3 oracle enumerates partitions for "
+        f"(default {DEFAULT_ENUMERATION_BOUND}, hard cap {HARD_ENUMERATION_CAP})",
     )
     add_common(p_verify)
 
@@ -291,9 +291,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return _verify_scanning(args, config, emitter)
     if what == "eq3":
         _warn_budgets(config)
+        bound = config.enumeration_bound
         failures = []
         for n in range(1, args.max + 1):
-            oracle = numtheory.Dn_bruteforce(n, bound=config.enumeration_bound)
+            if n > bound:
+                # n is bound + 1 <= 25 here, so counting the partitions is cheap
+                count = sum(1 for _ in numtheory.partitions(n))
+                raise BudgetError(
+                    f"eq3 up to degree {args.max} needs degree {n} ({count} partitions), "
+                    f"beyond the enumeration budget --enum-bound {bound} "
+                    f"(hard cap {HARD_ENUMERATION_CAP})"
+                )
+            oracle = numtheory.Dn_bruteforce(n, bound=bound)
             closed, _ = numtheory.common_denominator(n)
             ok = oracle == closed
             if not ok:
@@ -326,15 +335,25 @@ def _finish(failures: list[dict]) -> int:
     return EXIT_OK
 
 
+#: Smallest --max for each two-letter check; below it the check would pass
+#: without examining the degrees its claim is about.
+_LEAST_MAX = {
+    "cor1": (2, "the first prime degree is 2"),
+    "cor2": (4, "the first odd prime p = 3 has degree p + 1 = 4"),
+    "goldberg": (11, "the candidate first fails at degree 11"),
+}
+
+
 def _verify_scanning(args: argparse.Namespace, config: RunConfig, emitter: _CheckEmitter) -> int:
     what = args.what
     K = config.alphabet_size
     N = config.max_degree
-    if what in ("cor1", "cor2", "goldberg") and K != 2:
-        raise ValueError(f"{what} is a two-letter check")
-    if what == "goldberg" and N < 11:
-        # below 11 the expected failure at degree 11 is never examined
-        raise ValueError("goldberg needs --max 11 or more: the candidate first fails at degree 11")
+    if what in _LEAST_MAX:
+        if K != 2:
+            raise ValueError(f"{what} is a two-letter check")
+        least, reason = _LEAST_MAX[what]
+        if N < least:
+            raise ValueError(f"{what} needs --max {least} or more: {reason}")
     _warn_budgets(config, scan_degree=N)
     _announce_scan(N, K)
     # theorem and minimal read the series only through the series backend

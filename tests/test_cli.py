@@ -79,6 +79,17 @@ def test_verify_eq3_budget_exceeded(capsys):
     assert "budget" in err
 
 
+def test_verify_eq3_budget_names_flag_degree_and_cap(capsys):
+    code, out, err = run(capsys, "verify", "--what", "eq3", "--max", "22")
+    assert code == 3
+    assert out.count("PASS") == 20
+    assert "--enum-bound 20" in err
+    assert "degree 22" in err and "degree 21" in err
+    assert "792 partitions" in err  # p(21)
+    assert "hard cap 24" in err
+    assert "compositions" not in err
+
+
 def test_verify_enum_bound_hard_cap(capsys):
     code, _, err = run(capsys, "verify", "--what", "eq3", "--max", "5", "--enum-bound", "25")
     assert code == 2
@@ -130,6 +141,19 @@ def test_verify_goldberg_below_counterexample(capsys):
     assert code == 2
     assert out == ""
     assert "--max 11" in err
+
+
+@pytest.mark.parametrize("what, least, code_at_least", [("cor1", 2, 0), ("cor2", 4, 1)])
+def test_verify_congruence_empty_range_is_usage_error(capsys, monkeypatch, what, least, code_at_least):
+    # an empty range of checked degrees must not pass; refused before the series is built
+    with monkeypatch.context() as m:
+        m.setattr(cli, "bch_series", None)
+        code, out, err = run(capsys, "verify", "--what", what, "--max", str(least - 1))
+    assert code == 2
+    assert out == ""
+    assert f"--max {least} or more" in err
+    code, out, _ = run(capsys, "verify", "--what", what, "--max", str(least))
+    assert code == code_at_least and out
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -451,6 +475,8 @@ EXIT_CASES = {
     "cor1-pass": (["verify", "--what", "cor1", "--max", "7"], None, 0),
     "cor1-violation": (["verify", "--what", "cor1", "--max", "7"], ("bch.common_denominator", _doubled), 1),
     "cor1-three-letters": (["verify", "--what", "cor1", "--max", "5", "--alphabet", "3"], None, 2),
+    "cor1-max-1": (["verify", "--what", "cor1", "--max", "1"], None, 2),
+    "cor2-max-3": (["verify", "--what", "cor2", "--max", "3"], None, 2),
     "cor2-violation": (["verify", "--what", "cor2", "--max", "6"], None, 1),
     "eq3-pass": (["verify", "--what", "eq3", "--max", "8"], None, 0),
     "eq3-violation": (["verify", "--what", "eq3", "--max", "3"], ("numtheory.common_denominator", _plus_one), 1),

@@ -217,6 +217,51 @@ def test_compositions_into_matches_oracle():
             assert found == sorted(found)
 
 
+# p(0), ..., p(20): the partition numbers (OEIS A000041)
+PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297, 385, 490, 627]
+
+
+def test_partitions_counts_and_shape():
+    for n, count in enumerate(PARTITION_COUNTS):
+        found = list(nt.partitions(n))
+        assert len(found) == count
+        assert len(set(found)) == count
+        for parts in found:
+            assert sum(parts) == n
+            assert all(j >= 1 for j in parts)
+            assert list(parts) == sorted(parts, reverse=True)
+    assert list(nt.partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    with pytest.raises(ValueError):
+        nt.partitions(-1)
+
+
+def test_partitions_are_sorted_compositions():
+    for n in range(15):
+        expected = {tuple(sorted(c, reverse=True)) for c in nt.compositions(n)}
+        assert set(nt.partitions(n)) == expected
+
+
+def test_Dn_bruteforce_equals_lcm_over_compositions():
+    for n in range(1, 15):
+        expected = 1
+        for parts in nt.compositions(n):
+            expected = math.lcm(expected, len(parts) * math.prod(map(math.factorial, parts)))
+        assert nt.Dn_bruteforce(n) == expected
+
+
+def test_Dn_bruteforce_never_consults_the_closed_form(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the oracle must not call the closed form")
+
+    for name in (
+        "compute_dn", "common_denominator", "digit_sum", "_digit_sum",
+        "padic_valuation", "factorial_valuation", "multinomial_valuation",
+    ):
+        monkeypatch.setattr(nt, name, refuse)
+    assert nt.Dn_bruteforce(11) == 239500800
+    assert nt.Dn_bruteforce(20) == math.factorial(20) * 42  # d_20 = 42
+
+
 def test_Dn_bruteforce_small():
     assert nt.Dn_bruteforce(1) == 1
     # independent recomputation over stars-and-bars compositions
