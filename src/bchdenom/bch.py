@@ -12,20 +12,47 @@ order, reductions are commutative, and witnesses are always the
 lexicographically smallest word attaining the reported value, so parallel
 and serial runs produce identical reports.
 
+A coefficient depends only on the run-length class of its word.  Split a
+word into maximal runs of one letter, of lengths s_1..s_m, and let asc and
+desc count the run boundaries where the letter index goes up and down.
+The coefficient is a sum over the ways to cut the word into blocks, each
+block a weakly increasing word (the only words of e^{A_0}...e^{A_{K-1}}),
+weighted by (-1)^(k-1)/k for k blocks and by 1/j! for each piece of j
+letters of one run inside a block.  This is the sum ``bch_coeff_word``
+computes:
+
+- A cut must fall at every descent.  It is optional at every ascent and
+  inside runs.
+- Write (-1)^(k-1)/k as the integral over t in [0, 1] of (-t)^(k-1), so
+  each of the k-1 cuts contributes a factor -t.
+- The sum then factorises as the integral of
+  F_{s_1}(t) ... F_{s_m}(t) * (1-t)^asc * (-t)^desc, where F_s(t) sums
+  (-t)^(r-1) / (j_1! ... j_r!) over the compositions (j_1..j_r) of s.
+- Its factors commute, so only (asc, desc, the multiset of run lengths)
+  matters.
+
 Word reversal and the relabelling i -> K-1-i each multiply a coefficient
 by (-1)^(n+1): reversal maps H(A_0, ..., A_{K-1}) to H(A_{K-1}, ..., A_0),
-and H(X, Y) = -H(-Y, -X).  Every word of an orbit of the group they
-generate therefore has the same denominator, and a per-word-DP degree
-report computes one word per orbit (``orbit_representatives``).
+and H(X, Y) = -H(-Y, -X).  Both swap asc and desc and keep the denominator.
+A class is therefore (asc, desc, sorted run lengths) with (asc, desc) and
+(desc, asc) merged, and a per-word-DP degree report computes one word per
+class (``class_representatives``).  For two letters the runs alternate,
+so there is one class per partition of n: p(n) words, as in Goldberg's
+formula (M. Goldberg, Duke Math. J. 23 (1956) 13-21).  The tests check
+the invariance on both backends rather than assume it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from collections.abc import Sequence
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import chain
 from math import lcm
+from typing import TYPE_CHECKING
 
 from . import numtheory
 from .errors import BudgetError
@@ -37,6 +64,9 @@ from .freealgebra import (
     bch_series,
 )
 from .numtheory import PrimeFactorization, common_denominator, compute_dn
+
+if TYPE_CHECKING:
+    from multiprocessing.pool import Pool
 
 #: Degrees above this require an explicit opt-in from the caller.
 DEFAULT_SCAN_LIMIT = 14
@@ -173,26 +203,69 @@ class TableEntry:
     word: Word  # lexicographically smallest word attaining the value
 
 
-def orbit_representatives(n: int, alphabet_size: int = 2) -> list[int]:
-    """The smallest packed word of each reversal/relabelling orbit of degree n.
+@cache
+def _letters_fit(alphabet_size: int, letter: int, rises: int, falls: int) -> bool:
+    """Whether letters 0..K-1 can go on from ``letter`` with this many rises and falls."""
+    if rises and any(
+        _letters_fit(alphabet_size, up, rises - 1, falls)
+        for up in range(letter + 1, alphabet_size)
+    ):
+        return True
+    if falls and any(_letters_fit(alphabet_size, down, rises, falls - 1) for down in range(letter)):
+        return True
+    return not rises and not falls
 
-    The group is {id, reverse, relabel, reverse o relabel}, where relabel
-    maps letter i to K-1-i, i.e. packed p to K^n - 1 - p.  Returned in
-    increasing order; each orbit's words share one denominator.
+
+def _smallest_word(lengths: tuple[int, ...], asc: int, desc: int, alphabet_size: int) -> int | None:
+    """The smallest packed word with these run lengths, ascents and descents, if any.
+
+    Greedy, one letter at a time: a prefix extends to such a word exactly
+    when an unused run length can still hold the open run and the letters
+    can still make the remaining rises and falls, because the unused
+    lengths may follow in any order.
+    """
+    K = alphabet_size
+    letter = next((x for x in range(K) if _letters_fit(K, x, asc, desc)), None)
+    if letter is None:
+        return None
+    unused = list(lengths)  # non-increasing, so unused[0] is the longest
+    packed, run = letter, 1
+    for _ in range(sum(lengths) - 1):
+        for nxt in range(K):
+            if nxt == letter:
+                if run < unused[0]:
+                    run += 1
+                    break
+            elif run in unused:
+                rises, falls = (asc - 1, desc) if nxt > letter else (asc, desc - 1)
+                if min(rises, falls) >= 0 and _letters_fit(K, nxt, rises, falls):
+                    unused.remove(run)
+                    asc, desc, letter, run = rises, falls, nxt, 1
+                    break
+        packed = packed * K + letter
+    return packed
+
+
+def class_representatives(n: int, alphabet_size: int = 2) -> list[int]:
+    """The smallest packed word of each run-length class of degree n, in increasing order.
+
+    A class is (asc, desc, sorted run lengths) with (asc, desc) and
+    (desc, asc) merged; its words share one denominator (see the module
+    docstring).  Two letters give one class per partition of n.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    K = alphabet_size
-    # reversed_[p] is the packed reversal of p, one digit at a time: the
-    # word q*K + d of length i+1 reverses to d*K^i + reverse(q)
-    reversed_ = [0]
-    for i in range(n):
-        place = K**i
-        reversed_ = [d * place + r for r in reversed_ for d in range(K)]
-    top = K**n - 1
-    # the range keeps p <= relabel(p); the test compares p with reverse(p)
-    # and relabel(reverse(p)) = top - reverse(p)
-    return [p for p in range(top // 2 + 1) if p <= (r := reversed_[p]) and p <= top - r]
+    reps = []
+    for lengths in numtheory.partitions(n):
+        boundaries = len(lengths) - 1
+        for asc in range(boundaries // 2 + 1):
+            desc = boundaries - asc
+            # relabelling pairs the words of (asc, desc) with those of
+            # (desc, asc), so either both orders have words or neither has
+            first = _smallest_word(lengths, asc, desc, alphabet_size)
+            if first is not None:
+                reps.append(min(first, _smallest_word(lengths, desc, asc, alphabet_size)))
+    return sorted(reps)
 
 
 def _dp_scan_chunk(task: tuple[int, int, Sequence[int]]) -> list[Fraction]:
@@ -222,6 +295,7 @@ def degree_coefficients(
     words: Sequence[int] | None = None,
     series: TruncatedSeries | None = None,
     parallelism: int = 1,
+    pool: Pool | None = None,
     scan_limit: int = DEFAULT_SCAN_LIMIT,
     table_budget: int = DEFAULT_TABLE_BUDGET,
 ) -> list[Fraction]:
@@ -230,7 +304,10 @@ def degree_coefficients(
     ``words`` defaults to every word, so the result is indexed by packed
     word.  ``series`` may carry a precomputed series (reused across
     degrees); otherwise the series backend builds one.  With backend "both"
-    the two backends are compared entry by entry before returning.
+    the two backends are compared entry by entry before returning.  With
+    ``parallelism`` above 1 the per-word DP runs on ``pool`` (an open pool
+    of that many workers, shared across degrees; see ``worker_pool``), or
+    on a pool opened for this call.
     """
     _check_scan(n, alphabet_size, scan_limit, table_budget)
     backend = canonical_backend(backend)
@@ -244,8 +321,8 @@ def degree_coefficients(
             words=words, series=series, scan_limit=scan_limit, table_budget=table_budget,
         )
         from_dp = degree_coefficients(
-            n, alphabet_size, DP_BACKEND, words=words,
-            parallelism=parallelism, scan_limit=scan_limit, table_budget=table_budget,
+            n, alphabet_size, DP_BACKEND, words=words, parallelism=parallelism,
+            pool=pool, scan_limit=scan_limit, table_budget=table_budget,
         )
         for i, (a, b) in enumerate(zip(from_series, from_dp)):
             if a != b:
@@ -268,15 +345,23 @@ def degree_coefficients(
 
     if words is None:
         words = range(total)
-    if parallelism > 1:
-        chunk = max(1, -(-len(words) // (parallelism * 4)))
-        tasks = [(n, alphabet_size, words[s : s + chunk]) for s in range(0, len(words), chunk)]
-        out: list[Fraction] = []
-        with multiprocessing.Pool(parallelism) as pool:
-            for part in pool.map(_dp_scan_chunk, tasks):
-                out.extend(part)
-        return out
-    return _dp_scan_chunk((n, alphabet_size, words))
+    if parallelism == 1:
+        return _dp_scan_chunk((n, alphabet_size, words))
+    chunk = max(1, -(-len(words) // (parallelism * 4)))
+    tasks = [(n, alphabet_size, words[s : s + chunk]) for s in range(0, len(words), chunk)]
+    with multiprocessing.Pool(parallelism) if pool is None else nullcontext(pool) as pool:
+        return list(chain.from_iterable(pool.map(_dp_scan_chunk, tasks)))
+
+
+def worker_pool(backend: str, parallelism: int) -> AbstractContextManager[Pool | None]:
+    """The worker pool a run's per-word scans share across degrees, as a context.
+
+    It yields None (no pool) when the scans are serial or read only the
+    dense series.
+    """
+    if parallelism > 1 and canonical_backend(backend) != SERIES_BACKEND:
+        return multiprocessing.Pool(parallelism)
+    return nullcontext()
 
 
 def _integer_numerator(h: Fraction, common: int, word: Word, alphabet_size: int) -> int:
@@ -296,24 +381,26 @@ def degree_report(
     *,
     series: TruncatedSeries | None = None,
     parallelism: int = 1,
+    pool: Pool | None = None,
     scan_limit: int = DEFAULT_SCAN_LIMIT,
     table_budget: int = DEFAULT_TABLE_BUDGET,
 ) -> DenominatorReport:
     """Scan one degree and compare denominators against n! * d_n.
 
-    The per-word DP computes one word per reversal/relabelling orbit: the
-    words of an orbit share a denominator, so the lcm is unchanged, and the
-    first word of maximal denominator is the smallest word of its orbit.
-    The series backend and "both" (the unreduced cross-check) scan every
-    word.
+    The per-word DP computes one word per run-length class
+    (``class_representatives``; p(n) words for two letters, after
+    Goldberg 1956): the words of a class share a denominator, so the lcm is
+    unchanged, and the first word of maximal denominator is the smallest
+    word of its class.  The series backend and "both" (the unreduced
+    cross-check) scan every word.
     """
     _check_scan(n, alphabet_size, scan_limit, table_budget)
     words = None
     if canonical_backend(backend) == DP_BACKEND:
-        words = orbit_representatives(n, alphabet_size)
+        words = class_representatives(n, alphabet_size)
     coeffs = degree_coefficients(
         n, alphabet_size, backend,
-        words=words, series=series, parallelism=parallelism,
+        words=words, series=series, parallelism=parallelism, pool=pool,
         scan_limit=scan_limit, table_budget=table_budget,
     )
     d_n, _ = compute_dn(n)

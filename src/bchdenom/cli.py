@@ -47,6 +47,8 @@ class RunConfig:
             raise ValueError("alphabet size must be >= 2")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        if self.enumeration_bound < 1:
+            raise ValueError("enumeration bound must be >= 1")
         if self.enumeration_bound > HARD_ENUMERATION_CAP:
             raise ValueError(
                 f"enumeration bound is hard-capped at {HARD_ENUMERATION_CAP}"
@@ -69,16 +71,11 @@ def _warn(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _warn_budgets(config: RunConfig, scan_degree: int | None = None) -> None:
-    if scan_degree is not None and scan_degree > bch.DEFAULT_SCAN_LIMIT:
+def _warn_scan_limit(scan_degree: int) -> None:
+    if scan_degree > bch.DEFAULT_SCAN_LIMIT:
         _warn(
             f"warning: scanning up to degree {scan_degree} exceeds the default "
             f"budget of {bch.DEFAULT_SCAN_LIMIT}; this may take a while"
-        )
-    if config.enumeration_bound > DEFAULT_ENUMERATION_BOUND:
-        _warn(
-            f"warning: enumeration bound {config.enumeration_bound} exceeds the "
-            f"default of {DEFAULT_ENUMERATION_BOUND}; this may take a while"
         )
 
 
@@ -290,7 +287,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if what in ("theorem", "minimal", "cor1", "cor2", "goldberg"):
         return _verify_scanning(args, config, emitter)
     if what == "eq3":
-        _warn_budgets(config)
         bound = config.enumeration_bound
         failures = []
         for n in range(1, args.max + 1):
@@ -354,7 +350,7 @@ def _verify_scanning(args: argparse.Namespace, config: RunConfig, emitter: _Chec
         least, reason = _LEAST_MAX[what]
         if N < least:
             raise ValueError(f"{what} needs --max {least} or more: {reason}")
-    _warn_budgets(config, scan_degree=N)
+    _warn_scan_limit(N)
     _announce_scan(N, K)
     # theorem and minimal read the series only through the series backend
     per_word_only = (
@@ -364,19 +360,20 @@ def _verify_scanning(args: argparse.Namespace, config: RunConfig, emitter: _Chec
     failures: list[dict] = []
 
     if what in ("theorem", "minimal"):
-        for n in range(1, N + 1):
-            report = bch.degree_report(
-                n, K, config.backend,
-                series=series, parallelism=config.parallelism, scan_limit=N,
-            )
-            ok = report.divisibility_ok if what == "theorem" else report.minimal
-            if not ok:
-                failures.append({"check": what, **report.to_json_dict()})
-            emitter.emit(
-                {"check": what, "passed": ok, **report.to_json_dict()},
-                f"{what} n={n}: {'PASS' if ok else 'FAIL'} "
-                f"(lcm {report.observed_lcm}, n!*d_n {report.common_denominator})",
-            )
+        with bch.worker_pool(config.backend, config.parallelism) as pool:
+            for n in range(1, N + 1):
+                report = bch.degree_report(
+                    n, K, config.backend,
+                    series=series, parallelism=config.parallelism, pool=pool, scan_limit=N,
+                )
+                ok = report.divisibility_ok if what == "theorem" else report.minimal
+                if not ok:
+                    failures.append({"check": what, **report.to_json_dict()})
+                emitter.emit(
+                    {"check": what, "passed": ok, **report.to_json_dict()},
+                    f"{what} n={n}: {'PASS' if ok else 'FAIL'} "
+                    f"(lcm {report.observed_lcm}, n!*d_n {report.common_denominator})",
+                )
         return _finish(failures)
 
     if what == "cor1":
@@ -488,7 +485,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     config.validate()
     n = args.degree
     K = args.alphabet
-    _warn_budgets(config, scan_degree=n)
+    _warn_scan_limit(n)
     _announce_scan(n, K)
     common, _ = numtheory.common_denominator(n)
 

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import json
+import multiprocessing
 
 import pytest
 
@@ -93,6 +94,14 @@ def test_verify_eq3_budget_names_flag_degree_and_cap(capsys):
 def test_verify_enum_bound_hard_cap(capsys):
     code, _, err = run(capsys, "verify", "--what", "eq3", "--max", "5", "--enum-bound", "25")
     assert code == 2
+
+
+def test_verify_eq3_above_default_bound_warns_nothing(capsys):
+    # the partition oracle at the hard cap is about interpreter start
+    code, out, err = run(capsys, "verify", "--what", "eq3", "--max", "24", "--enum-bound", "24")
+    assert code == 0
+    assert out.count("PASS") == 24
+    assert err == ""
 
 
 def test_verify_bernoulli(capsys):
@@ -183,19 +192,31 @@ def test_verify_dp_scan_builds_no_series(capsys, monkeypatch, what):
 
 
 @pytest.mark.parametrize("what", ["theorem", "minimal"])
-def test_verify_dp_scan_byte_identical(capsys, what):
-    # the per-word DP reports one word per orbit; the output must not show it
-    outputs = set()
-    for backend, parallelism in (("dp", "1"), ("dp", "2"), ("series", "1")):
-        code, out, _ = run(
-            capsys,
-            "verify", "--what", what, "--max", "10", "--format", "json",
-            "--backend", backend, "--parallelism", parallelism,
-        )
-        assert code == 0
-        outputs.add(out)
-    assert len(outputs) == 1
-    assert len(outputs.pop().splitlines()) == 10
+def test_verify_dp_scan_byte_identical(capsys, monkeypatch, what):
+    # the per-word DP reports one word per run-length class, on one pool
+    # for the whole run; the output must show neither
+    real_pool = multiprocessing.Pool
+    pools = []
+
+    def counting_pool(*args, **kwargs):
+        pools.append(args)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    for output_format in ("plain", "json"):
+        outputs = set()
+        for backend, parallelism in (("dp", "1"), ("dp", "2"), ("series", "1")):
+            pools.clear()
+            code, out, _ = run(
+                capsys,
+                "verify", "--what", what, "--max", "10", "--format", output_format,
+                "--backend", backend, "--parallelism", parallelism,
+            )
+            assert code == 0
+            assert len(pools) == (1 if parallelism == "2" else 0)
+            outputs.add(out)
+        assert len(outputs) == 1
+        assert len(outputs.pop().splitlines()) == 10
 
 
 def test_verify_goldberg_regression_exits_1(capsys, monkeypatch):
@@ -481,6 +502,8 @@ EXIT_CASES = {
     "eq3-pass": (["verify", "--what", "eq3", "--max", "8"], None, 0),
     "eq3-violation": (["verify", "--what", "eq3", "--max", "3"], ("numtheory.common_denominator", _plus_one), 1),
     "eq3-budget": (["verify", "--what", "eq3", "--max", "22", "--enum-bound", "4"], None, 3),
+    "eq3-enum-bound-0": (["verify", "--what", "eq3", "--max", "3", "--enum-bound", "0"], None, 2),
+    "eq3-enum-bound-negative": (["verify", "--what", "eq3", "--max", "3", "--enum-bound", "-1"], None, 2),
     "bernoulli-pass": (["verify", "--what", "bernoulli", "--max", "10"], None, 0),
     "bernoulli-violation": (
         ["verify", "--what", "bernoulli", "--max", "3"],

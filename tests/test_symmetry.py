@@ -1,14 +1,19 @@
-"""Reversal/relabelling symmetry of the coefficients, and the orbit-reduced scan.
+"""Run-length classes of words, and the class-reduced per-word-DP scan.
 
-Reversing a word, or relabelling its letters i -> K-1-i, multiplies its
-coefficient by (-1)^(n+1).  The per-word-DP degree report relies on this
-to compute one word per orbit, so the identities are checked here on both
-backends rather than assumed, and the reduced report is compared with one
-built from the full, unreduced scan.
+A coefficient depends only on its word's run-length class: the sorted run
+lengths and the numbers of ascents and descents at run boundaries.
+Reversing a word, or relabelling its letters i -> K-1-i, swaps the
+ascents and descents and multiplies the coefficient by (-1)^(n+1).  The
+per-word-DP degree report relies on both facts to compute one word per
+class, so they are checked here on both backends rather than assumed,
+and the reduced report is compared with one built from the full,
+unreduced scan.
 """
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import groupby
 from math import lcm
 
 import pytest
@@ -16,9 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bchdenom import bch
-from bchdenom.bch import DenominatorReport, degree_coefficients, degree_report, orbit_representatives
-from bchdenom.freealgebra import Word, bch_coeff_word, bch_series
-from bchdenom.numtheory import common_denominator, compute_dn
+from bchdenom.bch import DenominatorReport, class_representatives, degree_coefficients, degree_report
+from bchdenom.freealgebra import Word, bch_coeff_word
+from bchdenom.numtheory import common_denominator, compute_dn, partitions
+
+
+@cache
+def coefficients(n: int, alphabet_size: int, backend: str) -> list:
+    """Every coefficient of one degree, computed once per test session."""
+    return degree_coefficients(n, alphabet_size, backend)
 
 
 def reverse(word: Word) -> Word:
@@ -36,12 +47,37 @@ def assert_symmetric(coefficient, word: Word, alphabet_size: int) -> None:
     assert coefficient(relabel(word, alphabet_size)) == sign * a
 
 
+def run_shape(word: Word) -> tuple[int, int, tuple[int, ...]]:
+    """(ascents, descents, sorted run lengths) of a word, read off its letters."""
+    runs = [(letter, len(list(group))) for letter, group in groupby(word.letters)]
+    asc = sum(1 for (a, _), (b, _) in zip(runs, runs[1:]) if b > a)
+    return asc, len(runs) - 1 - asc, tuple(sorted(length for _, length in runs))
+
+
+def class_key(word: Word) -> tuple[int, int, tuple[int, ...]]:
+    asc, desc, lengths = run_shape(word)
+    return min(asc, desc), max(asc, desc), lengths
+
+
+@cache
+def representative_of(n: int, alphabet_size: int) -> dict:
+    """class key -> the class's representative word, from ``class_representatives``."""
+    reps = (Word.unpack(p, n, alphabet_size) for p in class_representatives(n, alphabet_size))
+    return {class_key(rep): rep for rep in reps}
+
+
+def assert_class_invariant(coefficient, word: Word, alphabet_size: int) -> None:
+    rep = representative_of(word.degree, alphabet_size)[class_key(word)]
+    relabelled = run_shape(word)[:2] != run_shape(rep)[:2]
+    sign = (-1) ** (word.degree + 1) if relabelled else 1
+    assert coefficient(word) == sign * coefficient(rep)
+
+
 @pytest.mark.parametrize("K, N", [(2, 10), (3, 5)])
 @pytest.mark.parametrize("backend", ["series", "dp"])
 def test_symmetry_exhaustive(K, N, backend):
-    series = bch_series(K, N)
     for n in range(1, N + 1):
-        coeffs = degree_coefficients(n, K, backend, series=series)
+        coeffs = coefficients(n, K, backend)
         for packed in range(K**n):
             assert_symmetric(lambda w: coeffs[w.pack(K)], Word.unpack(packed, n, K), K)
 
@@ -54,27 +90,44 @@ def test_symmetry_on_random_words(data):
     assert_symmetric(lambda w: bch_coeff_word(w, K), Word(tuple(letters)), K)
 
 
-@pytest.mark.parametrize("K, N", [(2, 10), (3, 6), (4, 5)])
-def test_orbit_representatives_are_the_orbit_minima(K, N):
+@pytest.mark.parametrize("K, N", [(2, 12), (3, 6)])
+@pytest.mark.parametrize("backend", ["series", "dp"])
+def test_class_invariance_exhaustive(K, N, backend):
     for n in range(1, N + 1):
-        minima = set()
+        coeffs = coefficients(n, K, backend)
         for packed in range(K**n):
-            word = Word.unpack(packed, n, K)
-            orbit = {word, reverse(word), relabel(word, K), relabel(reverse(word), K)}
-            minima.add(min(w.pack(K) for w in orbit))
-        assert orbit_representatives(n, K) == sorted(minima)
+            assert_class_invariant(lambda w: coeffs[w.pack(K)], Word.unpack(packed, n, K), K)
 
 
-def test_orbit_representatives_count():
-    # the K=2 scan of degrees 1..13 computes 4,222 words instead of 16,382
-    assert sum(len(orbit_representatives(n, 2)) for n in range(1, 14)) == 4222
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_class_invariance_on_random_words(data):
+    K = data.draw(st.integers(2, 4), label="K")
+    letters = data.draw(st.lists(st.integers(0, K - 1), min_size=1, max_size=14), label="letters")
+    assert_class_invariant(lambda w: bch_coeff_word(w, K), Word(tuple(letters)), K)
+
+
+@pytest.mark.parametrize("K, N", [(2, 12), (3, 7), (4, 5)])
+def test_class_representatives_are_the_class_minima(K, N):
+    for n in range(1, N + 1):
+        minima: dict = {}
+        for packed in range(K**n):
+            minima.setdefault(class_key(Word.unpack(packed, n, K)), packed)
+        assert class_representatives(n, K) == sorted(minima.values())
+
+
+def test_class_representatives_count_partitions():
+    # two letters: one class per partition of n, p(n) words
+    for n in range(1, 21):
+        assert len(class_representatives(n, 2)) == sum(1 for _ in partitions(n))
+    # the K=2 scan of degrees 1..13 computes 372 words instead of 16,382
+    assert sum(len(class_representatives(n, 2)) for n in range(1, 14)) == 372
     with pytest.raises(ValueError):
-        orbit_representatives(0, 2)
+        class_representatives(0, 2)
 
 
 def full_scan_report(n: int, K: int) -> DenominatorReport:
-    coeffs = degree_coefficients(n, K, "dp")
-    dens = [c.denominator for c in coeffs]
+    dens = [c.denominator for c in coefficients(n, K, "dp")]
     observed = lcm(*dens)
     common, _ = common_denominator(n)
     return DenominatorReport(
@@ -89,13 +142,13 @@ def full_scan_report(n: int, K: int) -> DenominatorReport:
     )
 
 
-@pytest.mark.parametrize("K, N", [(2, 11), (3, 6)])
+@pytest.mark.parametrize("K, N", [(2, 11), (3, 6), (4, 5)])
 def test_reduced_dp_report_equals_full_scan(K, N):
     for n in range(1, N + 1):
         assert degree_report(n, K, "dp") == full_scan_report(n, K)
 
 
-def test_dp_report_computes_one_word_per_orbit(monkeypatch):
+def test_dp_report_computes_one_word_per_class(monkeypatch):
     computed = []
 
     def counting(word, alphabet_size=2):
@@ -104,7 +157,7 @@ def test_dp_report_computes_one_word_per_orbit(monkeypatch):
 
     monkeypatch.setattr(bch, "bch_coeff_word", counting)
     degree_report(9, 2, "dp")
-    assert computed == orbit_representatives(9, 2)
+    assert computed == class_representatives(9, 2)
     computed.clear()
     degree_report(9, 2, "both")  # the cross-check stays unreduced
     assert computed == list(range(2**9))
