@@ -44,7 +44,6 @@ the invariance on both backends rather than assume it.
 
 from __future__ import annotations
 
-import multiprocessing
 from collections.abc import Sequence
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
@@ -276,15 +275,18 @@ def _dp_scan_chunk(task: tuple[int, int, Sequence[int]]) -> list[Fraction]:
     ]
 
 
-def _check_scan(n: int, alphabet_size: int, scan_limit: int, table_budget: int) -> None:
+def _check_degree(n: int, scan_limit: int) -> None:
     if n < 1:
         raise ValueError("degree must be >= 1")
     if n > scan_limit:
         raise BudgetError(f"degree {n} exceeds scan limit {scan_limit}")
-    if alphabet_size**n > table_budget:
-        raise BudgetError(
-            f"scan of {alphabet_size}^{n} words exceeds table budget {table_budget}"
-        )
+
+
+def _check_budget(n: int, alphabet_size: int, table_budget: int, scanned: int | None) -> None:
+    """Refuse a scan of more words than the budget; ``scanned`` None means all K^n."""
+    if (alphabet_size**n if scanned is None else scanned) > table_budget:
+        what = f"{alphabet_size}^{n} words" if scanned is None else f"{scanned} words of degree {n}"
+        raise BudgetError(f"scan of {what} exceeds table budget {table_budget}")
 
 
 def degree_coefficients(
@@ -307,10 +309,14 @@ def degree_coefficients(
     the two backends are compared entry by entry before returning.  With
     ``parallelism`` above 1 the per-word DP runs on ``pool`` (an open pool
     of that many workers, shared across degrees; see ``worker_pool``), or
-    on a pool opened for this call.
+    on a pool opened for this call.  ``table_budget`` bounds the words the
+    scan computes: the given ``words`` on the per-word DP, else all K^n
+    (the series holds every word of a degree in its table).
     """
-    _check_scan(n, alphabet_size, scan_limit, table_budget)
+    _check_degree(n, scan_limit)
     backend = canonical_backend(backend)
+    scanned = len(words) if words is not None and backend == DP_BACKEND else None
+    _check_budget(n, alphabet_size, table_budget, scanned)
     total = alphabet_size**n
     if words is not None and not all(0 <= packed < total for packed in words):
         raise ValueError(f"packed word out of range for degree {n}")
@@ -349,6 +355,8 @@ def degree_coefficients(
         return _dp_scan_chunk((n, alphabet_size, words))
     chunk = max(1, -(-len(words) // (parallelism * 4)))
     tasks = [(n, alphabet_size, words[s : s + chunk]) for s in range(0, len(words), chunk)]
+    import multiprocessing  # only here and in worker_pool: serial runs skip its import
+
     with multiprocessing.Pool(parallelism) if pool is None else nullcontext(pool) as pool:
         return list(chain.from_iterable(pool.map(_dp_scan_chunk, tasks)))
 
@@ -360,18 +368,20 @@ def worker_pool(backend: str, parallelism: int) -> AbstractContextManager[Pool |
     dense series.
     """
     if parallelism > 1 and canonical_backend(backend) != SERIES_BACKEND:
+        import multiprocessing
+
         return multiprocessing.Pool(parallelism)
     return nullcontext()
 
 
 def _integer_numerator(h: Fraction, common: int, word: Word, alphabet_size: int) -> int:
-    a = h * common
-    if a.denominator != 1:
+    quotient, remainder = divmod(common, h.denominator)
+    if remainder:
         raise CommonDenominatorError(
             f"denominator of coefficient of {word.to_string(alphabet_size)} "
             f"does not divide {common}"
         )
-    return a.numerator
+    return h.numerator * quotient
 
 
 def degree_report(
@@ -391,10 +401,11 @@ def degree_report(
     (``class_representatives``; p(n) words for two letters, after
     Goldberg 1956): the words of a class share a denominator, so the lcm is
     unchanged, and the first word of maximal denominator is the smallest
-    word of its class.  The series backend and "both" (the unreduced
-    cross-check) scan every word.
+    word of its class.  The table budget then counts class words.  The
+    series backend and "both" (the unreduced cross-check) scan every word.
+    The lcm runs over the distinct denominators only.
     """
-    _check_scan(n, alphabet_size, scan_limit, table_budget)
+    _check_degree(n, scan_limit)
     words = None
     if canonical_backend(backend) == DP_BACKEND:
         words = class_representatives(n, alphabet_size)
@@ -405,17 +416,13 @@ def degree_report(
     )
     d_n, _ = compute_dn(n)
     common, _ = common_denominator(n)
-    observed = 1
+    dens = [c.denominator for c in coeffs]
+    observed = lcm(*set(dens))
     # the lcm need not be attained by any single word (degrees 9..12 for
     # two letters); the witness is then the first word of maximal denominator
-    witness_packed = 0
-    largest = 0
-    for packed, c in zip(range(len(coeffs)) if words is None else words, coeffs):
-        den = c.denominator
-        observed = lcm(observed, den)
-        if den > largest:
-            largest = den
-            witness_packed = packed
+    witness_packed = dens.index(max(dens))
+    if words is not None:
+        witness_packed = words[witness_packed]
     return DenominatorReport(
         degree=n,
         alphabet_size=alphabet_size,

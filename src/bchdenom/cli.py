@@ -11,7 +11,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bch, numtheory
@@ -29,30 +28,17 @@ PARALLELISM_ENV = "BCHDENOM_PARALLELISM"
 PROGRESS_DEGREE = 12  # scans at least this large announce themselves on stderr
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    max_degree: int
-    alphabet_size: int = 2
-    backend: str = bch.SERIES_BACKEND
-    output_format: str = "plain"
-    parallelism: int = 1
-    enumeration_bound: int = DEFAULT_ENUMERATION_BOUND
-
-    def validate(self) -> None:
-        if self.max_degree < 1:
-            raise ValueError("max degree must be >= 1")
-        if self.alphabet_size < 2:
-            raise ValueError("alphabet size must be >= 2")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
-        if self.enumeration_bound < 1:
-            raise ValueError("enumeration bound must be >= 1")
-        if self.enumeration_bound > HARD_ENUMERATION_CAP:
-            raise ValueError(
-                f"enumeration bound is hard-capped at {HARD_ENUMERATION_CAP}"
-            )
+def _validate(args: argparse.Namespace) -> None:
+    """Reject out-of-range arguments argparse lets through (a usage error, exit 2)."""
+    if getattr(args, "max", getattr(args, "degree", 1)) < 1:
+        raise ValueError("max degree must be >= 1")
+    if getattr(args, "alphabet", 2) < 2:
+        raise ValueError("alphabet size must be >= 2")
+    bound = getattr(args, "enum_bound", DEFAULT_ENUMERATION_BOUND)
+    if bound < 1:
+        raise ValueError("enumeration bound must be >= 1")
+    if bound > HARD_ENUMERATION_CAP:
+        raise ValueError(f"enumeration bound is hard-capped at {HARD_ENUMERATION_CAP}")
 
 
 def _parallelism(text: str) -> int:
@@ -104,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--parallelism",
             type=_parallelism,
-            default=_parallelism(os.environ.get(PARALLELISM_ENV, "1")),
+            # a string default goes through type=, so a bad value is a usage error
+            default=os.environ.get(PARALLELISM_ENV, "1"),
             help="worker count or 'auto' (default from $BCHDENOM_PARALLELISM or 1)",
         )
 
@@ -173,6 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
+        _validate(args)
         if args.command == "dn":
             return _cmd_dn(args)
         if args.command == "verify":
@@ -199,8 +187,6 @@ def _csv_writer():
 
 
 def _cmd_dn(args: argparse.Namespace) -> int:
-    config = RunConfig(max_degree=args.max, output_format=args.format)
-    config.validate()
     rows = []
     for n in range(1, args.max + 1):
         d_n, d_fact = numtheory.compute_dn(n)
@@ -273,21 +259,12 @@ def _emit_violation(record: dict) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        max_degree=args.max,
-        alphabet_size=args.alphabet,
-        backend=args.backend,
-        output_format=args.format,
-        parallelism=args.parallelism,
-        enumeration_bound=getattr(args, "enum_bound", DEFAULT_ENUMERATION_BOUND),
-    )
-    config.validate()
     what = args.what
     emitter = _CheckEmitter(args.format)
     if what in ("theorem", "minimal", "cor1", "cor2", "goldberg"):
-        return _verify_scanning(args, config, emitter)
+        return _verify_scanning(args, emitter)
     if what == "eq3":
-        bound = config.enumeration_bound
+        bound = args.enum_bound
         failures = []
         for n in range(1, args.max + 1):
             if n > bound:
@@ -340,10 +317,10 @@ _LEAST_MAX = {
 }
 
 
-def _verify_scanning(args: argparse.Namespace, config: RunConfig, emitter: _CheckEmitter) -> int:
+def _verify_scanning(args: argparse.Namespace, emitter: _CheckEmitter) -> int:
     what = args.what
-    K = config.alphabet_size
-    N = config.max_degree
+    K = args.alphabet
+    N = args.max
     if what in _LEAST_MAX:
         if K != 2:
             raise ValueError(f"{what} is a two-letter check")
@@ -354,17 +331,17 @@ def _verify_scanning(args: argparse.Namespace, config: RunConfig, emitter: _Chec
     _announce_scan(N, K)
     # theorem and minimal read the series only through the series backend
     per_word_only = (
-        what in ("theorem", "minimal") and bch.canonical_backend(config.backend) == bch.DP_BACKEND
+        what in ("theorem", "minimal") and bch.canonical_backend(args.backend) == bch.DP_BACKEND
     )
     series = None if per_word_only else bch_series(K, N)
     failures: list[dict] = []
 
     if what in ("theorem", "minimal"):
-        with bch.worker_pool(config.backend, config.parallelism) as pool:
+        with bch.worker_pool(args.backend, args.parallelism) as pool:
             for n in range(1, N + 1):
                 report = bch.degree_report(
-                    n, K, config.backend,
-                    series=series, parallelism=config.parallelism, pool=pool, scan_limit=N,
+                    n, K, args.backend,
+                    series=series, parallelism=args.parallelism, pool=pool, scan_limit=N,
                 )
                 ok = report.divisibility_ok if what == "theorem" else report.minimal
                 if not ok:
@@ -432,8 +409,6 @@ def _verify_scanning(args: argparse.Namespace, config: RunConfig, emitter: _Chec
 
 
 def _cmd_coeff(args: argparse.Namespace) -> int:
-    config = RunConfig(max_degree=1, alphabet_size=args.alphabet, output_format=args.format)
-    config.validate()
     word = Word.from_string(args.word, args.alphabet)
     if word.degree < 1:
         raise ValueError("the word must be nonempty")
@@ -475,14 +450,6 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        max_degree=args.degree,
-        alphabet_size=args.alphabet,
-        backend=args.backend,
-        output_format=args.format,
-        parallelism=args.parallelism,
-    )
-    config.validate()
     n = args.degree
     K = args.alphabet
     _warn_scan_limit(n)
@@ -491,7 +458,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
     if args.dedup:
         entries = bch.coefficient_value_table(
-            n, K, config.backend, parallelism=config.parallelism, scan_limit=n
+            n, K, args.backend, parallelism=args.parallelism, scan_limit=n
         )
         rows = [
             (
@@ -505,7 +472,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         ]
     else:
         coeffs = bch.degree_coefficients(
-            n, K, config.backend, parallelism=config.parallelism, scan_limit=n
+            n, K, args.backend, parallelism=args.parallelism, scan_limit=n
         )
         rows = []
         for packed, h in enumerate(coeffs):

@@ -15,7 +15,8 @@ Two independent backends compute the same coefficients:
   d! (its entries are multinomial coefficients), a degree-d table of the
   log's Horner loop times d! * lcm(1..N).  Multiplying a degree-dx table
   by a degree-dy table then only needs the weight comb(dx+dy, dx), and
-  each coefficient becomes a ``Fraction`` once, at the end.
+  each distinct value of a degree becomes a ``Fraction`` once, at the
+  end, shared by every entry that holds it.
 * ``bch_coeff_word`` -- a per-word dynamic program over prefix lengths
   that never builds tables.  A word has a nonzero coefficient in the
   exponential product only if its letters are nondecreasing ("staircase"
@@ -290,8 +291,9 @@ def bch_series(
     table times d!, the Horner tables times d! * lcm(1..N), where the
     constants (-1)^{k+1}/k become +-lcm(1..N)/k.  The Horner value at step
     k is only needed through degree N - k, since the remaining factors of
-    the product each raise the degree.  Each coefficient is reduced to a
-    ``Fraction`` once, when the result is built.
+    the product each raise the degree.  Each distinct value of a degree is
+    reduced to a ``Fraction`` once, when the result is built, and every
+    entry holding it shares that object.
     """
     if alphabet_size < 2:
         raise ValueError("alphabet size must be >= 2")
@@ -333,7 +335,11 @@ def bch_series(
     tables = []
     for d, tab in enumerate(horner):
         den = factorial(d) * scale
-        tables.append(DegreeTable(d, K, [Fraction(c, den) if c else _ZERO for c in tab]))
+        # a coefficient depends only on its word's run-length class, so a
+        # degree holds few distinct values: reduce each once, share it
+        values = {c: Fraction(c, den) for c in set(tab)}
+        values[0] = _ZERO
+        tables.append(DegreeTable(d, K, list(map(values.__getitem__, tab))))
     return TruncatedSeries(N, K, tables)
 
 

@@ -74,6 +74,19 @@ def test_degree_report_budgets():
         degree_coefficients(3, 2, "bogus")
 
 
+def test_dp_report_budget_counts_class_words():
+    # the class-reduced DP builds no table: its budget counts the words it computes
+    classes = len(bch.class_representatives(8, 3))
+    assert degree_report(8, 3, "dp", table_budget=classes) == degree_report(8, 3, "series")
+    with pytest.raises(BudgetError, match=f"scan of {classes} words of degree 8"):
+        degree_report(8, 3, "dp", table_budget=classes - 1)
+    for backend in ("series", "both"):
+        with pytest.raises(BudgetError, match=r"3\^8 words"):
+            degree_report(8, 3, backend, table_budget=3**7)
+    with pytest.raises(BudgetError):
+        degree_coefficients(8, 3, "dp", table_budget=3**7)  # every word, as for table
+
+
 def test_degree_coefficients_rejects_short_series(series2_6):
     with pytest.raises(ValueError):
         degree_coefficients(8, 2, series=series2_6)

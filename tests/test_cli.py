@@ -7,6 +7,10 @@ import dataclasses
 import io
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -451,6 +455,40 @@ def test_parallelism_rejects_garbage(capsys):
     assert cli.main(["table", "--degree", "3", "--parallelism", "zero"]) == 2
 
 
+@pytest.mark.parametrize("value", ["0", "zero"])
+def test_parallelism_env_garbage_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("BCHDENOM_PARALLELISM", value)
+    code, out, err = run(capsys, "table", "--degree", "3")
+    assert code == 2
+    assert out == "" and "parallelism" in err
+    # an explicit flag overrides the bad default
+    assert run(capsys, "table", "--degree", "3", "--parallelism", "1")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["verify", "--what", "eq3", "--max", "5"],
+        ["verify", "--what", "minimal", "--max", "6"],
+        ["verify", "--what", "minimal", "--max", "6", "--backend", "dp", "--parallelism", "1"],
+    ],
+    ids=["help", "eq3", "minimal-series", "minimal-dp-serial"],
+)
+def test_serial_runs_do_not_import_multiprocessing(argv):
+    # a fresh interpreter: only a run that opens a worker pool imports it
+    script = (
+        "import sys\n"
+        "from bchdenom import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "sys.stderr.write(repr((code, 'multiprocessing' in sys.modules)))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "BCHDENOM_PARALLELISM": "1"}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.stderr.splitlines()[-1] == "(0, False)"
+
+
 # ---------------------------------------------------------------------------
 # exit-code contract: 0 pass, 1 violation, 2 usage, 3 budget
 
@@ -493,6 +531,11 @@ EXIT_CASES = {
     ),
     "minimal-max-0": (["verify", "--what", "minimal", "--max", "0"], None, 2),
     "minimal-budget": (["verify", "--what", "minimal", "--alphabet", "3", "--max", "14"], None, 3),
+    "minimal-dp-three-letters-14": (
+        ["verify", "--what", "minimal", "--alphabet", "3", "--max", "14", "--backend", "dp"],
+        None,
+        0,
+    ),
     "cor1-pass": (["verify", "--what", "cor1", "--max", "7"], None, 0),
     "cor1-violation": (["verify", "--what", "cor1", "--max", "7"], ("bch.common_denominator", _doubled), 1),
     "cor1-three-letters": (["verify", "--what", "cor1", "--max", "5", "--alphabet", "3"], None, 2),

@@ -232,6 +232,14 @@ def test_series_multiply_associative_on_sparse_series(data):
     assert series_multiply(series_multiply(x, y), z) == series_multiply(x, series_multiply(y, z))
 
 
+@pytest.mark.parametrize("K, N", [(2, 10), (3, 6)])
+def test_bch_series_shares_one_fraction_per_distinct_value(K, N):
+    # a degree holds one value per run-length class, built once and shared
+    for table in bch_series(K, N).tables:
+        t = table.coefficients
+        assert len({id(c) for c in t}) == len(set(t))
+
+
 def test_bch_series_degree_one():
     series = bch_series(2, 1)
     assert series.tables[1].coefficients == [Fraction(1), Fraction(1)]

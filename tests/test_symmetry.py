@@ -126,9 +126,13 @@ def test_class_representatives_count_partitions():
         class_representatives(0, 2)
 
 
-def full_scan_report(n: int, K: int) -> DenominatorReport:
-    dens = [c.denominator for c in coefficients(n, K, "dp")]
-    observed = lcm(*dens)
+def full_scan_report(n: int, K: int, backend: str = "dp") -> DenominatorReport:
+    """The report reduced word by word over every word of the degree."""
+    observed, largest, witness = 1, 0, 0
+    for packed, c in enumerate(coefficients(n, K, backend)):
+        observed = lcm(observed, c.denominator)
+        if c.denominator > largest:  # the first word of maximal denominator
+            largest, witness = c.denominator, packed
     common, _ = common_denominator(n)
     return DenominatorReport(
         degree=n,
@@ -138,7 +142,7 @@ def full_scan_report(n: int, K: int) -> DenominatorReport:
         observed_lcm=observed,
         minimal=observed == common,
         divisibility_ok=common % observed == 0,
-        witness_max=Word.unpack(dens.index(max(dens)), n, K),
+        witness_max=Word.unpack(witness, n, K),
     )
 
 
@@ -146,6 +150,14 @@ def full_scan_report(n: int, K: int) -> DenominatorReport:
 def test_reduced_dp_report_equals_full_scan(K, N):
     for n in range(1, N + 1):
         assert degree_report(n, K, "dp") == full_scan_report(n, K)
+
+
+@pytest.mark.parametrize("K, N", [(2, 12), (3, 7)])
+@pytest.mark.parametrize("backend", ["series", "dp"])
+def test_degree_report_equals_per_word_reducer(K, N, backend):
+    # the report reduces over distinct denominators; the reference, every word
+    for n in range(1, N + 1):
+        assert degree_report(n, K, backend) == full_scan_report(n, K, backend)
 
 
 def test_dp_report_computes_one_word_per_class(monkeypatch):
