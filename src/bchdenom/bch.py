@@ -67,9 +67,6 @@ from .numtheory import PrimeFactorization, common_denominator, compute_dn
 if TYPE_CHECKING:
     from multiprocessing.pool import Pool
 
-#: Degrees above this require an explicit opt-in from the caller.
-DEFAULT_SCAN_LIMIT = 14
-
 SERIES_BACKEND = "series"
 DP_BACKEND = "per-word-dp"
 BOTH_BACKENDS = "both"
@@ -275,11 +272,9 @@ def _dp_scan_chunk(task: tuple[int, int, Sequence[int]]) -> list[Fraction]:
     ]
 
 
-def _check_degree(n: int, scan_limit: int) -> None:
+def _check_degree(n: int) -> None:
     if n < 1:
         raise ValueError("degree must be >= 1")
-    if n > scan_limit:
-        raise BudgetError(f"degree {n} exceeds scan limit {scan_limit}")
 
 
 def _check_budget(n: int, alphabet_size: int, table_budget: int, scanned: int | None) -> None:
@@ -298,8 +293,8 @@ def degree_coefficients(
     series: TruncatedSeries | None = None,
     parallelism: int = 1,
     pool: Pool | None = None,
-    scan_limit: int = DEFAULT_SCAN_LIMIT,
     table_budget: int = DEFAULT_TABLE_BUDGET,
+    scan_limit: int | None = None,
 ) -> list[Fraction]:
     """The coefficients of the packed ``words`` of degree n, in their order.
 
@@ -311,9 +306,11 @@ def degree_coefficients(
     of that many workers, shared across degrees; see ``worker_pool``), or
     on a pool opened for this call.  ``table_budget`` bounds the words the
     scan computes: the given ``words`` on the per-word DP, else all K^n
-    (the series holds every word of a degree in its table).
+    (the series holds every word of a degree in its table).  ``scan_limit``
+    is accepted and ignored, because ``perfbench/traced_cli.py`` still
+    passes it; the table budget is the only scan budget.
     """
-    _check_degree(n, scan_limit)
+    _check_degree(n)
     backend = canonical_backend(backend)
     scanned = len(words) if words is not None and backend == DP_BACKEND else None
     _check_budget(n, alphabet_size, table_budget, scanned)
@@ -324,11 +321,11 @@ def degree_coefficients(
     if backend == BOTH_BACKENDS:
         from_series = degree_coefficients(
             n, alphabet_size, SERIES_BACKEND,
-            words=words, series=series, scan_limit=scan_limit, table_budget=table_budget,
+            words=words, series=series, table_budget=table_budget,
         )
         from_dp = degree_coefficients(
-            n, alphabet_size, DP_BACKEND, words=words, parallelism=parallelism,
-            pool=pool, scan_limit=scan_limit, table_budget=table_budget,
+            n, alphabet_size, DP_BACKEND,
+            words=words, parallelism=parallelism, pool=pool, table_budget=table_budget,
         )
         for i, (a, b) in enumerate(zip(from_series, from_dp)):
             if a != b:
@@ -384,6 +381,21 @@ def _integer_numerator(h: Fraction, common: int, word: Word, alphabet_size: int)
     return h.numerator * quotient
 
 
+def report_words(n: int, alphabet_size: int, backend: str) -> list[int] | None:
+    """The packed words ``degree_report`` computes at degree n; None means every word.
+
+    The per-word DP computes one word per run-length class
+    (``class_representatives``; p(n) words for two letters, after
+    Goldberg 1956): the words of a class share a denominator, so the lcm is
+    unchanged, and the first word of maximal denominator is the smallest
+    word of its class.  The series backend and "both" (the unreduced
+    cross-check) compute every word.
+    """
+    if canonical_backend(backend) == DP_BACKEND:
+        return class_representatives(n, alphabet_size)
+    return None
+
+
 def degree_report(
     n: int,
     alphabet_size: int = 2,
@@ -392,27 +404,18 @@ def degree_report(
     series: TruncatedSeries | None = None,
     parallelism: int = 1,
     pool: Pool | None = None,
-    scan_limit: int = DEFAULT_SCAN_LIMIT,
     table_budget: int = DEFAULT_TABLE_BUDGET,
 ) -> DenominatorReport:
     """Scan one degree and compare denominators against n! * d_n.
 
-    The per-word DP computes one word per run-length class
-    (``class_representatives``; p(n) words for two letters, after
-    Goldberg 1956): the words of a class share a denominator, so the lcm is
-    unchanged, and the first word of maximal denominator is the smallest
-    word of its class.  The table budget then counts class words.  The
-    series backend and "both" (the unreduced cross-check) scan every word.
-    The lcm runs over the distinct denominators only.
+    It computes the words ``report_words`` names, and the table budget
+    counts them.  The lcm runs over the distinct denominators only.
     """
-    _check_degree(n, scan_limit)
-    words = None
-    if canonical_backend(backend) == DP_BACKEND:
-        words = class_representatives(n, alphabet_size)
+    _check_degree(n)
+    words = report_words(n, alphabet_size, backend)
     coeffs = degree_coefficients(
         n, alphabet_size, backend,
-        words=words, series=series, parallelism=parallelism, pool=pool,
-        scan_limit=scan_limit, table_budget=table_budget,
+        words=words, series=series, parallelism=parallelism, pool=pool, table_budget=table_budget,
     )
     d_n, _ = compute_dn(n)
     common, _ = common_denominator(n)
@@ -453,16 +456,11 @@ def numerator_over_common(
     return _integer_numerator(coefficient, common, word, alphabet_size)
 
 
-def check_corollary_prime(
-    p: int,
-    *,
-    series: TruncatedSeries | None = None,
-    scan_limit: int = DEFAULT_SCAN_LIMIT,
-) -> CongruenceReport:
+def check_corollary_prime(p: int, *, series: TruncatedSeries | None = None) -> CongruenceReport:
     """Degree-p congruence: a_w = -d_p (mod p) for every word except A^p, B^p."""
     if not numtheory.is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
-    coeffs = degree_coefficients(p, 2, series=series, scan_limit=scan_limit)
+    coeffs = degree_coefficients(p, 2, series=series)
     d_p, _ = compute_dn(p)
     common, _ = common_denominator(p)
     expected = (-d_p) % p
@@ -487,10 +485,7 @@ def check_corollary_prime(
 
 
 def check_corollary_prime_plus_one(
-    p: int,
-    *,
-    series: TruncatedSeries | None = None,
-    scan_limit: int = DEFAULT_SCAN_LIMIT,
+    p: int, *, series: TruncatedSeries | None = None
 ) -> CongruenceReport:
     """Degree-(p+1) check for odd primes p, of the claim as stated.
 
@@ -508,7 +503,7 @@ def check_corollary_prime_plus_one(
     if p == 2 or not numtheory.is_prime(p):
         raise ValueError(f"expected an odd prime, got {p}")
     n = p + 1
-    coeffs = degree_coefficients(n, 2, series=series, scan_limit=scan_limit)
+    coeffs = degree_coefficients(n, 2, series=series)
     d_n, _ = compute_dn(n)
     common, _ = common_denominator(n)
     expected = ((p - 1) // 2 * d_n) % p
@@ -538,10 +533,7 @@ def check_corollary_prime_plus_one(
 
 
 def goldberg_check(
-    n_max: int,
-    *,
-    series: TruncatedSeries | None = None,
-    scan_limit: int = DEFAULT_SCAN_LIMIT,
+    n_max: int, *, series: TruncatedSeries | None = None
 ) -> list[GoldbergDegreeResult]:
     """Test denom((B_{n-1}+B_{n-2})/n!) as a common denominator, degree by degree.
 
@@ -555,7 +547,7 @@ def goldberg_check(
     results = []
     for n in range(4, n_max + 1):
         candidate = numtheory.goldberg_denominator(n)
-        coeffs = degree_coefficients(n, 2, series=series, scan_limit=scan_limit)
+        coeffs = degree_coefficients(n, 2, series=series)
         witness = None
         witness_denominator = None
         ratio = None
@@ -585,7 +577,6 @@ def coefficient_value_table(
     *,
     series: TruncatedSeries | None = None,
     parallelism: int = 1,
-    scan_limit: int = DEFAULT_SCAN_LIMIT,
 ) -> list[TableEntry]:
     """The distinct nonzero coefficient values of one degree.
 
@@ -593,10 +584,7 @@ def coefficient_value_table(
     denominator, and the integer numerator over n! * d_n.  Sorted by
     decreasing absolute value, positive before negative on ties.
     """
-    coeffs = degree_coefficients(
-        n, alphabet_size, backend,
-        series=series, parallelism=parallelism, scan_limit=scan_limit,
-    )
+    coeffs = degree_coefficients(n, alphabet_size, backend, series=series, parallelism=parallelism)
     first_seen: dict[Fraction, int] = {}
     for packed, h in enumerate(coeffs):
         if h and h not in first_seen:

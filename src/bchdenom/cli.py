@@ -11,12 +11,13 @@ import csv
 import json
 import os
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 
 from . import bch, numtheory
 from .errors import BudgetError
 from .freealgebra import Word, bch_coeff_word, bch_series
-from .numtheory import DEFAULT_ENUMERATION_BOUND, HARD_ENUMERATION_CAP, PrimeFactorization
+from .numtheory import DEFAULT_ENUMERATION_BOUND, PrimeFactorization
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -34,11 +35,8 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError("max degree must be >= 1")
     if getattr(args, "alphabet", 2) < 2:
         raise ValueError("alphabet size must be >= 2")
-    bound = getattr(args, "enum_bound", DEFAULT_ENUMERATION_BOUND)
-    if bound < 1:
+    if getattr(args, "enum_bound", DEFAULT_ENUMERATION_BOUND) < 1:
         raise ValueError("enumeration bound must be >= 1")
-    if bound > HARD_ENUMERATION_CAP:
-        raise ValueError(f"enumeration bound is hard-capped at {HARD_ENUMERATION_CAP}")
 
 
 def _parallelism(text: str) -> int:
@@ -57,17 +55,11 @@ def _warn(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _warn_scan_limit(scan_degree: int) -> None:
-    if scan_degree > bch.DEFAULT_SCAN_LIMIT:
-        _warn(
-            f"warning: scanning up to degree {scan_degree} exceeds the default "
-            f"budget of {bch.DEFAULT_SCAN_LIMIT}; this may take a while"
-        )
-
-
-def _announce_scan(degree: int, alphabet_size: int) -> None:
+def _announce_scan(degree: int, alphabet_size: int, words: list[int] | None = None) -> None:
+    """Announce a large scan of ``words`` (None: every word) on stderr."""
     if degree >= PROGRESS_DEGREE:
-        _warn(f"scanning degree {degree} ({alphabet_size}**{degree} words)...")
+        count = f"{alphabet_size}**{degree}" if words is None else len(words)
+        _warn(f"scanning degree {degree} ({count} words)...")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_ENUMERATION_BOUND,
         metavar="B",
         help=f"largest degree the eq3 oracle enumerates partitions for "
-        f"(default {DEFAULT_ENUMERATION_BOUND}, hard cap {HARD_ENUMERATION_CAP})",
+        f"(default {DEFAULT_ENUMERATION_BOUND})",
     )
     add_common(p_verify)
 
@@ -186,38 +178,21 @@ def _csv_writer():
 # dn
 
 
+_DN_FIELDS = ("n", "d_n", "kernel", "common_denominator", "d_n_factorization", "common_factorization")
+
+
 def _cmd_dn(args: argparse.Namespace) -> int:
-    rows = []
+    header = f"{'n':>3} {'d_n':>6} {'kernel':>6} {'n!*d_n':>24}  {'d_n factors':<14} n!*d_n factors"
+    emitter = _CheckEmitter(args.format, fields=_DN_FIELDS, header=header)
     for n in range(1, args.max + 1):
         d_n, d_fact = numtheory.compute_dn(n)
         kernel = numtheory.squarefree_kernel(n)
         common, common_fact = numtheory.common_denominator(n)
-        rows.append((n, d_n, kernel, common, str(d_fact), str(common_fact)))
-    if args.format == "json":
-        for n, d_n, kernel, common, d_fact, common_fact in rows:
-            print(
-                json.dumps(
-                    {
-                        "n": n,
-                        "d_n": str(d_n),
-                        "kernel": str(kernel),
-                        "common_denominator": str(common),
-                        "d_n_factorization": d_fact,
-                        "common_factorization": common_fact,
-                    }
-                )
-            )
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(
-            ["n", "d_n", "kernel", "common_denominator", "d_n_factorization", "common_factorization"]
+        values = (n, str(d_n), str(kernel), str(common), str(d_fact), str(common_fact))
+        emitter.emit(
+            dict(zip(_DN_FIELDS, values)),
+            f"{n:>3} {d_n:>6} {kernel:>6} {common:>24}  {d_fact!s:<14} {common_fact}",
         )
-        for row in rows:
-            writer.writerow(row)
-    else:
-        print(f"{'n':>3} {'d_n':>6} {'kernel':>6} {'n!*d_n':>24}  {'d_n factors':<14} n!*d_n factors")
-        for n, d_n, kernel, common, d_fact, common_fact in rows:
-            print(f"{n:>3} {d_n:>6} {kernel:>6} {common:>24}  {d_fact:<14} {common_fact}")
     return EXIT_OK
 
 
@@ -226,23 +201,35 @@ def _cmd_dn(args: argparse.Namespace) -> int:
 
 
 class _CheckEmitter:
-    """One report line per check item; CSV gets a header from the first record."""
+    """One output line per record, as JSON, CSV or plain text.
 
-    def __init__(self, output_format: str):
+    CSV has the columns ``fields`` (default: the first record's keys,
+    sorted) and a header row of their names; plain text has the ``header``
+    line, if any.  Either header comes before the first record.
+    """
+
+    def __init__(
+        self, output_format: str, *, fields: Sequence[str] | None = None, header: str | None = None
+    ):
         self.output_format = output_format
-        self.fields: list[str] | None = None
+        self.fields = fields
+        self.header = header
+        self.started = False
 
     def emit(self, record: dict, plain: str) -> None:
         if self.output_format == "json":
             print(json.dumps(record))
         elif self.output_format == "csv":
             writer = _csv_writer()
-            if self.fields is None:
-                self.fields = sorted(record)
+            if not self.started:
+                self.fields = self.fields or sorted(record)
                 writer.writerow(self.fields)
             writer.writerow([_csv_cell(record.get(k)) for k in self.fields])
         else:
+            if not self.started and self.header is not None:
+                print(self.header)
             print(plain)
+        self.started = True
 
 
 def _csv_cell(value):
@@ -268,12 +255,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         failures = []
         for n in range(1, args.max + 1):
             if n > bound:
-                # n is bound + 1 <= 25 here, so counting the partitions is cheap
+                # n is bound + 1: counting its partitions costs less than
+                # the oracle just spent on degree bound
                 count = sum(1 for _ in numtheory.partitions(n))
                 raise BudgetError(
                     f"eq3 up to degree {args.max} needs degree {n} ({count} partitions), "
-                    f"beyond the enumeration budget --enum-bound {bound} "
-                    f"(hard cap {HARD_ENUMERATION_CAP})"
+                    f"beyond the enumeration budget --enum-bound {bound}"
                 )
             oracle = numtheory.Dn_bruteforce(n, bound=bound)
             closed, _ = numtheory.common_denominator(n)
@@ -327,13 +314,11 @@ def _verify_scanning(args: argparse.Namespace, emitter: _CheckEmitter) -> int:
         least, reason = _LEAST_MAX[what]
         if N < least:
             raise ValueError(f"{what} needs --max {least} or more: {reason}")
-    _warn_scan_limit(N)
-    _announce_scan(N, K)
-    # theorem and minimal read the series only through the series backend
-    per_word_only = (
-        what in ("theorem", "minimal") and bch.canonical_backend(args.backend) == bch.DP_BACKEND
-    )
-    series = None if per_word_only else bch_series(K, N)
+    # theorem and minimal compute the words degree_report does; the other
+    # checks read every word from the series
+    words = bch.report_words(N, K, args.backend) if what in ("theorem", "minimal") else None
+    _announce_scan(N, K, words)
+    series = None if words is not None else bch_series(K, N)
     failures: list[dict] = []
 
     if what in ("theorem", "minimal"):
@@ -341,7 +326,7 @@ def _verify_scanning(args: argparse.Namespace, emitter: _CheckEmitter) -> int:
             for n in range(1, N + 1):
                 report = bch.degree_report(
                     n, K, args.backend,
-                    series=series, parallelism=args.parallelism, pool=pool, scan_limit=N,
+                    series=series, parallelism=args.parallelism, pool=pool,
                 )
                 ok = report.divisibility_ok if what == "theorem" else report.minimal
                 if not ok:
@@ -355,7 +340,7 @@ def _verify_scanning(args: argparse.Namespace, emitter: _CheckEmitter) -> int:
 
     if what == "cor1":
         for p in numtheory.primes_below(N + 1):
-            report = bch.check_corollary_prime(p, series=series, scan_limit=N)
+            report = bch.check_corollary_prime(p, series=series)
             if not report.passed:
                 failures.append({"check": "cor1", **report.to_json_dict()})
             emitter.emit(
@@ -369,7 +354,7 @@ def _verify_scanning(args: argparse.Namespace, emitter: _CheckEmitter) -> int:
         for p in numtheory.primes_below(N):
             if p == 2 or p + 1 > N:
                 continue
-            report = bch.check_corollary_prime_plus_one(p, series=series, scan_limit=N)
+            report = bch.check_corollary_prime_plus_one(p, series=series)
             if not report.passed:
                 failures.append({"check": "cor2", **report.to_json_dict()})
             emitter.emit(
@@ -380,7 +365,7 @@ def _verify_scanning(args: argparse.Namespace, emitter: _CheckEmitter) -> int:
         return _finish(failures)
 
     if what == "goldberg":
-        results = bch.goldberg_check(N, series=series, scan_limit=N)
+        results = bch.goldberg_check(N, series=series)
         for result in results:
             emitter.emit(
                 {"check": "goldberg", **result.to_json_dict()},
@@ -405,7 +390,14 @@ def _verify_scanning(args: argparse.Namespace, emitter: _CheckEmitter) -> int:
 
 
 # ---------------------------------------------------------------------------
-# coeff
+# coeff and table: one row per word, in the same columns
+
+_WORD_FIELDS = ("word", "h_num", "h_den", "a", "denom_factorization")
+
+
+def _word_record(word: str, h: Fraction, a: int, factorization: PrimeFactorization) -> dict:
+    values = (word, str(h.numerator), str(h.denominator), str(a), str(factorization))
+    return dict(zip(_WORD_FIELDS, values))
 
 
 def _cmd_coeff(args: argparse.Namespace) -> int:
@@ -416,101 +408,45 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
     common, _ = numtheory.common_denominator(word.degree)
     a = bch.numerator_over_common(word, args.alphabet, coefficient=h)
     factorization = PrimeFactorization.of(h.denominator)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "word": word.to_string(args.alphabet),
-                    "h_num": str(h.numerator),
-                    "h_den": str(h.denominator),
-                    "a": str(a),
-                    "denom_factorization": str(factorization),
-                    "common_denominator": str(common),
-                }
-            )
-        )
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["word", "h_num", "h_den", "a", "denom_factorization"])
-        writer.writerow(
-            [word.to_string(args.alphabet), h.numerator, h.denominator, a, str(factorization)]
-        )
-    else:
-        print(f"word               {word.to_string(args.alphabet)}")
-        print(f"degree             {word.degree}")
-        print(f"coefficient        {h}")
-        print(f"denominator        {h.denominator} = {factorization}")
-        print(f"common denominator {common}")
-        print(f"numerator over it  {a}")
+    text = word.to_string(args.alphabet)
+    # the JSON record also carries the common denominator; the CSV row does not
+    _CheckEmitter(args.format, fields=_WORD_FIELDS).emit(
+        {**_word_record(text, h, a, factorization), "common_denominator": str(common)},
+        f"word               {text}\n"
+        f"degree             {word.degree}\n"
+        f"coefficient        {h}\n"
+        f"denominator        {h.denominator} = {factorization}\n"
+        f"common denominator {common}\n"
+        f"numerator over it  {a}",
+    )
     return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# table
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     n = args.degree
     K = args.alphabet
-    _warn_scan_limit(n)
     _announce_scan(n, K)
     common, _ = numtheory.common_denominator(n)
 
+    header = f"degree {n}, alphabet {K}, common denominator {common}"
+    emitter = _CheckEmitter(args.format, fields=_WORD_FIELDS, header=header)
+
+    def emit(word: Word, h: Fraction, a: int, factorization: PrimeFactorization) -> None:
+        text = word.to_string(K)
+        emitter.emit(
+            _word_record(text, h, a, factorization),
+            f"{text:<{n + 2}} h={h!s:<16} a={a!s:<12} denom={factorization}",
+        )
+
     if args.dedup:
-        entries = bch.coefficient_value_table(
-            n, K, args.backend, parallelism=args.parallelism, scan_limit=n
-        )
-        rows = [
-            (
-                e.word.to_string(K),
-                str(e.value.numerator),
-                str(e.value.denominator),
-                str(e.numerator),
-                str(e.denominator_factorization),
-            )
-            for e in entries
-        ]
+        for e in bch.coefficient_value_table(n, K, args.backend, parallelism=args.parallelism):
+            emit(e.word, e.value, e.numerator, e.denominator_factorization)
     else:
-        coeffs = bch.degree_coefficients(
-            n, K, args.backend, parallelism=args.parallelism, scan_limit=n
-        )
-        rows = []
+        coeffs = bch.degree_coefficients(n, K, args.backend, parallelism=args.parallelism)
         for packed, h in enumerate(coeffs):
             word = Word.unpack(packed, n, K)
             a = bch.numerator_over_common(word, K, coefficient=h)
-            rows.append(
-                (
-                    word.to_string(K),
-                    str(h.numerator),
-                    str(h.denominator),
-                    str(a),
-                    str(PrimeFactorization.of(h.denominator)),
-                )
-            )
-
-    if args.format == "json":
-        for word, h_num, h_den, a, fact in rows:
-            print(
-                json.dumps(
-                    {
-                        "word": word,
-                        "h_num": h_num,
-                        "h_den": h_den,
-                        "a": a,
-                        "denom_factorization": fact,
-                    }
-                )
-            )
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["word", "h_num", "h_den", "a", "denom_factorization"])
-        for row in rows:
-            writer.writerow(row)
-    else:
-        print(f"degree {n}, alphabet {K}, common denominator {common}")
-        for word, h_num, h_den, a, fact in rows:
-            value = Fraction(int(h_num), int(h_den))
-            print(f"{word:<{n + 2}} h={value!s:<16} a={a:<12} denom={fact}")
+            emit(word, h, a, PrimeFactorization.of(h.denominator))
     return EXIT_OK
 
 

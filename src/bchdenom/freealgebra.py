@@ -205,24 +205,30 @@ def _power_index(generator: int, degree: int, alphabet_size: int) -> int:
     return packed
 
 
+def _nonzero_entries(tables: list[list]) -> list[list[tuple]]:
+    """Per degree, the (packed word, coefficient) pairs with a nonzero coefficient."""
+    return [[(p, c) for p, c in enumerate(t) if c] for t in tables]
+
+
 def _accumulate_product(
-    out: list[list], x: list[list], y: list[list], alphabet_size: int, *, binomial: bool = False
+    out: list[list], nz_x: list[list[tuple]], nz_y: list[list[tuple]], alphabet_size: int,
+    *, binomial: bool = False,
 ) -> None:
     """out[dx+dy] += x[dx] (x) y[dy] for every dx + dy below len(out).
 
     Tables are coefficient lists indexed by packed word, one per degree
-    starting at 0; either factor may stop short of the output's degree.
-    Only nonzero entries of both factors are visited, which is what makes
-    the repeated multiplications in the log cheap (the exponential-product
-    series is supported on staircase words only).  With ``binomial`` each
-    degree pair is weighted by comb(dx+dy, dx): for tables scaled by dx!
-    and dy! that yields the product table scaled by (dx+dy)!.
+    starting at 0; the factors come as their ``_nonzero_entries``, so a
+    fixed factor is listed once for many products, and either may stop
+    short of the output's degree.  Only nonzero entries of both factors are
+    visited, which is what makes the repeated multiplications in the log
+    cheap (the exponential-product series is supported on staircase words
+    only).  With ``binomial`` each degree pair is weighted by
+    comb(dx+dy, dx): for tables scaled by dx! and dy! that yields the
+    product table scaled by (dx+dy)!.
     """
     top = len(out) - 1
-    nz_y = [[(py, cy) for py, cy in enumerate(t) if cy] for t in y[: top + 1]]
-    for dx, tx in enumerate(x[: top + 1]):
-        nz_x = [(px, cx) for px, cx in enumerate(tx) if cx]
-        if not nz_x:
+    for dx, xs in enumerate(nz_x[: top + 1]):
+        if not xs:
             continue
         for dy, pairs in enumerate(nz_y[: top + 1 - dx]):
             if not pairs:
@@ -230,7 +236,7 @@ def _accumulate_product(
             weight = comb(dx + dy, dx) if binomial else 1
             shift = alphabet_size**dy
             tab = out[dx + dy]
-            for px, cx in nz_x:
+            for px, cx in xs:
                 if weight != 1:
                     cx *= weight
                 base = px * shift
@@ -250,8 +256,8 @@ def series_multiply(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     out = TruncatedSeries.zero(x.alphabet_size, x.max_degree)
     _accumulate_product(
         [t.coefficients for t in out.tables],
-        [t.coefficients for t in x.tables],
-        [t.coefficients for t in y.tables],
+        _nonzero_entries([t.coefficients for t in x.tables]),
+        _nonzero_entries([t.coefficients for t in y.tables]),
         x.alphabet_size,
     )
     return out
@@ -320,15 +326,18 @@ def bch_series(
     for i in range(1, K):
         factor = product
         product = zeros(N)
-        _accumulate_product(product, factor, exp_generator(i), K, binomial=True)
+        _accumulate_product(
+            product, _nonzero_entries(factor), _nonzero_entries(exp_generator(i)), K, binomial=True
+        )
     product[0][0] -= 1
+    nz_product = _nonzero_entries(product)  # fixed for all N Horner steps
 
     scale = lcm(*range(1, N + 1))
     horner = [[(-1) ** (N + 1) * scale // N]]
     for k in range(N - 1, -1, -1):
         factor = horner
         horner = zeros(N - k)
-        _accumulate_product(horner, product, factor, K, binomial=True)
+        _accumulate_product(horner, nz_product, _nonzero_entries(factor), K, binomial=True)
         if k:
             horner[0][0] += (-1) ** (k + 1) * scale // k
 

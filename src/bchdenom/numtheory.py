@@ -37,9 +37,6 @@ from .errors import BudgetError
 #: larger bound (p(20) = 627 partitions).
 DEFAULT_ENUMERATION_BOUND = 20
 
-#: Bound above which the CLI refuses to enumerate no matter what.
-HARD_ENUMERATION_CAP = 24
-
 
 def is_prime(p: int) -> bool:
     """Deterministic trial division; adequate for the small primes used here."""

@@ -66,8 +66,9 @@ def test_degree_report_parallel_matches_serial():
 
 
 def test_degree_report_budgets():
+    # the table budget (2^22 words by default) is the only scan budget
     with pytest.raises(BudgetError):
-        degree_report(15, 2)
+        degree_report(23, 2)
     with pytest.raises(BudgetError):
         degree_report(8, 3, table_budget=3**7)
     with pytest.raises(ValueError):
@@ -155,7 +156,7 @@ def test_corollary_prime_validation():
     with pytest.raises(ValueError):
         check_corollary_prime(4)
     with pytest.raises(BudgetError):
-        check_corollary_prime(17)
+        check_corollary_prime(23)  # 2^23 words, over the table budget
 
 
 def test_corollary_prime_plus_one_p3_reports_reversed_words():

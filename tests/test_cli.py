@@ -91,17 +91,19 @@ def test_verify_eq3_budget_names_flag_degree_and_cap(capsys):
     assert "--enum-bound 20" in err
     assert "degree 22" in err and "degree 21" in err
     assert "792 partitions" in err  # p(21)
-    assert "hard cap 24" in err
+    assert "hard cap" not in err  # --enum-bound is the only enumeration budget
     assert "compositions" not in err
 
 
 def test_verify_enum_bound_hard_cap(capsys):
-    code, _, err = run(capsys, "verify", "--what", "eq3", "--max", "5", "--enum-bound", "25")
-    assert code == 2
+    # there is no hard cap: any bound of at least 1 is accepted
+    code, out, err = run(capsys, "verify", "--what", "eq3", "--max", "5", "--enum-bound", "25")
+    assert code == 0
+    assert out.count("PASS") == 5
 
 
 def test_verify_eq3_above_default_bound_warns_nothing(capsys):
-    # the partition oracle at the hard cap is about interpreter start
+    # the partition oracle at degree 24 is about interpreter start
     code, out, err = run(capsys, "verify", "--what", "eq3", "--max", "24", "--enum-bound", "24")
     assert code == 0
     assert out.count("PASS") == 24
@@ -221,6 +223,19 @@ def test_verify_dp_scan_byte_identical(capsys, monkeypatch, what):
             outputs.add(out)
         assert len(outputs) == 1
         assert len(outputs.pop().splitlines()) == 10
+
+
+@pytest.mark.parametrize(
+    "alphabet, degree, backend, count",
+    [("2", "13", "dp", "101"), ("3", "14", "dp", "253"), ("2", "13", "series", "2**13")],
+)
+def test_verify_announces_the_words_it_computes(capsys, alphabet, degree, backend, count):
+    # the class-reduced DP computes one word per run-length class (p(13) = 101
+    # for two letters), the series backend every word
+    argv = ["verify", "--what", "minimal", "--max", degree, "--alphabet", alphabet, "--backend", backend]
+    code, _, err = run(capsys, *argv)
+    assert code == 0
+    assert err == f"scanning degree {degree} ({count} words)...\n"
 
 
 def test_verify_goldberg_regression_exits_1(capsys, monkeypatch):
@@ -423,14 +438,6 @@ def test_table_budget_exceeded(capsys):
     assert "budget" in err
 
 
-def test_table_scan_warning(capsys, monkeypatch):
-    # degrees past the default budget still run, but announce the cost
-    monkeypatch.setattr(cli.bch, "DEFAULT_SCAN_LIMIT", 4)
-    code, _, err = run(capsys, "table", "--degree", "5")
-    assert code == 0
-    assert "warning" in err
-
-
 # ---------------------------------------------------------------------------
 # shared flags
 
@@ -547,6 +554,7 @@ EXIT_CASES = {
     "eq3-budget": (["verify", "--what", "eq3", "--max", "22", "--enum-bound", "4"], None, 3),
     "eq3-enum-bound-0": (["verify", "--what", "eq3", "--max", "3", "--enum-bound", "0"], None, 2),
     "eq3-enum-bound-negative": (["verify", "--what", "eq3", "--max", "3", "--enum-bound", "-1"], None, 2),
+    "eq3-enum-bound-26": (["verify", "--what", "eq3", "--max", "26", "--enum-bound", "26"], None, 0),
     "bernoulli-pass": (["verify", "--what", "bernoulli", "--max", "10"], None, 0),
     "bernoulli-violation": (
         ["verify", "--what", "bernoulli", "--max", "3"],

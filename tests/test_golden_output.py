@@ -1,0 +1,58 @@
+"""Golden stdout digests: ``dn``, ``coeff`` and ``table`` byte for byte, and ``--help``.
+
+The SHA-256 digests were recorded from the CLI before these commands
+shared ``verify``'s emitter, so any byte the emitter changes shows here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from bchdenom import cli
+
+GOLDEN = {
+    ("dn", "--max", "12", "--format", "plain"): "dcdf2abfc6d832ad05c94f783f7b8e6bd5a3e62869f9df6e8e93db717974fcd8",
+    ("dn", "--max", "12", "--format", "json"): "7904ad9dd84f0759bbf9cb5c449eb09a51bcfe65cc42b8826d93bee9df34649a",
+    ("dn", "--max", "12", "--format", "csv"): "9c8baeed84004dd62449e5918a91ad8efbe15d29fb3b0712ebfc78cb325ef1c7",
+    ("coeff", "AAAAAAAABBB", "--format", "plain"): "db41d9340c93f950ba50a995a9463d529cf316ed4122377d0c284c372f23ba00",
+    ("coeff", "AAAAAAAABBB", "--format", "json"): "555ff447e83a85cb970556bcd0236687fc240f95e61e75fa6468a88a786eed18",
+    ("coeff", "AAAAAAAABBB", "--format", "csv"): "a1c9b9d4c598b639acc384a7ea02298cdb827d304ff6080ca033921c99d58d45",
+    ("table", "--degree", "9", "--format", "plain"): "dbea11ae176d5d2deafcd010652fdb218383b9604bdfcbc2c5ff6aed73e1e0a6",
+    ("table", "--degree", "9", "--format", "json"): "9a482eb4a87ea996ca4240800bb2d870e9bc491a649fcc5334f1f114cb9afee0",
+    ("table", "--degree", "9", "--format", "csv"): "8ea79223a364104771de5c3d942a5093f458255c32856e057daa230bbd04fb84",
+    ("table", "--degree", "11", "--dedup", "--format", "plain"): "fefc20939618c6634914279984d1a461f6f357b179a916950151dee597c918f1",
+    ("table", "--degree", "11", "--dedup", "--format", "json"): "6172b85373cacb9884679b7770456520bab184063a916e8411d66236e11aff74",
+    ("table", "--degree", "11", "--dedup", "--format", "csv"): "6e6ea66c518cdbb34ea3a8355ac69d4e2699d3662aa5589e9f8bda36e98a322b",
+}
+
+#: ``bchdenom --help`` at argparse's default 80 columns; the benchmark's
+#: set-up probe gates on the same digest (``HELP_SHA256`` in perfbench/workloads.py).
+HELP_SHA256 = "1a81bc8322b5a77592af7960bfe53088e41a44cd13491a5e060009d9bea134e6"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN.items(), ids=[" ".join(a) for a in GOLDEN])
+def test_golden_stdout(capsys, argv, digest):
+    assert cli.main(list(argv)) == 0
+    assert _sha256(capsys.readouterr().out) == digest
+
+
+def test_golden_help():
+    # a fresh interpreter with stdout on a pipe and no $COLUMNS, as the benchmark runs it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "COLUMNS"}
+    done = subprocess.run(
+        [sys.executable, "-m", "bchdenom.cli", "--help"],
+        capture_output=True, text=True, env={**env, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0
+    assert _sha256(done.stdout) == HELP_SHA256
