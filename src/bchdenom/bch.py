@@ -51,6 +51,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import lcm
+from operator import attrgetter, indexOf
 from typing import TYPE_CHECKING
 
 from . import numtheory
@@ -299,8 +300,10 @@ def degree_coefficients(
     """The coefficients of the packed ``words`` of degree n, in their order.
 
     ``words`` defaults to every word, so the result is indexed by packed
-    word.  ``series`` may carry a precomputed series (reused across
-    degrees); otherwise the series backend builds one.  With backend "both"
+    word; on the series backend it is then the series' own table, shared
+    rather than copied, which callers read and do not modify.  ``series``
+    may carry a precomputed series (reused across degrees); otherwise the
+    series backend builds one.  With backend "both"
     the two backends are compared entry by entry before returning.  With
     ``parallelism`` above 1 the per-word DP runs on ``pool`` (an open pool
     of that many workers, shared across degrees; see ``worker_pool``), or
@@ -344,7 +347,7 @@ def degree_coefficients(
         if series.max_degree < n:
             raise ValueError("precomputed series does not reach the requested degree")
         table = series.tables[n].coefficients
-        return list(table) if words is None else [table[packed] for packed in words]
+        return table if words is None else [table[packed] for packed in words]
 
     if words is None:
         words = range(total)
@@ -409,7 +412,9 @@ def degree_report(
     """Scan one degree and compare denominators against n! * d_n.
 
     It computes the words ``report_words`` names, and the table budget
-    counts them.  The lcm runs over the distinct denominators only.
+    counts them.  The reduction runs over the distinct coefficient
+    objects, which on the series backend are the few values a degree
+    holds: ``bch_series`` shares one ``Fraction`` per value.
     """
     _check_degree(n)
     words = report_words(n, alphabet_size, backend)
@@ -419,11 +424,13 @@ def degree_report(
     )
     d_n, _ = compute_dn(n)
     common, _ = common_denominator(n)
-    dens = [c.denominator for c in coeffs]
-    observed = lcm(*set(dens))
+    distinct = dict(zip(map(id, coeffs), coeffs)).values()  # in order of first appearance
+    observed = lcm(*{h.denominator for h in distinct})
     # the lcm need not be attained by any single word (degrees 9..12 for
-    # two letters); the witness is then the first word of maximal denominator
-    witness_packed = dens.index(max(dens))
+    # two letters); the witness is then the first word of maximal
+    # denominator, which holds the first such value (max keeps the first)
+    top = max(distinct, key=attrgetter("denominator"))
+    witness_packed = indexOf(map(id, coeffs), id(top))
     if words is not None:
         witness_packed = words[witness_packed]
     return DenominatorReport(

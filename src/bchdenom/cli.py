@@ -1,7 +1,9 @@
 """Command-line front end: every computation and check as a subcommand.
 
 Exit codes: 0 all checks passed, 1 a check failed (a JSON violation
-record is printed), 2 usage error, 3 resource budget exceeded.
+record is printed), 2 usage error, 3 resource budget exceeded, 141 stdout
+was closed before the output was written (as by ``| head``; the shell's
+status for a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141
 
 PARALLELISM_ENV = "BCHDENOM_PARALLELISM"
 
@@ -125,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_verify)
 
     p_coeff = sub.add_parser("coeff", help="coefficient of a single word")
-    p_coeff.add_argument("word", help="e.g. AAB, or comma-separated indices for K > 26")
+    p_coeff.add_argument("word", help="e.g. AAB, or indices for K > 26 (0,5,29 or 5)")
     p_coeff.add_argument("--alphabet", type=int, default=2, metavar="K")
     add_common(p_coeff)
 
@@ -151,17 +154,17 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
+    commands = {"dn": _cmd_dn, "verify": _cmd_verify, "coeff": _cmd_coeff, "table": _cmd_table}
     try:
         _validate(args)
-        if args.command == "dn":
-            return _cmd_dn(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "coeff":
-            return _cmd_coeff(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        raise AssertionError(args.command)
+        code = commands[args.command](args)
+        sys.stdout.flush()  # a closed pipe then shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # as the Python docs on SIGPIPE advise: send what is still buffered
+        # to devnull, so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except BudgetError as exc:
         _warn(f"budget exceeded: {exc}")
         return EXIT_BUDGET

@@ -7,16 +7,15 @@ a dense table of K^n ``fractions.Fraction`` values indexed by packed word.
 
 Two independent backends compute the same coefficients:
 
-* ``bch_series`` -- full truncated-series arithmetic: multiply the
-  exponential factors, subtract 1, and run the alternating log sum (the
-  k-th power of a constant-free series has no words of degree < k, so the
-  sum stops at k = N).  Materializes every table, but runs on Python
-  integers: a degree-d table of the exponential product is stored times
-  d! (its entries are multinomial coefficients), a degree-d table of the
-  log's Horner loop times d! * lcm(1..N).  Multiplying a degree-dx table
-  by a degree-dy table then only needs the weight comb(dx+dy, dx), and
-  each distinct value of a degree becomes a ``Fraction`` once, at the
-  end, shared by every entry that holds it.
+* ``bch_series`` -- full truncated-series arithmetic: the alternating log
+  sum of P = e^{A_0} ... e^{A_{K-1}} - 1 in Horner form (the k-th power
+  of a constant-free series has no words of degree < k, so the sum stops
+  at k = N).  Each Horner step applies the exponential factors to the
+  running value one at a time; P itself is never expanded.  Materializes
+  every table, but runs on Python integers: a degree-d table is stored
+  times d! * lcm(1..N), so multiplying by e^{A_i} only needs the weights
+  comb(d, j), and each distinct value of a degree becomes a ``Fraction``
+  once, at the end, shared by every entry that holds it.
 * ``bch_coeff_word`` -- a per-word dynamic program over prefix lengths
   that never builds tables.  A word has a nonzero coefficient in the
   exponential product only if its letters are nondecreasing ("staircase"
@@ -75,8 +74,8 @@ class Word:
 
     @classmethod
     def from_string(cls, text: str, alphabet_size: int = 2) -> "Word":
-        """Parse 'AAB' (letters A.. for K <= 26) or '0,0,1' (any K)."""
-        if "," in text:
+        """Parse 'AAB' (letters A.. for K <= 26) or '0,0,1' (any K; '5' for K > 26)."""
+        if "," in text or (alphabet_size > 26 and text.isdecimal()):
             letters = tuple(int(part) for part in text.split(","))
         elif alphabet_size <= 26:
             letters = tuple(_UPPERCASE.index(c) if c in _UPPERCASE else -1 for c in text)
@@ -192,74 +191,37 @@ def series_exp_generator(generator: int, max_degree: int, alphabet_size: int) ->
     if not 0 <= generator < alphabet_size:
         raise ValueError("generator index out of range")
     series = TruncatedSeries.zero(alphabet_size, max_degree)
+    packed = 0  # A_i^n: the base-K number with n digits i
     for n, table in enumerate(series.tables):
-        table.coefficients[_power_index(generator, n, alphabet_size)] = Fraction(1, factorial(n))
-    return series
-
-
-def _power_index(generator: int, degree: int, alphabet_size: int) -> int:
-    # packed A_i^n: the base-K number with n digits i
-    packed = 0
-    for _ in range(degree):
+        table.coefficients[packed] = Fraction(1, factorial(n))
         packed = packed * alphabet_size + generator
-    return packed
-
-
-def _nonzero_entries(tables: list[list]) -> list[list[tuple]]:
-    """Per degree, the (packed word, coefficient) pairs with a nonzero coefficient."""
-    return [[(p, c) for p, c in enumerate(t) if c] for t in tables]
-
-
-def _accumulate_product(
-    out: list[list], nz_x: list[list[tuple]], nz_y: list[list[tuple]], alphabet_size: int,
-    *, binomial: bool = False,
-) -> None:
-    """out[dx+dy] += x[dx] (x) y[dy] for every dx + dy below len(out).
-
-    Tables are coefficient lists indexed by packed word, one per degree
-    starting at 0; the factors come as their ``_nonzero_entries``, so a
-    fixed factor is listed once for many products, and either may stop
-    short of the output's degree.  Only nonzero entries of both factors are
-    visited, which is what makes the repeated multiplications in the log
-    cheap (the exponential-product series is supported on staircase words
-    only).  With ``binomial`` each degree pair is weighted by
-    comb(dx+dy, dx): for tables scaled by dx! and dy! that yields the
-    product table scaled by (dx+dy)!.
-    """
-    top = len(out) - 1
-    for dx, xs in enumerate(nz_x[: top + 1]):
-        if not xs:
-            continue
-        for dy, pairs in enumerate(nz_y[: top + 1 - dx]):
-            if not pairs:
-                continue
-            weight = comb(dx + dy, dx) if binomial else 1
-            shift = alphabet_size**dy
-            tab = out[dx + dy]
-            for px, cx in xs:
-                if weight != 1:
-                    cx *= weight
-                base = px * shift
-                for py, cy in pairs:
-                    tab[base + py] += cx * cy
+    return series
 
 
 def series_multiply(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     """Concatenation product, truncated at the shared max degree.
 
     coeff(w, X*Y) = sum over splits w = u v of coeff(u, X) * coeff(v, Y).
+    Only nonzero entries of both factors are visited, which keeps products
+    with the exponential series (supported on staircase words) cheap.
     """
     if x.alphabet_size != y.alphabet_size:
         raise ValueError("alphabet size mismatch")
     if x.max_degree != y.max_degree:
         raise ValueError("max degree mismatch")
-    out = TruncatedSeries.zero(x.alphabet_size, x.max_degree)
-    _accumulate_product(
-        [t.coefficients for t in out.tables],
-        _nonzero_entries([t.coefficients for t in x.tables]),
-        _nonzero_entries([t.coefficients for t in y.tables]),
-        x.alphabet_size,
-    )
+    K = x.alphabet_size
+    top = x.max_degree
+    out = TruncatedSeries.zero(K, top)
+    nz_y = [list(t.nonzero_items()) for t in y.tables]
+    for dx, table in enumerate(x.tables):
+        xs = list(table.nonzero_items())
+        for dy, pairs in enumerate(nz_y[: top + 1 - dx]):
+            shift = K**dy
+            tab = out.tables[dx + dy].coefficients
+            for px, cx in xs:
+                base = px * shift
+                for py, cy in pairs:
+                    tab[base + py] += cx * cy
     return out
 
 
@@ -292,14 +254,21 @@ def bch_series(
     """H = log(e^{A_0} ... e^{A_{K-1}}) truncated at ``max_degree``.
 
     The dense backend: exact, and O(K^N) in memory, so the table budget is
-    enforced up front.  Computes what ``series_log1p`` of the exponential
-    product minus 1 would, but on integer tables: the product's degree-d
-    table times d!, the Horner tables times d! * lcm(1..N), where the
-    constants (-1)^{k+1}/k become +-lcm(1..N)/k.  The Horner value at step
-    k is only needed through degree N - k, since the remaining factors of
-    the product each raise the degree.  Each distinct value of a degree is
-    reduced to a ``Fraction`` once, when the result is built, and every
-    entry holding it shares that object.
+    enforced up front.  Computes what ``series_log1p`` of P = e^{A_0} ...
+    e^{A_{K-1}} - 1 would, but on integer tables: the Horner tables times
+    d! * lcm(1..N), where the constants (-1)^{k+1}/k become
+    +-lcm(1..N)/k.  A Horner step multiplies by P without expanding it:
+    with E_i the left multiplication by e^{A_i}, P X = E_0(E_1(...
+    E_{K-1}(X))) - X.  E_i adds comb(T, j) times the degree-(T-j) table
+    to the degree-T words that start with A_i^j, for each j >= 1: the
+    K^(T-j) entries from packed offset i * (K^j - 1)/(K - 1) * K^(T-j).
+    It changes only the words that start with A_i, so P X is built
+    letter by letter, from K-1 down to 0, and on the words that start
+    with A_i it is what E_i adds there.  The Horner value at step k is
+    only needed through degree N - k, since the remaining factors of P
+    each raise the degree.  Each distinct value of a degree is reduced to
+    a ``Fraction`` once, when the result is built, and every entry
+    holding it shares that object.
     """
     if alphabet_size < 2:
         raise ValueError("alphabet size must be >= 2")
@@ -312,34 +281,30 @@ def bch_series(
         )
     K = alphabet_size
     N = max_degree
-
-    def zeros(top: int) -> list[list[int]]:
-        return [[0] * K**d for d in range(top + 1)]
-
-    def exp_generator(i: int) -> list[list[int]]:
-        tables = zeros(N)
-        for d, tab in enumerate(tables):
-            tab[_power_index(i, d, K)] = 1
-        return tables
-
-    product = exp_generator(0)
-    for i in range(1, K):
-        factor = product
-        product = zeros(N)
-        _accumulate_product(
-            product, _nonzero_entries(factor), _nonzero_entries(exp_generator(i)), K, binomial=True
-        )
-    product[0][0] -= 1
-    nz_product = _nonzero_entries(product)  # fixed for all N Horner steps
-
     scale = lcm(*range(1, N + 1))
     horner = [[(-1) ** (N + 1) * scale // N]]
     for k in range(N - 1, -1, -1):
-        factor = horner
-        horner = zeros(N - k)
-        _accumulate_product(horner, nz_product, _nonzero_entries(factor), K, binomial=True)
+        x = horner  # horner <- P X + c_k
+        horner = [[0] * K**T for T in range(len(x) + 1)]
+        for i in range(K - 1, -1, -1):
+            # Y = E_{i+1}(...(X)): X plus P X on the words starting above A_i
+            y = []
+            for t, px in zip(x, horner):
+                cut = (i + 1) * len(t) // K
+                y.append(t[:cut] + [a + b for a, b in zip(t[cut:], px[cut:])] if cut < len(t) else t)
+            for T in range(1, len(horner)):
+                tab = horner[T]
+                head = i  # packed A_i^j
+                for j in range(1, T + 1):
+                    size = K ** (T - j)
+                    lo, w = head * size, comb(T, j)
+                    if j == 1:  # the block of every word starting with A_i
+                        tab[lo : lo + size] = [w * c for c in y[T - 1]]
+                    else:
+                        tab[lo : lo + size] = [a + w * c for a, c in zip(tab[lo : lo + size], y[T - j])]
+                    head = head * K + i
         if k:
-            horner[0][0] += (-1) ** (k + 1) * scale // k
+            horner[0][0] = (-1) ** (k + 1) * scale // k
 
     tables = []
     for d, tab in enumerate(horner):

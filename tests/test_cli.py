@@ -497,7 +497,23 @@ def test_serial_runs_do_not_import_multiprocessing(argv):
 
 
 # ---------------------------------------------------------------------------
-# exit-code contract: 0 pass, 1 violation, 2 usage, 3 budget
+# exit-code contract: 0 pass, 1 violation, 2 usage, 3 budget, 141 closed stdout
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # about 300 kB of rows, more than a pipe holds: the writer is still
+    # writing when the reader goes away after the first line
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bchdenom.cli", "table", "--degree", "12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline().startswith(b"degree 12, alphabet 2")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == cli.EXIT_BROKEN_PIPE == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    proc.stderr.close()
 
 
 def _plus_one(real):
@@ -524,6 +540,7 @@ EXIT_CASES = {
     "coeff-pass": (["coeff", "AAB"], None, 0),
     "coeff-malformed": (["coeff", "AXB"], None, 2),
     "coeff-letters-beyond-26": (["coeff", "AB", "--alphabet", "27"], None, 2),
+    "coeff-one-index-beyond-26": (["coeff", "5", "--alphabet", "27"], None, 0),
     "table-pass": (["table", "--degree", "4"], None, 0),
     "table-dedup-pass": (["table", "--degree", "4", "--dedup", "--backend", "dp"], None, 0),
     "table-degree-0": (["table", "--degree", "0"], None, 2),

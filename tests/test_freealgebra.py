@@ -55,6 +55,8 @@ def test_word_strings():
     assert W("AAB").to_string(2) == "AAB"
     assert Word.from_string("0,0,1", 30).letters == (0, 0, 1)
     assert Word((0, 5, 29)).to_string(30) == "0,5,29"
+    assert Word.from_string("5", 27).letters == (5,)  # one letter, no comma
+    assert Word((5,)).to_string(27) == "5"
     assert W("").degree == 0
 
 
@@ -197,7 +199,11 @@ def fraction_bch_series(K, N):
 
 
 @pytest.mark.parametrize(
-    "K, N", [(2, n) for n in range(1, 11)] + [(3, n) for n in range(1, 7)] + [(4, n) for n in range(1, 5)]
+    "K, N",
+    [(2, n) for n in range(1, 11)]
+    + [(3, n) for n in range(1, 8)]
+    + [(4, n) for n in range(1, 5)]
+    + [(5, n) for n in range(1, 5)],
 )
 def test_bch_series_matches_fraction_horner(K, N):
     series = bch_series(K, N)
