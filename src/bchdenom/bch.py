@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from contextlib import AbstractContextManager, nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain
@@ -55,6 +54,7 @@ from operator import attrgetter, indexOf
 from typing import TYPE_CHECKING
 
 from . import numtheory
+from ._records import FrozenRecord
 from .errors import BudgetError
 from .freealgebra import (
     DEFAULT_TABLE_BUDGET,
@@ -97,8 +97,7 @@ class CommonDenominatorError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class DenominatorReport:
+class DenominatorReport(FrozenRecord):
     """Outcome of one full degree scan.
 
     ``witness_max`` is the lexicographically smallest word whose
@@ -107,16 +106,26 @@ class DenominatorReport:
     to build the full lcm) this is the first word attaining it.
     """
 
-    degree: int
-    alphabet_size: int
-    d_n: int
-    common_denominator: int
-    observed_lcm: int
-    minimal: bool
-    divisibility_ok: bool
-    witness_max: Word
+    __slots__ = (
+        "degree", "alphabet_size", "d_n", "common_denominator",
+        "observed_lcm", "minimal", "divisibility_ok", "witness_max",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        degree: int,
+        alphabet_size: int,
+        d_n: int,
+        common_denominator: int,
+        observed_lcm: int,
+        minimal: bool,
+        divisibility_ok: bool,
+        witness_max: Word,
+    ) -> None:
+        self._assign(
+            degree, alphabet_size, d_n, common_denominator,
+            observed_lcm, minimal, divisibility_ok, witness_max,
+        )
         if self.divisibility_ok:
             assert self.common_denominator % self.observed_lcm == 0
         if self.minimal:
@@ -136,16 +145,21 @@ class DenominatorReport:
         }
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(FrozenRecord):
     """Residue check of the numerators a_w = h_w * (n! * d_n) at one degree."""
 
-    p: int
-    degree: int
-    modulus: int
-    expected_residue: int
-    violations: tuple[tuple[Word, int, int], ...]
-    exceptional_zero_failures: tuple[Word, ...]
+    __slots__ = ("p", "degree", "modulus", "expected_residue", "violations", "exceptional_zero_failures")
+
+    def __init__(
+        self,
+        p: int,
+        degree: int,
+        modulus: int,
+        expected_residue: int,
+        violations: tuple[tuple[Word, int, int], ...],
+        exceptional_zero_failures: tuple[Word, ...],
+    ) -> None:
+        self._assign(p, degree, modulus, expected_residue, violations, exceptional_zero_failures)
 
     @property
     def passed(self) -> bool:
@@ -166,16 +180,21 @@ class CongruenceReport:
         }
 
 
-@dataclass(frozen=True)
-class GoldbergDegreeResult:
+class GoldbergDegreeResult(FrozenRecord):
     """Whether every degree-n denominator divides denom((B_{n-1}+B_{n-2})/n!)."""
 
-    degree: int
-    goldberg_denominator: int
-    passed: bool
-    witness: Word | None
-    witness_denominator: int | None
-    ratio: Fraction | None
+    __slots__ = ("degree", "goldberg_denominator", "passed", "witness", "witness_denominator", "ratio")
+
+    def __init__(
+        self,
+        degree: int,
+        goldberg_denominator: int,
+        passed: bool,
+        witness: Word | None,
+        witness_denominator: int | None,
+        ratio: Fraction | None,
+    ) -> None:
+        self._assign(degree, goldberg_denominator, passed, witness, witness_denominator, ratio)
 
     def to_json_dict(self) -> dict:
         return {
@@ -190,14 +209,18 @@ class GoldbergDegreeResult:
         }
 
 
-@dataclass(frozen=True)
-class TableEntry:
-    """One distinct nonzero coefficient value of a degree, with its arithmetic."""
+class TableEntry(FrozenRecord):
+    """One distinct nonzero coefficient value of a degree, with its arithmetic.
 
-    value: Fraction
-    denominator_factorization: PrimeFactorization
-    numerator: int
-    word: Word  # lexicographically smallest word attaining the value
+    ``word`` is the lexicographically smallest word attaining the value.
+    """
+
+    __slots__ = ("value", "denominator_factorization", "numerator", "word")
+
+    def __init__(
+        self, value: Fraction, denominator_factorization: PrimeFactorization, numerator: int, word: Word
+    ) -> None:
+        self._assign(value, denominator_factorization, numerator, word)
 
 
 @cache
@@ -463,11 +486,21 @@ def numerator_over_common(
     return _integer_numerator(coefficient, common, word, alphabet_size)
 
 
-def check_corollary_prime(p: int, *, series: TruncatedSeries | None = None) -> CongruenceReport:
-    """Degree-p congruence: a_w = -d_p (mod p) for every word except A^p, B^p."""
+def check_corollary_prime(
+    p: int,
+    *,
+    backend: str = SERIES_BACKEND,
+    series: TruncatedSeries | None = None,
+    parallelism: int = 1,
+    pool: Pool | None = None,
+) -> CongruenceReport:
+    """Degree-p congruence: a_w = -d_p (mod p) for every word except A^p, B^p.
+
+    Every word is computed, on ``backend`` (see ``degree_coefficients``).
+    """
     if not numtheory.is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
-    coeffs = degree_coefficients(p, 2, series=series)
+    coeffs = degree_coefficients(p, 2, backend, series=series, parallelism=parallelism, pool=pool)
     d_p, _ = compute_dn(p)
     common, _ = common_denominator(p)
     expected = (-d_p) % p
@@ -492,7 +525,12 @@ def check_corollary_prime(p: int, *, series: TruncatedSeries | None = None) -> C
 
 
 def check_corollary_prime_plus_one(
-    p: int, *, series: TruncatedSeries | None = None
+    p: int,
+    *,
+    backend: str = SERIES_BACKEND,
+    series: TruncatedSeries | None = None,
+    parallelism: int = 1,
+    pool: Pool | None = None,
 ) -> CongruenceReport:
     """Degree-(p+1) check for odd primes p, of the claim as stated.
 
@@ -505,12 +543,13 @@ def check_corollary_prime_plus_one(
     degree p+1 it negates a_w, and it sends words A...B to words B...A;
     the residue (p-1)/2 * d_{p+1} is nonzero mod p.  The reported
     violations are therefore exactly the words B...A outside the zero
-    set, each with the negated residue.
+    set, each with the negated residue.  Every word is computed, on
+    ``backend``.
     """
     if p == 2 or not numtheory.is_prime(p):
         raise ValueError(f"expected an odd prime, got {p}")
     n = p + 1
-    coeffs = degree_coefficients(n, 2, series=series)
+    coeffs = degree_coefficients(n, 2, backend, series=series, parallelism=parallelism, pool=pool)
     d_n, _ = compute_dn(n)
     common, _ = common_denominator(n)
     expected = ((p - 1) // 2 * d_n) % p
@@ -540,21 +579,27 @@ def check_corollary_prime_plus_one(
 
 
 def goldberg_check(
-    n_max: int, *, series: TruncatedSeries | None = None
+    n_max: int,
+    *,
+    backend: str = SERIES_BACKEND,
+    series: TruncatedSeries | None = None,
+    parallelism: int = 1,
+    pool: Pool | None = None,
 ) -> list[GoldbergDegreeResult]:
     """Test denom((B_{n-1}+B_{n-2})/n!) as a common denominator, degree by degree.
 
     For each degree 4..n_max, reports pass when every coefficient
     denominator divides it, else the lexicographically first failing word
-    together with the non-integer quotient.  The candidate holds up to
-    degree 10 and first fails at degree 11.
+    together with the non-integer quotient.  Every word is computed, on
+    ``backend``.  The candidate holds up to degree 10 and first fails at
+    degree 11.
     """
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
     results = []
     for n in range(4, n_max + 1):
         candidate = numtheory.goldberg_denominator(n)
-        coeffs = degree_coefficients(n, 2, series=series)
+        coeffs = degree_coefficients(n, 2, backend, series=series, parallelism=parallelism, pool=pool)
         witness = None
         witness_denominator = None
         ratio = None

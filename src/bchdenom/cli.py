@@ -9,8 +9,6 @@ status for a process killed by SIGPIPE).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from collections.abc import Sequence
@@ -173,10 +171,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
-
-
 # ---------------------------------------------------------------------------
 # dn
 
@@ -208,7 +202,9 @@ class _CheckEmitter:
 
     CSV has the columns ``fields`` (default: the first record's keys,
     sorted) and a header row of their names; plain text has the ``header``
-    line, if any.  Either header comes before the first record.
+    line, if any.  Either header comes before the first record.  ``json``
+    and ``csv`` are imported only for the format that writes them, so a
+    plain run never loads them.
     """
 
     def __init__(
@@ -218,16 +214,23 @@ class _CheckEmitter:
         self.fields = fields
         self.header = header
         self.started = False
+        if output_format == "json":
+            import json
+
+            self.dumps = json.dumps
+        elif output_format == "csv":
+            import csv
+
+            self.writer = csv.writer(sys.stdout, lineterminator="\n")
 
     def emit(self, record: dict, plain: str) -> None:
         if self.output_format == "json":
-            print(json.dumps(record))
+            print(self.dumps(record))
         elif self.output_format == "csv":
-            writer = _csv_writer()
             if not self.started:
                 self.fields = self.fields or sorted(record)
-                writer.writerow(self.fields)
-            writer.writerow([_csv_cell(record.get(k)) for k in self.fields])
+                self.writer.writerow(self.fields)
+            self.writer.writerow([_csv_cell(record.get(k)) for k in self.fields])
         else:
             if not self.started and self.header is not None:
                 print(self.header)
@@ -237,6 +240,8 @@ class _CheckEmitter:
 
 def _csv_cell(value):
     if isinstance(value, (list, dict)):
+        import json
+
         return json.dumps(value)
     if value is None:
         return ""
@@ -245,6 +250,8 @@ def _csv_cell(value):
 
 def _emit_violation(record: dict) -> None:
     # the violation record is always JSON, whatever the report format
+    import json
+
     print(json.dumps(record))
 
 
@@ -318,32 +325,36 @@ def _verify_scanning(args: argparse.Namespace, emitter: _CheckEmitter) -> int:
         if N < least:
             raise ValueError(f"{what} needs --max {least} or more: {reason}")
     # theorem and minimal compute the words degree_report does; the other
-    # checks read every word from the series
+    # checks compute every word
     words = bch.report_words(N, K, args.backend) if what in ("theorem", "minimal") else None
     _announce_scan(N, K, words)
-    series = None if words is not None else bch_series(K, N)
+    # the per-word DP alone reads no series; the others share one for every degree
+    series = None if bch.canonical_backend(args.backend) == bch.DP_BACKEND else bch_series(K, N)
+    with bch.worker_pool(args.backend, args.parallelism) as pool:
+        scan = {"backend": args.backend, "series": series, "parallelism": args.parallelism, "pool": pool}
+        return _run_scanning(what, K, N, scan, emitter)
+
+
+def _run_scanning(what: str, K: int, N: int, scan: dict, emitter: _CheckEmitter) -> int:
+    """Run one scanning check; ``scan`` holds the backend keywords of every degree it reads."""
     failures: list[dict] = []
 
     if what in ("theorem", "minimal"):
-        with bch.worker_pool(args.backend, args.parallelism) as pool:
-            for n in range(1, N + 1):
-                report = bch.degree_report(
-                    n, K, args.backend,
-                    series=series, parallelism=args.parallelism, pool=pool,
-                )
-                ok = report.divisibility_ok if what == "theorem" else report.minimal
-                if not ok:
-                    failures.append({"check": what, **report.to_json_dict()})
-                emitter.emit(
-                    {"check": what, "passed": ok, **report.to_json_dict()},
-                    f"{what} n={n}: {'PASS' if ok else 'FAIL'} "
-                    f"(lcm {report.observed_lcm}, n!*d_n {report.common_denominator})",
-                )
+        for n in range(1, N + 1):
+            report = bch.degree_report(n, K, **scan)
+            ok = report.divisibility_ok if what == "theorem" else report.minimal
+            if not ok:
+                failures.append({"check": what, **report.to_json_dict()})
+            emitter.emit(
+                {"check": what, "passed": ok, **report.to_json_dict()},
+                f"{what} n={n}: {'PASS' if ok else 'FAIL'} "
+                f"(lcm {report.observed_lcm}, n!*d_n {report.common_denominator})",
+            )
         return _finish(failures)
 
     if what == "cor1":
         for p in numtheory.primes_below(N + 1):
-            report = bch.check_corollary_prime(p, series=series)
+            report = bch.check_corollary_prime(p, **scan)
             if not report.passed:
                 failures.append({"check": "cor1", **report.to_json_dict()})
             emitter.emit(
@@ -357,7 +368,7 @@ def _verify_scanning(args: argparse.Namespace, emitter: _CheckEmitter) -> int:
         for p in numtheory.primes_below(N):
             if p == 2 or p + 1 > N:
                 continue
-            report = bch.check_corollary_prime_plus_one(p, series=series)
+            report = bch.check_corollary_prime_plus_one(p, **scan)
             if not report.passed:
                 failures.append({"check": "cor2", **report.to_json_dict()})
             emitter.emit(
@@ -368,7 +379,7 @@ def _verify_scanning(args: argparse.Namespace, emitter: _CheckEmitter) -> int:
         return _finish(failures)
 
     if what == "goldberg":
-        results = bch.goldberg_check(N, series=series)
+        results = bch.goldberg_check(N, **scan)
         for result in results:
             emitter.emit(
                 {"check": "goldberg", **result.to_json_dict()},

@@ -26,10 +26,11 @@ The backends share no arithmetic and are cross-checked in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from math import comb, factorial, lcm
 
+from ._records import FrozenRecord, Record
 from .errors import BudgetError
 
 #: Refuse to allocate a degree table with more than this many entries.
@@ -41,15 +42,24 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True, order=True)
-class Word:
-    """An immutable word over generator indices 0..K-1; its length is the degree."""
+@total_ordering
+class Word(FrozenRecord):
+    """An immutable word over generator indices 0..K-1; its length is the degree.
 
-    letters: tuple[int, ...]
+    Words order as their letter tuples, so a degree's words sort lexicographically.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[int, ...]) -> None:
+        self._assign(letters)
         if any(l < 0 for l in self.letters):
             raise ValueError("letters must be >= 0")
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.letters < other.letters
+        return NotImplemented
 
     @property
     def degree(self) -> int:
@@ -103,15 +113,13 @@ def all_words(degree: int, alphabet_size: int):
         yield Word.unpack(packed, degree, alphabet_size)
 
 
-@dataclass
-class DegreeTable:
+class DegreeTable(Record):
     """One homogeneous component: K^degree coefficients indexed by packed word."""
 
-    degree: int
-    alphabet_size: int
-    coefficients: list[Fraction]
+    __slots__ = ("degree", "alphabet_size", "coefficients")
 
-    def __post_init__(self) -> None:
+    def __init__(self, degree: int, alphabet_size: int, coefficients: list[Fraction]) -> None:
+        self._assign(degree, alphabet_size, coefficients)
         if len(self.coefficients) != self.alphabet_size**self.degree:
             raise ValueError("coefficient table has wrong size")
 
@@ -128,15 +136,13 @@ class DegreeTable:
         return ((packed, c) for packed, c in enumerate(self.coefficients) if c)
 
 
-@dataclass
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """A series truncated beyond ``max_degree``: one DegreeTable per degree 0..N."""
 
-    max_degree: int
-    alphabet_size: int
-    tables: list[DegreeTable]
+    __slots__ = ("max_degree", "alphabet_size", "tables")
 
-    def __post_init__(self) -> None:
+    def __init__(self, max_degree: int, alphabet_size: int, tables: list[DegreeTable]) -> None:
+        self._assign(max_degree, alphabet_size, tables)
         if len(self.tables) != self.max_degree + 1:
             raise ValueError("need one table per degree 0..max_degree")
         for degree, table in enumerate(self.tables):

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from ._records import FrozenRecord
 from .errors import BudgetError
 
 #: Largest n for which the partition oracles run without an explicit
@@ -73,15 +73,13 @@ def primes_below(n: int) -> list[int]:
     return [i for i in range(n) if sieve[i]]
 
 
-@dataclass(frozen=True)
-class PadicExpansion:
+class PadicExpansion(FrozenRecord):
     """Base-p digits of n, least significant first, without trailing zeros."""
 
-    n: int
-    p: int
-    digits: tuple[int, ...]
+    __slots__ = ("n", "p", "digits")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, p: int, digits: tuple[int, ...]) -> None:
+        self._assign(n, p, digits)
         if self.n < 0:
             raise ValueError("n must be >= 0")
         _require_prime(self.p)
@@ -169,16 +167,16 @@ def _factorial_valuation_floor_sum(n: int, p: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class PrimeFactorization:
+class PrimeFactorization(FrozenRecord):
     """Ordered prime factorization: ((p1, e1), (p2, e2), ...) with p1 < p2 < ...
 
     Exponents are >= 1; the empty tuple represents 1.
     """
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, factors: tuple[tuple[int, int], ...]) -> None:
+        self._assign(factors)
         last = 1
         for p, e in self.factors:
             if p <= last:

@@ -95,6 +95,15 @@ def test_degree_coefficients_rejects_short_series(series2_6):
         degree_coefficients(3, 3, series=series2_6)
 
 
+def test_denominator_report_is_immutable(series2_6):
+    report = degree_report(6, 2, series=series2_6)
+    with pytest.raises(AttributeError):
+        report.minimal = False
+    assert report.minimal is True
+    assert report == degree_report(6, 2, bch.DP_BACKEND)
+    assert hash(report) == hash(degree_report(6, 2, bch.DP_BACKEND))
+
+
 def test_report_json_contract(series2_6):
     data = degree_report(6, 2, series=series2_6).to_json_dict()
     assert list(data) == [

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import multiprocessing
@@ -14,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from bchdenom import cli
+from bchdenom import bch, cli
 
 D_SEQUENCE = [1, 1, 2, 1, 6, 2, 6, 3, 10, 2, 6, 2, 210, 30, 12, 3, 30, 10, 210, 42, 330, 30, 60, 30, 546]
 KERNEL_SEQUENCE = [1, 1, 2, 1, 6, 2, 6, 3, 10, 2, 6, 2, 210, 30, 6, 3, 30, 10, 210, 42, 330, 30, 30, 30, 546]
@@ -126,15 +125,26 @@ def test_verify_theorem_and_minimal(capsys):
     assert out.count("PASS") == 6
 
 
-def test_verify_cor1(capsys):
-    code, out, _ = run(capsys, "verify", "--what", "cor1", "--max", "7")
+def run_on_backend(capsys, backend, *argv):
+    """Run ``argv`` on ``backend``; its exit code and stdout must be those of the series backend."""
+    code, out, err = run(capsys, *argv, "--backend", backend)
+    assert (code, out) == run(capsys, *argv, "--backend", "series")[:2]
+    return code, out, err
+
+
+# cor1, cor2 and goldberg read every word: the per-word DP computes all of
+# them, and "both" compares the two backends word by word
+@pytest.mark.parametrize("backend", ["series", "dp", "both"])
+def test_verify_cor1(capsys, backend):
+    code, out, _ = run_on_backend(capsys, backend, "verify", "--what", "cor1", "--max", "7")
     assert code == 0
     assert out.count("PASS") == 4  # p = 2, 3, 5, 7
 
 
-def test_verify_cor2_reports_violations(capsys):
+@pytest.mark.parametrize("backend", ["series", "dp", "both"])
+def test_verify_cor2_reports_violations(capsys, backend):
     # the uniform residue claim fails on B...A words; the CLI says so
-    code, out, _ = run(capsys, "verify", "--what", "cor2", "--max", "6")
+    code, out, _ = run_on_backend(capsys, backend, "verify", "--what", "cor2", "--max", "6")
     assert code == 1
     violation = json.loads(out.strip().splitlines()[-1])
     assert violation["check"] == "cor2"
@@ -142,12 +152,22 @@ def test_verify_cor2_reports_violations(capsys):
     assert not violation["exceptional_zero_failures"]
 
 
-def test_verify_goldberg(capsys):
-    code, out, _ = run(capsys, "verify", "--what", "goldberg", "--max", "11")
+@pytest.mark.parametrize("backend", ["series", "dp", "both"])
+def test_verify_goldberg(capsys, backend):
+    code, out, _ = run_on_backend(capsys, backend, "verify", "--what", "goldberg", "--max", "11")
     assert code == 0
     assert "AAAAAAAABBB" in out
     assert "2112/5" in out
     assert "1247400" in out
+
+
+@pytest.mark.parametrize("what, max_degree, expected_code", [("cor1", "5", 0), ("cor2", "4", 1), ("goldberg", "11", 0)])
+def test_verify_dp_congruence_builds_no_series(capsys, monkeypatch, what, max_degree, expected_code):
+    # --backend dp builds no series on the checks that compute every word either
+    monkeypatch.setattr(cli, "bch_series", None)
+    monkeypatch.setattr(bch, "bch_series", None)
+    code, out, _ = run(capsys, "verify", "--what", what, "--max", max_degree, "--backend", "dp")
+    assert code == expected_code and out
 
 
 def test_verify_goldberg_below_counterexample(capsys):
@@ -245,7 +265,14 @@ def test_verify_goldberg_regression_exits_1(capsys, monkeypatch):
     def degree_11_passes(*args, **kwargs):
         results = real(*args, **kwargs)
         return [
-            dataclasses.replace(r, passed=True, witness=None, witness_denominator=None, ratio=None)
+            bch.GoldbergDegreeResult(
+                degree=r.degree,
+                goldberg_denominator=r.goldberg_denominator,
+                passed=True,
+                witness=None,
+                witness_denominator=None,
+                ratio=None,
+            )
             if r.degree == 11
             else r
             for r in results
@@ -483,17 +510,20 @@ def test_parallelism_env_garbage_is_a_usage_error(capsys, monkeypatch, value):
     ids=["help", "eq3", "minimal-series", "minimal-dp-serial"],
 )
 def test_serial_runs_do_not_import_multiprocessing(argv):
-    # a fresh interpreter: only a run that opens a worker pool imports it
+    # a fresh interpreter: only a run that opens a worker pool imports
+    # multiprocessing, no run imports dataclasses (or the inspect module
+    # it brings), and only a JSON or CSV run imports json or csv
+    unused = ("multiprocessing", "dataclasses", "inspect", "json", "csv")
     script = (
         "import sys\n"
         "from bchdenom import cli\n"
         f"code = cli.main({argv!r})\n"
-        "sys.stderr.write(repr((code, 'multiprocessing' in sys.modules)))\n"
+        f"sys.stderr.write(repr((code, [m for m in {unused!r} if m in sys.modules])))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "BCHDENOM_PARALLELISM": "1"}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-    assert done.stderr.splitlines()[-1] == "(0, False)"
+    assert done.stderr.splitlines()[-1] == "(0, [])"
 
 
 # ---------------------------------------------------------------------------

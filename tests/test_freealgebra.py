@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import groupby
@@ -58,6 +60,42 @@ def test_word_strings():
     assert Word.from_string("5", 27).letters == (5,)  # one letter, no comma
     assert Word((5,)).to_string(27) == "5"
     assert W("").degree == 0
+
+
+def test_word_is_an_immutable_value():
+    word = W("ABA")
+    with pytest.raises(AttributeError):
+        word.letters = (1,)
+    with pytest.raises(AttributeError):
+        del word.letters
+    assert word.letters == (0, 1, 0)
+    same = Word((0, 1, 0))
+    assert same == word and same is not word
+    assert hash(same) == hash(word)
+    assert len({word, same, W("ABB")}) == 2
+    assert word != (0, 1, 0)  # a word equals only words
+    assert repr(word) == "Word(letters=(0, 1, 0))"
+    assert pickle.loads(pickle.dumps(word)) == word == copy.copy(word)
+
+
+def test_word_order_is_the_order_of_letter_tuples():
+    assert W("AB") < W("BA") <= W("BA") < W("BAA")
+    assert W("BB") > W("BA") >= W("BA")
+    with pytest.raises(TypeError):
+        W("AB") < (0, 1)
+
+
+def test_degree_tables_compare_by_value_and_are_unhashable():
+    table = DegreeTable.zeros(2, 2)
+    assert table == DegreeTable(2, 2, [Fraction(0)] * 4)
+    with pytest.raises(TypeError):
+        hash(table)
+    table.coefficients[1] = Fraction(1, 2)
+    assert table != DegreeTable.zeros(2, 2)
+    with pytest.raises(ValueError):
+        DegreeTable(2, 2, [Fraction(0)] * 3)
+    with pytest.raises(ValueError):
+        TruncatedSeries(2, 2, [DegreeTable.zeros(0, 2), table])
 
 
 def test_word_string_rejects_bad_input():

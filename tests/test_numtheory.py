@@ -179,6 +179,31 @@ def test_common_denominator_degree_11():
     assert factorization.factors == ((2, 9), (3, 5), (5, 2), (7, 1), (11, 1))
 
 
+def test_prime_factorization_is_an_immutable_value():
+    factorization = nt.PrimeFactorization.of(360)
+    with pytest.raises(AttributeError):
+        factorization.factors = ()
+    assert factorization.factors == ((2, 3), (3, 2), (5, 1))
+    same = nt.PrimeFactorization(((2, 3), (3, 2), (5, 1)))
+    assert same == factorization and hash(same) == hash(factorization)
+    assert len({factorization, same, nt.PrimeFactorization.of(7)}) == 2
+    # the classmethod stays in the class namespace, where a tracer can wrap it
+    assert isinstance(vars(nt.PrimeFactorization)["of"], classmethod)
+    for bad in (((3, 1), (2, 1)), ((2, 0),), ((4, 1),)):
+        with pytest.raises(ValueError):
+            nt.PrimeFactorization(bad)
+
+
+def test_padic_expansion_checks_its_digits():
+    assert nt.padic_expansion(10, 3) == nt.PadicExpansion(10, 3, (1, 0, 1))
+    with pytest.raises(AttributeError):
+        nt.padic_expansion(10, 3).digits = ()
+    with pytest.raises(ValueError, match="reconstruct"):
+        nt.PadicExpansion(10, 3, (1, 1))
+    with pytest.raises(ValueError, match="trailing zero"):
+        nt.PadicExpansion(3, 3, (0, 1, 0))
+
+
 def test_common_denominator_trivial():
     assert nt.common_denominator(1) == (1, nt.PrimeFactorization(()))
 
