@@ -3,9 +3,13 @@
 A degree scan computes every coefficient of one homogeneous component,
 reduces each to lowest terms, and compares the lcm of the denominators
 against the closed-form common denominator n! * d_n.  On top of the scans
-sit the congruence checks for prime and prime-plus-one degrees, the
-refutation of the Bernoulli-quotient candidate denominator, and the
-deduplicated value table for degree 11.
+sit the congruence checks for prime and prime-plus-one degrees (two front
+ends over one residue scan), the refutation of the Bernoulli-quotient
+candidate denominator, and the deduplicated value table for degree 11.
+Every check reads its coefficients through ``degree_coefficients`` and
+passes its backend keywords (``backend``, ``series``, ``parallelism``,
+``pool``, ``table_budget``) through unchanged; that function alone names
+and checks them.
 
 Scans are deterministic: words are visited in packed (lexicographic)
 order, reductions are commutative, and witnesses are always the
@@ -44,7 +48,9 @@ the invariance on both backends rather than assume it.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import os
+import sys
+from collections.abc import Callable, Sequence
 from contextlib import AbstractContextManager, nullcontext
 from fractions import Fraction
 from functools import cache
@@ -378,9 +384,7 @@ def degree_coefficients(
         return _dp_scan_chunk((n, alphabet_size, words))
     chunk = max(1, -(-len(words) // (parallelism * 4)))
     tasks = [(n, alphabet_size, words[s : s + chunk]) for s in range(0, len(words), chunk)]
-    import multiprocessing  # only here and in worker_pool: serial runs skip its import
-
-    with multiprocessing.Pool(parallelism) if pool is None else nullcontext(pool) as pool:
+    with worker_pool(backend, parallelism) if pool is None else nullcontext(pool) as pool:
         return list(chain.from_iterable(pool.map(_dp_scan_chunk, tasks)))
 
 
@@ -388,13 +392,26 @@ def worker_pool(backend: str, parallelism: int) -> AbstractContextManager[Pool |
     """The worker pool a run's per-word scans share across degrees, as a context.
 
     It yields None (no pool) when the scans are serial or read only the
-    dense series.
+    dense series.  The pool has at most one worker per CPU this process may
+    run on; a larger request is lowered, and said so on stderr.
     """
-    if parallelism > 1 and canonical_backend(backend) != SERIES_BACKEND:
-        import multiprocessing
+    if parallelism <= 1 or canonical_backend(backend) == SERIES_BACKEND:
+        return nullcontext()
+    import multiprocessing  # only here: serial runs skip its import
 
-        return multiprocessing.Pool(parallelism)
-    return nullcontext()
+    cpus = _usable_cpus()
+    if parallelism > cpus:
+        print(f"parallelism {parallelism} lowered to {cpus}, the CPUs this process may use", file=sys.stderr)
+        parallelism = cpus
+    return multiprocessing.Pool(parallelism)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on macOS or Windows
+        return os.cpu_count() or 1
 
 
 def _integer_numerator(h: Fraction, common: int, word: Word, alphabet_size: int) -> int:
@@ -423,28 +440,18 @@ def report_words(n: int, alphabet_size: int, backend: str) -> list[int] | None:
 
 
 def degree_report(
-    n: int,
-    alphabet_size: int = 2,
-    backend: str = SERIES_BACKEND,
-    *,
-    series: TruncatedSeries | None = None,
-    parallelism: int = 1,
-    pool: Pool | None = None,
-    table_budget: int = DEFAULT_TABLE_BUDGET,
+    n: int, alphabet_size: int = 2, backend: str = SERIES_BACKEND, **scan
 ) -> DenominatorReport:
     """Scan one degree and compare denominators against n! * d_n.
 
     It computes the words ``report_words`` names, and the table budget
-    counts them.  The reduction runs over the distinct coefficient
-    objects, which on the series backend are the few values a degree
-    holds: ``bch_series`` shares one ``Fraction`` per value.
+    counts them; ``scan`` holds the other backend keywords of
+    ``degree_coefficients``.  The reduction runs over the distinct
+    coefficient objects, which on the series backend are the few values a
+    degree holds: ``bch_series`` shares one ``Fraction`` per value.
     """
-    _check_degree(n)
-    words = report_words(n, alphabet_size, backend)
-    coeffs = degree_coefficients(
-        n, alphabet_size, backend,
-        words=words, series=series, parallelism=parallelism, pool=pool, table_budget=table_budget,
-    )
+    words = report_words(n, alphabet_size, backend)  # this or degree_coefficients checks n
+    coeffs = degree_coefficients(n, alphabet_size, backend, words=words, **scan)
     d_n, _ = compute_dn(n)
     common, _ = common_denominator(n)
     distinct = dict(zip(map(id, coeffs), coeffs)).values()  # in order of first appearance
@@ -477,61 +484,66 @@ def numerator_over_common(
     raised as ``CommonDenominatorError`` (it would disprove the
     divisibility theorem, not signal bad input).
     """
-    n = word.degree
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+    _check_degree(word.degree)
     if coefficient is None:
         coefficient = bch_coeff_word(word, alphabet_size)
-    common, _ = common_denominator(n)
+    common, _ = common_denominator(word.degree)
     return _integer_numerator(coefficient, common, word, alphabet_size)
 
 
-def check_corollary_prime(
-    p: int,
-    *,
-    backend: str = SERIES_BACKEND,
-    series: TruncatedSeries | None = None,
-    parallelism: int = 1,
-    pool: Pool | None = None,
-) -> CongruenceReport:
-    """Degree-p congruence: a_w = -d_p (mod p) for every word except A^p, B^p.
+_ORDINARY, _SKIPPED, _ZERO = "ordinary", "skipped", "zero"  # the words of a congruence scan
 
-    Every word is computed, on ``backend`` (see ``degree_coefficients``).
+
+def _congruence_scan(
+    p: int, n: int, expected: int, rule: Callable[[int], str], **scan
+) -> CongruenceReport:
+    """Check a_w = ``expected`` (mod p) over the two-letter words of degree n.
+
+    ``rule`` maps each packed word to ``_ORDINARY`` (its numerator must
+    have that residue), ``_SKIPPED`` (not checked) or ``_ZERO`` (its
+    coefficient must be 0).  Every word is computed, through
+    ``degree_coefficients`` with the backend keywords ``scan``.
     """
-    if not numtheory.is_prime(p):
-        raise ValueError(f"expected a prime, got {p}")
-    coeffs = degree_coefficients(p, 2, backend, series=series, parallelism=parallelism, pool=pool)
-    d_p, _ = compute_dn(p)
-    common, _ = common_denominator(p)
-    expected = (-d_p) % p
-    top = 2**p - 1
+    coeffs = degree_coefficients(n, 2, **scan)
+    common, _ = common_denominator(n)
     violations = []
+    zero_failures = []
     for packed, h in enumerate(coeffs):
-        if packed in (0, top):  # A^p and B^p
-            continue
-        word = Word.unpack(packed, p, 2)
-        a = _integer_numerator(h, common, word, 2)
-        residue = a % p
-        if residue != expected:
-            violations.append((word, a, residue))
+        kind = rule(packed)
+        if kind == _ZERO:
+            if h:
+                zero_failures.append(Word.unpack(packed, n, 2))
+        elif kind == _ORDINARY:
+            word = Word.unpack(packed, n, 2)
+            a = _integer_numerator(h, common, word, 2)
+            residue = a % p
+            if residue != expected:
+                violations.append((word, a, residue))
     return CongruenceReport(
         p=p,
-        degree=p,
+        degree=n,
         modulus=p,
         expected_residue=expected,
         violations=tuple(violations),
-        exceptional_zero_failures=(),
+        exceptional_zero_failures=tuple(zero_failures),
     )
 
 
-def check_corollary_prime_plus_one(
-    p: int,
-    *,
-    backend: str = SERIES_BACKEND,
-    series: TruncatedSeries | None = None,
-    parallelism: int = 1,
-    pool: Pool | None = None,
-) -> CongruenceReport:
+def check_corollary_prime(p: int, **scan) -> CongruenceReport:
+    """Degree-p congruence: a_w = -d_p (mod p) for every word except A^p, B^p.
+
+    ``scan`` holds the backend keywords of ``degree_coefficients``.
+    """
+    if not numtheory.is_prime(p):
+        raise ValueError(f"expected a prime, got {p}")
+    d_p, _ = compute_dn(p)
+    powers = (0, 2**p - 1)  # A^p and B^p
+    return _congruence_scan(
+        p, p, (-d_p) % p, lambda packed: _SKIPPED if packed in powers else _ORDINARY, **scan
+    )
+
+
+def check_corollary_prime_plus_one(p: int, **scan) -> CongruenceReport:
     """Degree-(p+1) check for odd primes p, of the claim as stated.
 
     The claim: words whose first and last letters agree, together with the
@@ -543,63 +555,36 @@ def check_corollary_prime_plus_one(
     degree p+1 it negates a_w, and it sends words A...B to words B...A;
     the residue (p-1)/2 * d_{p+1} is nonzero mod p.  The reported
     violations are therefore exactly the words B...A outside the zero
-    set, each with the negated residue.  Every word is computed, on
-    ``backend``.
+    set, each with the negated residue.  ``scan`` holds the backend
+    keywords of ``degree_coefficients``.
     """
     if p == 2 or not numtheory.is_prime(p):
         raise ValueError(f"expected an odd prime, got {p}")
-    n = p + 1
-    coeffs = degree_coefficients(n, 2, backend, series=series, parallelism=parallelism, pool=pool)
-    d_n, _ = compute_dn(n)
-    common, _ = common_denominator(n)
-    expected = ((p - 1) // 2 * d_n) % p
+    d_n, _ = compute_dn(p + 1)
     boundary = {2**p - 1, (2**p - 1) * 2, 1, 2**p}  # AB^p, B^pA, A^pB, BA^p
-    violations = []
-    zero_failures = []
-    for packed, h in enumerate(coeffs):
-        first = packed >> p
-        last = packed & 1
-        if first == last or packed in boundary:
-            if h != 0:
-                zero_failures.append(Word.unpack(packed, n, 2))
-            continue
-        word = Word.unpack(packed, n, 2)
-        a = _integer_numerator(h, common, word, 2)
-        residue = a % p
-        if residue != expected:
-            violations.append((word, a, residue))
-    return CongruenceReport(
-        p=p,
-        degree=n,
-        modulus=p,
-        expected_residue=expected,
-        violations=tuple(violations),
-        exceptional_zero_failures=tuple(zero_failures),
-    )
+
+    def rule(packed: int) -> str:
+        same_ends = packed >> p == packed & 1
+        return _ZERO if same_ends or packed in boundary else _ORDINARY
+
+    return _congruence_scan(p, p + 1, (p - 1) // 2 * d_n % p, rule, **scan)
 
 
-def goldberg_check(
-    n_max: int,
-    *,
-    backend: str = SERIES_BACKEND,
-    series: TruncatedSeries | None = None,
-    parallelism: int = 1,
-    pool: Pool | None = None,
-) -> list[GoldbergDegreeResult]:
+def goldberg_check(n_max: int, **scan) -> list[GoldbergDegreeResult]:
     """Test denom((B_{n-1}+B_{n-2})/n!) as a common denominator, degree by degree.
 
     For each degree 4..n_max, reports pass when every coefficient
     denominator divides it, else the lexicographically first failing word
-    together with the non-integer quotient.  Every word is computed, on
-    ``backend``.  The candidate holds up to degree 10 and first fails at
-    degree 11.
+    together with the non-integer quotient.  Every word is computed,
+    through ``degree_coefficients`` with the backend keywords ``scan``.
+    The candidate holds up to degree 10 and first fails at degree 11.
     """
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
     results = []
     for n in range(4, n_max + 1):
         candidate = numtheory.goldberg_denominator(n)
-        coeffs = degree_coefficients(n, 2, backend, series=series, parallelism=parallelism, pool=pool)
+        coeffs = degree_coefficients(n, 2, **scan)
         witness = None
         witness_denominator = None
         ratio = None
@@ -623,20 +608,16 @@ def goldberg_check(
 
 
 def coefficient_value_table(
-    n: int,
-    alphabet_size: int = 2,
-    backend: str = SERIES_BACKEND,
-    *,
-    series: TruncatedSeries | None = None,
-    parallelism: int = 1,
+    n: int, alphabet_size: int = 2, backend: str = SERIES_BACKEND, **scan
 ) -> list[TableEntry]:
     """The distinct nonzero coefficient values of one degree.
 
     Each entry carries the reduced value, the prime factorization of its
     denominator, and the integer numerator over n! * d_n.  Sorted by
     decreasing absolute value, positive before negative on ties.
+    ``scan`` holds the other backend keywords of ``degree_coefficients``.
     """
-    coeffs = degree_coefficients(n, alphabet_size, backend, series=series, parallelism=parallelism)
+    coeffs = degree_coefficients(n, alphabet_size, backend, **scan)
     first_seen: dict[Fraction, int] = {}
     for packed, h in enumerate(coeffs):
         if h and h not in first_seen:

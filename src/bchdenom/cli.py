@@ -13,6 +13,7 @@ import os
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import cache
 
 from . import bch, numtheory
 from .errors import BudgetError
@@ -42,7 +43,7 @@ def _validate(args: argparse.Namespace) -> None:
 
 def _parallelism(text: str) -> int:
     if text == "auto":
-        return os.cpu_count() or 1
+        return bch._usable_cpus()
     try:
         value = int(text)
     except ValueError:
@@ -248,13 +249,6 @@ def _csv_cell(value):
     return value
 
 
-def _emit_violation(record: dict) -> None:
-    # the violation record is always JSON, whatever the report format
-    import json
-
-    print(json.dumps(record))
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     what = args.what
     emitter = _CheckEmitter(args.format)
@@ -299,10 +293,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _finish(failures: list[dict]) -> int:
-    if failures:
-        _emit_violation(failures[0])
-        return EXIT_VIOLATION
-    return EXIT_OK
+    if not failures:
+        return EXIT_OK
+    # the violation record is always JSON, whatever the report format
+    import json
+
+    print(json.dumps(failures[0]))
+    return EXIT_VIOLATION
 
 
 #: Smallest --max for each two-letter check; below it the check would pass
@@ -352,53 +349,34 @@ def _run_scanning(what: str, K: int, N: int, scan: dict, emitter: _CheckEmitter)
             )
         return _finish(failures)
 
-    if what == "cor1":
-        for p in numtheory.primes_below(N + 1):
-            report = bch.check_corollary_prime(p, **scan)
+    if what in ("cor1", "cor2"):
+        # cor1 checks the prime degrees p <= N, cor2 the degrees p + 1 <= N of the odd primes
+        if what == "cor1":
+            check, primes = bch.check_corollary_prime, numtheory.primes_below(N + 1)
+        else:
+            check, primes = bch.check_corollary_prime_plus_one, numtheory.primes_below(N)[1:]
+        for p in primes:
+            report = check(p, **scan)
             if not report.passed:
-                failures.append({"check": "cor1", **report.to_json_dict()})
+                failures.append({"check": what, **report.to_json_dict()})
+            degree = "" if report.degree == p else f" (degree {report.degree})"
             emitter.emit(
-                {"check": "cor1", **report.to_json_dict()},
-                f"cor1 p={p}: {'PASS' if report.passed else 'FAIL'} "
-                f"(expected residue {report.expected_residue} mod {p})",
-            )
-        return _finish(failures)
-
-    if what == "cor2":
-        for p in numtheory.primes_below(N):
-            if p == 2 or p + 1 > N:
-                continue
-            report = bch.check_corollary_prime_plus_one(p, **scan)
-            if not report.passed:
-                failures.append({"check": "cor2", **report.to_json_dict()})
-            emitter.emit(
-                {"check": "cor2", **report.to_json_dict()},
-                f"cor2 p={p} (degree {p + 1}): {'PASS' if report.passed else 'FAIL'} "
+                {"check": what, **report.to_json_dict()},
+                f"{what} p={p}{degree}: {'PASS' if report.passed else 'FAIL'} "
                 f"(expected residue {report.expected_residue} mod {p})",
             )
         return _finish(failures)
 
     if what == "goldberg":
-        results = bch.goldberg_check(N, **scan)
-        for result in results:
-            emitter.emit(
-                {"check": "goldberg", **result.to_json_dict()},
-                f"goldberg n={result.degree}: "
-                f"{'divides' if result.passed else 'FAILS'}"
-                + (
-                    ""
-                    if result.passed
-                    else f" at {result.witness.to_string(2)}"
-                    f" (denominator {result.witness_denominator}, ratio {result.ratio})"
-                ),
+        for r in bch.goldberg_check(N, **scan):
+            outcome = "divides" if r.passed else (
+                f"FAILS at {r.witness.to_string(2)} (denominator {r.witness_denominator}, ratio {r.ratio})"
             )
-        # expected pattern: all degrees through 10 pass, degree 11 fails
-        expected_ok = all(r.passed == (r.degree <= 10) for r in results if r.degree <= 11)
-        if not expected_ok:
-            bad = next(r for r in results if r.degree <= 11 and r.passed != (r.degree <= 10))
-            _emit_violation({"check": "goldberg", **bad.to_json_dict()})
-            return EXIT_VIOLATION
-        return EXIT_OK
+            emitter.emit({"check": "goldberg", **r.to_json_dict()}, f"goldberg n={r.degree}: {outcome}")
+            # expected pattern: all degrees through 10 pass, degree 11 fails
+            if r.degree <= 11 and r.passed != (r.degree <= 10):
+                failures.append({"check": "goldberg", **r.to_json_dict()})
+        return _finish(failures)
 
     raise AssertionError(what)
 
@@ -457,10 +435,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
             emit(e.word, e.value, e.numerator, e.denominator_factorization)
     else:
         coeffs = bch.degree_coefficients(n, K, args.backend, parallelism=args.parallelism)
+        factor = cache(PrimeFactorization.of)  # a degree holds few distinct denominators
         for packed, h in enumerate(coeffs):
             word = Word.unpack(packed, n, K)
             a = bch.numerator_over_common(word, K, coefficient=h)
-            emit(word, h, a, PrimeFactorization.of(h.denominator))
+            emit(word, h, a, factor(h.denominator))
     return EXIT_OK
 
 

@@ -451,6 +451,23 @@ def test_table_computes_common_denominator_once(capsys):
     assert (info.misses, info.hits) == (1, 32)
 
 
+def test_table_factors_each_denominator_once(capsys, monkeypatch):
+    of = cli.PrimeFactorization.__dict__["of"].__func__
+    factored = []
+
+    def counting_of(cls, m):
+        factored.append(m)
+        return of(cls, m)
+
+    monkeypatch.setattr(cli.PrimeFactorization, "of", classmethod(counting_of))
+    code, out, _ = run(capsys, "table", "--degree", "10", "--format", "json")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == 2**10
+    denominators = {int(row["h_den"]) for row in rows}
+    assert sorted(factored) == sorted(denominators)
+
+
 def test_table_checks_every_word_against_the_common_denominator(capsys, monkeypatch):
     # a common denominator one factor of 2 short cannot hold every coefficient
     real = cli.bch.common_denominator
@@ -497,6 +514,68 @@ def test_parallelism_env_garbage_is_a_usage_error(capsys, monkeypatch, value):
     assert out == "" and "parallelism" in err
     # an explicit flag overrides the bad default
     assert run(capsys, "table", "--degree", "3", "--parallelism", "1")[0] == 0
+
+
+class _RecordingPool:
+    """Stands in for ``multiprocessing.Pool``: records its size and maps in this process."""
+
+    def __init__(self, sizes, processes):
+        sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker counts asked of ``multiprocessing.Pool``, which starts no process."""
+    sizes = []
+    monkeypatch.setattr(multiprocessing, "Pool", lambda processes: _RecordingPool(sizes, processes))
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--what", "minimal", "--max", "7", "--backend", "dp"],  # one pool for the run
+        ["verify", "--what", "cor1", "--max", "7", "--backend", "both"],
+        ["table", "--degree", "6", "--backend", "dp", "--format", "csv"],  # a pool of the scan's own
+    ],
+    ids=["minimal", "cor1", "table"],
+)
+def test_parallelism_is_capped_at_the_usable_cpus(capsys, pool_sizes, argv):
+    _, serial, _ = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--parallelism", "1000")
+    cpus = bch._usable_cpus()
+    assert code == 0
+    assert out == serial
+    assert pool_sizes == [cpus]
+    assert err.count("parallelism 1000 lowered") == 1
+    assert f"parallelism 1000 lowered to {cpus}" in err
+
+
+def test_parallelism_within_the_cpus_is_kept(capsys, monkeypatch, pool_sizes):
+    monkeypatch.setattr(bch, "_usable_cpus", lambda: 4)
+    code, _, err = run(capsys, "table", "--degree", "5", "--backend", "dp", "--parallelism", "3")
+    assert code == 0
+    assert pool_sizes == [3]
+    assert "lowered" not in err
+    assert bch.degree_coefficients(5, 2, "dp", parallelism=9) == bch.degree_coefficients(5, 2, "dp")
+    assert pool_sizes == [3, 4]
+
+
+def test_usable_cpus_without_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert bch._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert bch._usable_cpus() == 1
 
 
 @pytest.mark.parametrize(
