@@ -6,10 +6,8 @@ against the closed-form common denominator n! * d_n.  On top of the scans
 sit the congruence checks for prime and prime-plus-one degrees (two front
 ends over one residue scan), the refutation of the Bernoulli-quotient
 candidate denominator, and the deduplicated value table for degree 11.
-Every check reads its coefficients through ``degree_coefficients`` and
-passes its backend keywords (``backend``, ``series``, ``parallelism``,
-``pool``, ``table_budget``) through unchanged; that function alone names
-and checks them.
+Each check passes its backend keywords through to ``degree_coefficients``,
+which alone names and checks them.
 
 Scans are deterministic: words are visited in packed (lexicographic)
 order, reductions are commutative, and witnesses are always the
@@ -335,8 +333,8 @@ def degree_coefficients(
     series backend builds one.  With backend "both"
     the two backends are compared entry by entry before returning.  With
     ``parallelism`` above 1 the per-word DP runs on ``pool`` (an open pool
-    of that many workers, shared across degrees; see ``worker_pool``), or
-    on a pool opened for this call.  ``table_budget`` bounds the words the
+    from ``worker_pool``, shared across degrees), or on a pool opened for
+    this call.  ``table_budget`` bounds the words the
     scan computes: the given ``words`` on the per-word DP, else all K^n
     (the series holds every word of a degree in its table).  ``scan_limit``
     is accepted and ignored, because ``perfbench/traced_cli.py`` still
@@ -382,7 +380,8 @@ def degree_coefficients(
         words = range(total)
     if parallelism == 1:
         return _dp_scan_chunk((n, alphabet_size, words))
-    chunk = max(1, -(-len(words) // (parallelism * 4)))
+    workers = min(parallelism, _usable_cpus())  # as many as worker_pool opens
+    chunk = max(1, -(-len(words) // (workers * 4)))
     tasks = [(n, alphabet_size, words[s : s + chunk]) for s in range(0, len(words), chunk)]
     with worker_pool(backend, parallelism) if pool is None else nullcontext(pool) as pool:
         return list(chain.from_iterable(pool.map(_dp_scan_chunk, tasks)))

@@ -517,10 +517,13 @@ def test_parallelism_env_garbage_is_a_usage_error(capsys, monkeypatch, value):
 
 
 class _RecordingPool:
-    """Stands in for ``multiprocessing.Pool``: records its size and maps in this process."""
+    """Stands in for ``multiprocessing.Pool``: records its size and tasks, and maps in this process."""
 
-    def __init__(self, sizes, processes):
-        sizes.append(processes)
+    sizes: list[int] = []
+    tasks: list[int] = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
 
     def __enter__(self):
         return self
@@ -529,15 +532,17 @@ class _RecordingPool:
         return False
 
     def map(self, fn, items):
+        self.tasks.append(len(items))
         return list(map(fn, items))
 
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """The worker counts asked of ``multiprocessing.Pool``, which starts no process."""
-    sizes = []
-    monkeypatch.setattr(multiprocessing, "Pool", lambda processes: _RecordingPool(sizes, processes))
-    return sizes
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "tasks", [])
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    return _RecordingPool.sizes
 
 
 @pytest.mark.parametrize(
@@ -556,6 +561,8 @@ def test_parallelism_is_capped_at_the_usable_cpus(capsys, pool_sizes, argv):
     assert code == 0
     assert out == serial
     assert pool_sizes == [cpus]
+    # each scan is cut into about four tasks per worker the pool has
+    assert max(_RecordingPool.tasks) <= 4 * cpus
     assert err.count("parallelism 1000 lowered") == 1
     assert f"parallelism 1000 lowered to {cpus}" in err
 
