@@ -341,6 +341,8 @@ def degree_coefficients(
     passes it; the table budget is the only scan budget.
     """
     _check_degree(n)
+    if parallelism < 1:
+        raise ValueError("parallelism must be >= 1")
     backend = canonical_backend(backend)
     scanned = len(words) if words is not None and backend == DP_BACKEND else None
     _check_budget(n, alphabet_size, table_budget, scanned)
@@ -490,34 +492,29 @@ def numerator_over_common(
     return _integer_numerator(coefficient, common, word, alphabet_size)
 
 
-_ORDINARY, _SKIPPED, _ZERO = "ordinary", "skipped", "zero"  # the words of a congruence scan
-
-
 def _congruence_scan(
-    p: int, n: int, expected: int, rule: Callable[[int], str], **scan
+    p: int, n: int, expected: int, zero: Callable[[int], bool], **scan
 ) -> CongruenceReport:
     """Check a_w = ``expected`` (mod p) over the two-letter words of degree n.
 
-    ``rule`` maps each packed word to ``_ORDINARY`` (its numerator must
-    have that residue), ``_SKIPPED`` (not checked) or ``_ZERO`` (its
-    coefficient must be 0).  Every word is computed, through
-    ``degree_coefficients`` with the backend keywords ``scan``.
+    The packed words for which ``zero`` is true must have coefficient 0
+    instead.  Every word is computed, through ``degree_coefficients`` with
+    the backend keywords ``scan``.
     """
     coeffs = degree_coefficients(n, 2, **scan)
     common, _ = common_denominator(n)
     violations = []
     zero_failures = []
     for packed, h in enumerate(coeffs):
-        kind = rule(packed)
-        if kind == _ZERO:
+        if zero(packed):
             if h:
                 zero_failures.append(Word.unpack(packed, n, 2))
-        elif kind == _ORDINARY:
-            word = Word.unpack(packed, n, 2)
-            a = _integer_numerator(h, common, word, 2)
-            residue = a % p
-            if residue != expected:
-                violations.append((word, a, residue))
+            continue
+        word = Word.unpack(packed, n, 2)
+        a = _integer_numerator(h, common, word, 2)
+        residue = a % p
+        if residue != expected:
+            violations.append((word, a, residue))
     return CongruenceReport(
         p=p,
         degree=n,
@@ -531,15 +528,15 @@ def _congruence_scan(
 def check_corollary_prime(p: int, **scan) -> CongruenceReport:
     """Degree-p congruence: a_w = -d_p (mod p) for every word except A^p, B^p.
 
-    ``scan`` holds the backend keywords of ``degree_coefficients``.
+    Those two have coefficient 0 (the terms in A alone sum to log e^A = A),
+    and the scan checks that as well.  ``scan`` holds the backend keywords
+    of ``degree_coefficients``.
     """
     if not numtheory.is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
     d_p, _ = compute_dn(p)
     powers = (0, 2**p - 1)  # A^p and B^p
-    return _congruence_scan(
-        p, p, (-d_p) % p, lambda packed: _SKIPPED if packed in powers else _ORDINARY, **scan
-    )
+    return _congruence_scan(p, p, (-d_p) % p, lambda packed: packed in powers, **scan)
 
 
 def check_corollary_prime_plus_one(p: int, **scan) -> CongruenceReport:
@@ -561,12 +558,11 @@ def check_corollary_prime_plus_one(p: int, **scan) -> CongruenceReport:
         raise ValueError(f"expected an odd prime, got {p}")
     d_n, _ = compute_dn(p + 1)
     boundary = {2**p - 1, (2**p - 1) * 2, 1, 2**p}  # AB^p, B^pA, A^pB, BA^p
-
-    def rule(packed: int) -> str:
-        same_ends = packed >> p == packed & 1
-        return _ZERO if same_ends or packed in boundary else _ORDINARY
-
-    return _congruence_scan(p, p + 1, (p - 1) // 2 * d_n % p, rule, **scan)
+    return _congruence_scan(
+        p, p + 1, (p - 1) // 2 * d_n % p,
+        lambda packed: (packed >> p) == (packed & 1) or packed in boundary,  # same first and last letter
+        **scan,
+    )
 
 
 def goldberg_check(n_max: int, **scan) -> list[GoldbergDegreeResult]:

@@ -75,6 +75,16 @@ def test_degree_report_budgets():
         degree_coefficients(3, 2, "bogus")
 
 
+@pytest.mark.parametrize("parallelism", [0, -1])
+def test_checks_forward_backend_keywords_to_one_check(parallelism):
+    # every check passes its backend keywords to degree_coefficients, which checks them
+    for check in (lambda **kw: degree_coefficients(5, 2, **kw), lambda **kw: check_corollary_prime(5, **kw)):
+        with pytest.raises(ValueError, match="parallelism must be >= 1"):
+            check(backend="dp", parallelism=parallelism)
+    with pytest.raises(TypeError):
+        goldberg_check(5, bakend="dp")  # a misspelt keyword is not swallowed
+
+
 def test_dp_report_budget_counts_class_words():
     # the class-reduced DP builds no table: its budget counts the words it computes
     classes = len(bch.class_representatives(8, 3))
