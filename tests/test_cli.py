@@ -537,12 +537,12 @@ class _RecordingPool:
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """The worker counts asked of ``multiprocessing.Pool``, which starts no process."""
+def recording_pool(monkeypatch):
+    """``multiprocessing.Pool``, replaced by a ``_RecordingPool``: no process starts."""
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(_RecordingPool, "tasks", [])
     monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
-    return _RecordingPool.sizes
+    return _RecordingPool
 
 
 @pytest.mark.parametrize(
@@ -554,27 +554,27 @@ def pool_sizes(monkeypatch):
     ],
     ids=["minimal", "cor1", "table"],
 )
-def test_parallelism_is_capped_at_the_usable_cpus(capsys, pool_sizes, argv):
-    _, serial, _ = run(capsys, *argv)
+def test_parallelism_is_capped_at_the_usable_cpus(capsys, recording_pool, argv):
+    _, serial, _ = run(capsys, *argv, "--parallelism", "1")
     code, out, err = run(capsys, *argv, "--parallelism", "1000")
     cpus = bch._usable_cpus()
     assert code == 0
     assert out == serial
-    assert pool_sizes == [cpus]
+    assert recording_pool.sizes == [cpus]
     # each scan is cut into about four tasks per worker the pool has
-    assert max(_RecordingPool.tasks) <= 4 * cpus
+    assert max(recording_pool.tasks) <= 4 * cpus
     assert err.count("parallelism 1000 lowered") == 1
     assert f"parallelism 1000 lowered to {cpus}" in err
 
 
-def test_parallelism_within_the_cpus_is_kept(capsys, monkeypatch, pool_sizes):
+def test_parallelism_within_the_cpus_is_kept(capsys, monkeypatch, recording_pool):
     monkeypatch.setattr(bch, "_usable_cpus", lambda: 4)
     code, _, err = run(capsys, "table", "--degree", "5", "--backend", "dp", "--parallelism", "3")
     assert code == 0
-    assert pool_sizes == [3]
+    assert recording_pool.sizes == [3]
     assert "lowered" not in err
     assert bch.degree_coefficients(5, 2, "dp", parallelism=9) == bch.degree_coefficients(5, 2, "dp")
-    assert pool_sizes == [3, 4]
+    assert recording_pool.sizes == [3, 4]
 
 
 def test_usable_cpus_without_affinity(monkeypatch):
