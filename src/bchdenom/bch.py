@@ -47,7 +47,6 @@ the invariance on both backends rather than assume it.
 from __future__ import annotations
 
 import os
-import sys
 from collections.abc import Callable, Sequence
 from contextlib import AbstractContextManager, nullcontext
 from fractions import Fraction
@@ -382,8 +381,7 @@ def degree_coefficients(
         words = range(total)
     if parallelism == 1:
         return _dp_scan_chunk((n, alphabet_size, words))
-    workers = min(parallelism, _usable_cpus())  # as many as worker_pool opens
-    chunk = max(1, -(-len(words) // (workers * 4)))
+    chunk = max(1, -(-len(words) // (_pool_size(parallelism) * 4)))
     tasks = [(n, alphabet_size, words[s : s + chunk]) for s in range(0, len(words), chunk)]
     with worker_pool(backend, parallelism) if pool is None else nullcontext(pool) as pool:
         return list(chain.from_iterable(pool.map(_dp_scan_chunk, tasks)))
@@ -393,18 +391,18 @@ def worker_pool(backend: str, parallelism: int) -> AbstractContextManager[Pool |
     """The worker pool a run's per-word scans share across degrees, as a context.
 
     It yields None (no pool) when the scans are serial or read only the
-    dense series.  The pool has at most one worker per CPU this process may
-    run on; a larger request is lowered, and said so on stderr.
+    dense series.  The pool has ``_pool_size(parallelism)`` workers.
     """
     if parallelism <= 1 or canonical_backend(backend) == SERIES_BACKEND:
         return nullcontext()
     import multiprocessing  # only here: serial runs skip its import
 
-    cpus = _usable_cpus()
-    if parallelism > cpus:
-        print(f"parallelism {parallelism} lowered to {cpus}, the CPUs this process may use", file=sys.stderr)
-        parallelism = cpus
-    return multiprocessing.Pool(parallelism)
+    return multiprocessing.Pool(_pool_size(parallelism))
+
+
+def _pool_size(parallelism: int) -> int:
+    """How many workers a pool opened for ``parallelism`` has: at most one per usable CPU."""
+    return min(parallelism, _usable_cpus())
 
 
 def _usable_cpus() -> int:

@@ -13,7 +13,6 @@ import os
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cache
 
 from . import bch, numtheory
 from .errors import BudgetError
@@ -50,7 +49,10 @@ def _parallelism(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid parallelism {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError("parallelism must be >= 1")
-    return value
+    size = bch._pool_size(value)
+    if size < value:
+        _warn(f"parallelism {value} lowered to {size}, the CPUs this process may use")
+    return size
 
 
 def _warn(message: str) -> None:
@@ -435,11 +437,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
             emit(e.word, e.value, e.numerator, e.denominator_factorization)
     else:
         coeffs = bch.degree_coefficients(n, K, args.backend, parallelism=args.parallelism)
-        factor = cache(PrimeFactorization.of)  # a degree holds few distinct denominators
         for packed, h in enumerate(coeffs):
             word = Word.unpack(packed, n, K)
             a = bch.numerator_over_common(word, K, coefficient=h)
-            emit(word, h, a, factor(h.denominator))
+            emit(word, h, a, PrimeFactorization.of(h.denominator))
     return EXIT_OK
 
 

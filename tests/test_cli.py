@@ -451,23 +451,6 @@ def test_table_computes_common_denominator_once(capsys):
     assert (info.misses, info.hits) == (1, 32)
 
 
-def test_table_factors_each_denominator_once(capsys, monkeypatch):
-    of = cli.PrimeFactorization.__dict__["of"].__func__
-    factored = []
-
-    def counting_of(cls, m):
-        factored.append(m)
-        return of(cls, m)
-
-    monkeypatch.setattr(cli.PrimeFactorization, "of", classmethod(counting_of))
-    code, out, _ = run(capsys, "table", "--degree", "10", "--format", "json")
-    assert code == 0
-    rows = [json.loads(line) for line in out.splitlines()]
-    assert len(rows) == 2**10
-    denominators = {int(row["h_den"]) for row in rows}
-    assert sorted(factored) == sorted(denominators)
-
-
 def test_table_checks_every_word_against_the_common_denominator(capsys, monkeypatch):
     # a common denominator one factor of 2 short cannot hold every coefficient
     real = cli.bch.common_denominator
@@ -575,6 +558,16 @@ def test_parallelism_within_the_cpus_is_kept(capsys, monkeypatch, recording_pool
     assert "lowered" not in err
     assert bch.degree_coefficients(5, 2, "dp", parallelism=9) == bch.degree_coefficients(5, 2, "dp")
     assert recording_pool.sizes == [3, 4]
+
+
+def test_library_pools_are_capped_without_a_word(capsys, recording_pool):
+    # the CLI says once that a request was lowered; a library call that opens
+    # a pool per degree clamps each one and prints nothing
+    cpus = bch._usable_cpus()
+    reports = [bch.degree_report(n, 2, "dp", parallelism=1000) for n in range(2, 7)]
+    assert reports == [bch.degree_report(n, 2, "dp") for n in range(2, 7)]
+    assert recording_pool.sizes == [cpus] * 5
+    assert capsys.readouterr().err == ""
 
 
 def test_usable_cpus_without_affinity(monkeypatch):
