@@ -57,7 +57,7 @@ from operator import attrgetter, indexOf
 from typing import TYPE_CHECKING
 
 from . import numtheory
-from ._records import FrozenRecord
+from ._records import Record
 from .errors import BudgetError
 from .freealgebra import (
     DEFAULT_TABLE_BUDGET,
@@ -100,7 +100,7 @@ class CommonDenominatorError(RuntimeError):
     """
 
 
-class DenominatorReport(FrozenRecord):
+class DenominatorReport(Record):
     """Outcome of one full degree scan.
 
     ``witness_max`` is the lexicographically smallest word whose
@@ -114,25 +114,9 @@ class DenominatorReport(FrozenRecord):
         "observed_lcm", "minimal", "divisibility_ok", "witness_max",
     )
 
-    def __init__(
-        self,
-        degree: int,
-        alphabet_size: int,
-        d_n: int,
-        common_denominator: int,
-        observed_lcm: int,
-        minimal: bool,
-        divisibility_ok: bool,
-        witness_max: Word,
-    ) -> None:
-        self._assign(
-            degree, alphabet_size, d_n, common_denominator,
-            observed_lcm, minimal, divisibility_ok, witness_max,
-        )
-        if self.divisibility_ok:
-            assert self.common_denominator % self.observed_lcm == 0
-        if self.minimal:
-            assert self.divisibility_ok
+    def _check(self) -> None:
+        assert not self.divisibility_ok or self.common_denominator % self.observed_lcm == 0
+        assert not self.minimal or self.divisibility_ok
 
     def to_json_dict(self) -> dict:
         # big integers as decimal strings: they outgrow 64-bit consumers
@@ -148,21 +132,10 @@ class DenominatorReport(FrozenRecord):
         }
 
 
-class CongruenceReport(FrozenRecord):
+class CongruenceReport(Record):
     """Residue check of the numerators a_w = h_w * (n! * d_n) at one degree."""
 
     __slots__ = ("p", "degree", "modulus", "expected_residue", "violations", "exceptional_zero_failures")
-
-    def __init__(
-        self,
-        p: int,
-        degree: int,
-        modulus: int,
-        expected_residue: int,
-        violations: tuple[tuple[Word, int, int], ...],
-        exceptional_zero_failures: tuple[Word, ...],
-    ) -> None:
-        self._assign(p, degree, modulus, expected_residue, violations, exceptional_zero_failures)
 
     @property
     def passed(self) -> bool:
@@ -183,21 +156,10 @@ class CongruenceReport(FrozenRecord):
         }
 
 
-class GoldbergDegreeResult(FrozenRecord):
+class GoldbergDegreeResult(Record):
     """Whether every degree-n denominator divides denom((B_{n-1}+B_{n-2})/n!)."""
 
     __slots__ = ("degree", "goldberg_denominator", "passed", "witness", "witness_denominator", "ratio")
-
-    def __init__(
-        self,
-        degree: int,
-        goldberg_denominator: int,
-        passed: bool,
-        witness: Word | None,
-        witness_denominator: int | None,
-        ratio: Fraction | None,
-    ) -> None:
-        self._assign(degree, goldberg_denominator, passed, witness, witness_denominator, ratio)
 
     def to_json_dict(self) -> dict:
         return {
@@ -205,25 +167,18 @@ class GoldbergDegreeResult(FrozenRecord):
             "goldberg_denominator": str(self.goldberg_denominator),
             "passed": self.passed,
             "witness": None if self.witness is None else self.witness.to_string(2),
-            "witness_denominator": None
-            if self.witness_denominator is None
-            else str(self.witness_denominator),
+            "witness_denominator": None if self.witness_denominator is None else str(self.witness_denominator),
             "ratio": None if self.ratio is None else str(self.ratio),
         }
 
 
-class TableEntry(FrozenRecord):
+class TableEntry(Record):
     """One distinct nonzero coefficient value of a degree, with its arithmetic.
 
     ``word`` is the lexicographically smallest word attaining the value.
     """
 
     __slots__ = ("value", "denominator_factorization", "numerator", "word")
-
-    def __init__(
-        self, value: Fraction, denominator_factorization: PrimeFactorization, numerator: int, word: Word
-    ) -> None:
-        self._assign(value, denominator_factorization, numerator, word)
 
 
 @cache
@@ -578,9 +533,7 @@ def goldberg_check(n_max: int, **scan) -> list[GoldbergDegreeResult]:
     for n in range(4, n_max + 1):
         candidate = numtheory.goldberg_denominator(n)
         coeffs = degree_coefficients(n, 2, **scan)
-        witness = None
-        witness_denominator = None
-        ratio = None
+        witness = witness_denominator = ratio = None
         for packed, h in enumerate(coeffs):
             if candidate % h.denominator != 0:
                 witness = Word.unpack(packed, n, 2)

@@ -427,10 +427,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
     def emit(word: Word, h: Fraction, a: int, factorization: PrimeFactorization) -> None:
         text = word.to_string(K)
-        emitter.emit(
-            _word_record(text, h, a, factorization),
-            f"{text:<{n + 2}} h={h!s:<16} a={a!s:<12} denom={factorization}",
+        record = _word_record(text, h, a, factorization)
+        plain = "" if args.format != "plain" else (  # only the plain format prints this line
+            f"{text:<{n + 2}} h={h!s:<16} a={a!s:<12} denom={record['denom_factorization']}"
         )
+        emitter.emit(record, plain)
 
     if args.dedup:
         for e in bch.coefficient_value_table(n, K, args.backend, parallelism=args.parallelism):

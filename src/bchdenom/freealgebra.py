@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import total_ordering
 from math import comb, factorial, lcm
 
-from ._records import FrozenRecord, Record
+from ._records import Record
 from .errors import BudgetError
 
 #: Refuse to allocate a degree table with more than this many entries.
@@ -43,7 +43,7 @@ _ONE = Fraction(1)
 
 
 @total_ordering
-class Word(FrozenRecord):
+class Word(Record):
     """An immutable word over generator indices 0..K-1; its length is the degree.
 
     Words order as their letter tuples, so a degree's words sort lexicographically.
@@ -51,9 +51,8 @@ class Word(FrozenRecord):
 
     __slots__ = ("letters",)
 
-    def __init__(self, letters: tuple[int, ...]) -> None:
-        self._assign(letters)
-        if any(l < 0 for l in self.letters):
+    def _check(self) -> None:
+        if min(self.letters, default=0) < 0:
             raise ValueError("letters must be >= 0")
 
     def __lt__(self, other):
@@ -85,14 +84,15 @@ class Word(FrozenRecord):
     @classmethod
     def from_string(cls, text: str, alphabet_size: int = 2) -> "Word":
         """Parse 'AAB' (letters A.. for K <= 26) or '0,0,1' (any K; '5' for K > 26)."""
-        if "," in text or (alphabet_size > 26 and text.isdecimal()):
-            letters = tuple(int(part) for part in text.split(","))
-        elif alphabet_size <= 26:
-            letters = tuple(_UPPERCASE.index(c) if c in _UPPERCASE else -1 for c in text)
-            if any(l < 0 for l in letters):
-                raise ValueError(f"malformed word {text!r}")
-        else:
+        if alphabet_size > 26 and "," not in text and not text.isdecimal():
             raise ValueError("alphabets beyond 26 letters use comma-separated indices")
+        try:
+            if "," in text or alphabet_size > 26:
+                letters = tuple(int(part) for part in text.split(","))
+            else:
+                letters = tuple(_UPPERCASE.index(c) for c in text)
+        except ValueError:
+            raise ValueError(f"malformed word {text!r}") from None
         word = cls(letters)
         word._check_alphabet(alphabet_size)
         return word
@@ -118,8 +118,7 @@ class DegreeTable(Record):
 
     __slots__ = ("degree", "alphabet_size", "coefficients")
 
-    def __init__(self, degree: int, alphabet_size: int, coefficients: list[Fraction]) -> None:
-        self._assign(degree, alphabet_size, coefficients)
+    def _check(self) -> None:
         if len(self.coefficients) != self.alphabet_size**self.degree:
             raise ValueError("coefficient table has wrong size")
 
@@ -141,8 +140,7 @@ class TruncatedSeries(Record):
 
     __slots__ = ("max_degree", "alphabet_size", "tables")
 
-    def __init__(self, max_degree: int, alphabet_size: int, tables: list[DegreeTable]) -> None:
-        self._assign(max_degree, alphabet_size, tables)
+    def _check(self) -> None:
         if len(self.tables) != self.max_degree + 1:
             raise ValueError("need one table per degree 0..max_degree")
         for degree, table in enumerate(self.tables):

@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from ._records import FrozenRecord
+from ._records import Record
 from .errors import BudgetError
 
 #: Largest n for which the partition oracles run without an explicit
@@ -73,13 +73,12 @@ def primes_below(n: int) -> list[int]:
     return [i for i in range(n) if sieve[i]]
 
 
-class PadicExpansion(FrozenRecord):
+class PadicExpansion(Record):
     """Base-p digits of n, least significant first, without trailing zeros."""
 
     __slots__ = ("n", "p", "digits")
 
-    def __init__(self, n: int, p: int, digits: tuple[int, ...]) -> None:
-        self._assign(n, p, digits)
+    def _check(self) -> None:
         if self.n < 0:
             raise ValueError("n must be >= 0")
         _require_prime(self.p)
@@ -167,7 +166,7 @@ def _factorial_valuation_floor_sum(n: int, p: int) -> int:
     return total
 
 
-class PrimeFactorization(FrozenRecord):
+class PrimeFactorization(Record):
     """Ordered prime factorization: ((p1, e1), (p2, e2), ...) with p1 < p2 < ...
 
     Exponents are >= 1; the empty tuple represents 1.
@@ -175,8 +174,7 @@ class PrimeFactorization(FrozenRecord):
 
     __slots__ = ("factors",)
 
-    def __init__(self, factors: tuple[tuple[int, int], ...]) -> None:
-        self._assign(factors)
+    def _check(self) -> None:
         last = 1
         for p, e in self.factors:
             if p <= last:
@@ -187,8 +185,9 @@ class PrimeFactorization(FrozenRecord):
             last = p
 
     @classmethod
+    @functools.lru_cache(maxsize=1024)
     def of(cls, m: int) -> "PrimeFactorization":
-        """Factor m >= 1 by trial division."""
+        """Factor m >= 1 by trial division; memoized, as a table asks once per word."""
         if m < 1:
             raise ValueError("m must be >= 1")
         factors = []

@@ -344,10 +344,38 @@ def test_coeff_malformed_word(capsys):
     assert code == 2
     code, _, _ = run(capsys, "coeff", "")
     assert code == 2
+    # an index list that does not parse is named in the error
+    for argv, text in ((["coeff", ",1"], ",1"), (["coeff", "1,,2", "--alphabet", "3"], "1,,2")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed word {text!r}\n"
 
 
 # ---------------------------------------------------------------------------
 # table
+
+
+def test_table_factors_each_distinct_denominator_once(capsys, monkeypatch):
+    nt = cli.numtheory
+    distinct = {h.denominator for h in bch.degree_coefficients(10, 2)}
+    calls = []
+    real = nt._trial_divisors
+    monkeypatch.setattr(nt, "_trial_divisors", lambda: calls.append(1) or real())
+    nt.PrimeFactorization.of.cache_clear()
+    code, out, _ = run(capsys, "table", "--degree", "10")
+    assert code == 0 and len(out.splitlines()) == 1 + 2**10
+    assert len(calls) == len(distinct) < 2**10
+
+
+def test_table_formats_each_factorization_once_per_row(capsys, monkeypatch):
+    factorization = cli.numtheory.PrimeFactorization
+    calls = []
+    real = factorization.__str__
+    monkeypatch.setattr(factorization, "__str__", lambda self: calls.append(1) or real(self))
+    code, out, _ = run(capsys, "table", "--degree", "8", "--format", "json")
+    assert code == 0
+    rows = len(out.splitlines())
+    assert rows == 2**8 and len(calls) <= rows
 
 
 def test_table_degree_two_plain(capsys):

@@ -5,9 +5,10 @@ the CLI before these commands shared ``verify``'s emitter, and those of
 ``verify --what minimal`` before ``bch_series`` stopped expanding the
 exponential product, so any byte either change makes shows here.  Those
 of ``verify --what cor1|cor2|goldberg`` were recorded before the two
-congruence checks shared one scan.  Each digest comes with the exit code
-of its run: cor2 exits 1, because the uniform residue it checks is
-refuted.
+congruence checks shared one scan, and those of ``verify --what
+theorem|eq3|bernoulli`` before the records shared one constructor.  Each
+digest comes with the exit code of its run: cor2 exits 1, because the
+uniform residue it checks is refuted.
 """
 
 from __future__ import annotations
@@ -47,6 +48,15 @@ GOLDEN = {
     ("verify", "--what", "goldberg", "--max", "12", "--format", "plain"): (0, "ce15ed9c1fc587c374f9c23117f25fa96b134ad7c3cc6fc013b355700bbfc99b"),
     ("verify", "--what", "goldberg", "--max", "12", "--format", "json"): (0, "daf87331f5c6327f8658ee11a56953bec0848ac1c7d83cad9b1e13e86ac6efa6"),
     ("verify", "--what", "goldberg", "--max", "12", "--format", "csv"): (0, "86254c2589327fa7a03362e0d60024560b4d44f1095bcfc4bf9fde181b9b8192"),
+    ("verify", "--what", "theorem", "--max", "12", "--format", "plain"): (0, "50673048bab42c2e3441df679ffc3d1e32fe70b3a5e917e95b3323163525c501"),
+    ("verify", "--what", "theorem", "--max", "12", "--format", "json"): (0, "9c0770c41fc5a7a88ee5fb1b8ac12ac613ce567493866083bf3673d2e5e5396b"),
+    ("verify", "--what", "theorem", "--max", "12", "--format", "csv"): (0, "a4102f4d6b3d9728d3748d69424fc0fc2d7c5d1fb0f677f4d7141c6ed5047298"),
+    ("verify", "--what", "eq3", "--max", "20", "--format", "plain"): (0, "17e2ee0446fc8acafca2e6ca607cc84924ac65b5912526941e6c3586a5fd7a62"),
+    ("verify", "--what", "eq3", "--max", "20", "--format", "json"): (0, "9d20200c1319686a87e5e00e08af5893be79e0bdc02d8f73201c96a728ded7f5"),
+    ("verify", "--what", "eq3", "--max", "20", "--format", "csv"): (0, "c89e4ae4b3b9088c42e92c25fa6ffaa46ae7271d763ed9d9f80e1ea728a81b0b"),
+    ("verify", "--what", "bernoulli", "--max", "20", "--format", "plain"): (0, "8eb56e15151595a64a82f38a0455650d2c03dacdae0462627c35c351accb4a27"),
+    ("verify", "--what", "bernoulli", "--max", "20", "--format", "json"): (0, "53938894fed35af7a0fd8b22bfa2f4767a0cd9246eac0f0e123843171d147851"),
+    ("verify", "--what", "bernoulli", "--max", "20", "--format", "csv"): (0, "8a5143776768654db4526df6f5f1e933b4a7ac14e31f794ec76f52e3da77c7cf"),
 }
 
 #: ``bchdenom --help`` at argparse's default 80 columns; the benchmark's
