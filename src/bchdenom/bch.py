@@ -5,9 +5,11 @@ reduces each to lowest terms, and compares the lcm of the denominators
 against the closed-form common denominator n! * d_n.  On top of the scans
 sit the congruence checks for prime and prime-plus-one degrees (two front
 ends over one residue scan), the refutation of the Bernoulli-quotient
-candidate denominator, and the deduplicated value table for degree 11.
+candidate denominator, and the deduplicated value table of a degree.
 Each check passes its backend keywords through to ``degree_coefficients``,
-which alone names and checks them.
+which alone names and checks them.  Two reducers read a degree's
+coefficients: ``_first_words`` (each distinct value and its first word)
+and ``_congruence_scan`` (every word that breaks a congruence).
 
 Scans are deterministic: words are visited in packed (lexicographic)
 order, reductions are commutative, and witnesses are always the
@@ -38,10 +40,11 @@ by (-1)^(n+1): reversal maps H(A_0, ..., A_{K-1}) to H(A_{K-1}, ..., A_0),
 and H(X, Y) = -H(-Y, -X).  Both swap asc and desc and keep the denominator.
 A class is therefore (asc, desc, sorted run lengths) with (asc, desc) and
 (desc, asc) merged, and a per-word-DP degree report computes one word per
-class (``class_representatives``).  For two letters the runs alternate,
-so there is one class per partition of n: p(n) words, as in Goldberg's
-formula (M. Goldberg, Duke Math. J. 23 (1956) 13-21).  The tests check
-the invariance on both backends rather than assume it.
+class (``class_representatives``), as does the Goldberg check.  For two
+letters the runs alternate, so there is one class per partition of n:
+p(n) words, as in Goldberg's formula (M. Goldberg, Duke Math. J. 23
+(1956) 13-21).  The tests check the invariance on both backends rather
+than assume it.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import lcm
-from operator import attrgetter, indexOf
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from . import numtheory
@@ -379,18 +382,35 @@ def _integer_numerator(h: Fraction, common: int, word: Word, alphabet_size: int)
 
 
 def report_words(n: int, alphabet_size: int, backend: str) -> list[int] | None:
-    """The packed words ``degree_report`` computes at degree n; None means every word.
+    """The packed words ``degree_report`` or ``goldberg_check`` computes at degree n; None: all.
 
     The per-word DP computes one word per run-length class
     (``class_representatives``; p(n) words for two letters, after
     Goldberg 1956): the words of a class share a denominator, so the lcm is
-    unchanged, and the first word of maximal denominator is the smallest
-    word of its class.  The series backend and "both" (the unreduced
-    cross-check) compute every word.
+    unchanged, and the first word of maximal denominator, or of a failing
+    one, is the smallest word of its class.  The series backend and "both"
+    (the unreduced cross-check) compute every word.
     """
     if canonical_backend(backend) == DP_BACKEND:
         return class_representatives(n, alphabet_size)
     return None
+
+
+def _first_words(coeffs: Sequence[Fraction], words: Sequence[int] | None) -> dict[Fraction, int]:
+    """Each distinct value of ``coeffs``, in order of first appearance, and the first word holding it.
+
+    ``coeffs`` are the coefficients of the increasing packed ``words``
+    (None: every word, so an index is a packed word).  The objects are
+    told apart by identity first, at C speed: ``bch_series`` shares one
+    ``Fraction`` per value, so on the series backend only the few
+    distinct objects of a degree are hashed.
+    """
+    # read backwards, each object's first index is the last one written
+    first_index = dict(zip(map(id, reversed(coeffs)), range(len(coeffs) - 1, -1, -1)))
+    firsts: dict[Fraction, int] = {}
+    for i in sorted(first_index.values()):
+        firsts.setdefault(coeffs[i], i if words is None else words[i])
+    return firsts
 
 
 def degree_report(
@@ -400,23 +420,18 @@ def degree_report(
 
     It computes the words ``report_words`` names, and the table budget
     counts them; ``scan`` holds the other backend keywords of
-    ``degree_coefficients``.  The reduction runs over the distinct
-    coefficient objects, which on the series backend are the few values a
-    degree holds: ``bch_series`` shares one ``Fraction`` per value.
+    ``degree_coefficients``.
     """
     words = report_words(n, alphabet_size, backend)  # this or degree_coefficients checks n
     coeffs = degree_coefficients(n, alphabet_size, backend, words=words, **scan)
     d_n, _ = compute_dn(n)
     common, _ = common_denominator(n)
-    distinct = dict(zip(map(id, coeffs), coeffs)).values()  # in order of first appearance
-    observed = lcm(*{h.denominator for h in distinct})
+    firsts = _first_words(coeffs, words)
+    observed = lcm(*{h.denominator for h in firsts})
     # the lcm need not be attained by any single word (degrees 9..12 for
     # two letters); the witness is then the first word of maximal
     # denominator, which holds the first such value (max keeps the first)
-    top = max(distinct, key=attrgetter("denominator"))
-    witness_packed = indexOf(map(id, coeffs), id(top))
-    if words is not None:
-        witness_packed = words[witness_packed]
+    witness_packed = firsts[max(firsts, key=attrgetter("denominator"))]
     return DenominatorReport(
         degree=n,
         alphabet_size=alphabet_size,
@@ -518,38 +533,29 @@ def check_corollary_prime_plus_one(p: int, **scan) -> CongruenceReport:
     )
 
 
-def goldberg_check(n_max: int, **scan) -> list[GoldbergDegreeResult]:
+def goldberg_check(n_max: int, backend: str = SERIES_BACKEND, **scan) -> list[GoldbergDegreeResult]:
     """Test denom((B_{n-1}+B_{n-2})/n!) as a common denominator, degree by degree.
 
     For each degree 4..n_max, reports pass when every coefficient
     denominator divides it, else the lexicographically first failing word
-    together with the non-integer quotient.  Every word is computed,
-    through ``degree_coefficients`` with the backend keywords ``scan``.
-    The candidate holds up to degree 10 and first fails at degree 11.
+    together with the non-integer quotient.  It computes the words
+    ``report_words`` names; ``scan`` holds the other backend keywords of
+    ``degree_coefficients``.  The candidate first fails at degree 11.
     """
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
     results = []
     for n in range(4, n_max + 1):
         candidate = numtheory.goldberg_denominator(n)
-        coeffs = degree_coefficients(n, 2, **scan)
-        witness = witness_denominator = ratio = None
-        for packed, h in enumerate(coeffs):
-            if candidate % h.denominator != 0:
-                witness = Word.unpack(packed, n, 2)
-                witness_denominator = h.denominator
-                ratio = Fraction(candidate, h.denominator)
-                break
-        results.append(
-            GoldbergDegreeResult(
-                degree=n,
-                goldberg_denominator=candidate,
-                passed=witness is None,
-                witness=witness,
-                witness_denominator=witness_denominator,
-                ratio=ratio,
-            )
-        )
+        words = report_words(n, 2, backend)
+        firsts = _first_words(degree_coefficients(n, 2, backend, words=words, **scan), words)
+        failing = next((h for h in firsts if candidate % h.denominator), None)
+        if failing is None:
+            results.append(GoldbergDegreeResult(n, candidate, True, None, None, None))
+        else:
+            witness = Word.unpack(firsts[failing], n, 2)
+            ratio = Fraction(candidate, failing.denominator)
+            results.append(GoldbergDegreeResult(n, candidate, False, witness, failing.denominator, ratio))
     return results
 
 
@@ -564,13 +570,11 @@ def coefficient_value_table(
     ``scan`` holds the other backend keywords of ``degree_coefficients``.
     """
     coeffs = degree_coefficients(n, alphabet_size, backend, **scan)
-    first_seen: dict[Fraction, int] = {}
-    for packed, h in enumerate(coeffs):
-        if h and h not in first_seen:
-            first_seen[h] = packed
     common, _ = common_denominator(n)
     entries = []
-    for h, packed in first_seen.items():
+    for h, packed in _first_words(coeffs, None).items():
+        if not h:
+            continue
         word = Word.unpack(packed, n, alphabet_size)
         entries.append(
             TableEntry(
@@ -583,7 +587,3 @@ def coefficient_value_table(
     entries.sort(key=lambda e: (-abs(e.value), 0 if e.value > 0 else 1))
     return entries
 
-
-def table11(*, series: TruncatedSeries | None = None) -> list[TableEntry]:
-    """The 30 distinct nonzero coefficient values at degree 11 (two letters)."""
-    return coefficient_value_table(11, 2, series=series)

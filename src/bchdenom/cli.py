@@ -76,13 +76,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--format",
             choices=("plain", "json", "csv"),
             default="plain",
             help="output format (default plain)",
         )
+
+    def add_scan(p: argparse.ArgumentParser) -> None:
+        """The flags of the commands that compute a degree's coefficients."""
+        p.add_argument("--backend", choices=tuple(bch._BACKEND_ALIASES), default="series")
         p.add_argument(
             "--parallelism",
             type=_parallelism,
@@ -93,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dn = sub.add_parser("dn", help="tabulate d_n, its kernel, and n!*d_n")
     p_dn.add_argument("--max", type=int, required=True, metavar="N")
-    add_common(p_dn)
+    add_format(p_dn)
 
     p_verify = sub.add_parser("verify", help="run one verification check")
     p_verify.add_argument(
@@ -113,11 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--max", type=int, required=True, metavar="N")
     p_verify.add_argument("--alphabet", type=int, default=2, metavar="K")
-    p_verify.add_argument(
-        "--backend",
-        choices=("series", "per-word-dp", "dp", "both"),
-        default="series",
-    )
+    add_scan(p_verify)
     p_verify.add_argument(
         "--enum-bound",
         type=int,
@@ -126,12 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"largest degree the eq3 oracle enumerates partitions for "
         f"(default {DEFAULT_ENUMERATION_BOUND})",
     )
-    add_common(p_verify)
+    add_format(p_verify)
 
     p_coeff = sub.add_parser("coeff", help="coefficient of a single word")
     p_coeff.add_argument("word", help="e.g. AAB, or indices for K > 26 (0,5,29 or 5)")
     p_coeff.add_argument("--alphabet", type=int, default=2, metavar="K")
-    add_common(p_coeff)
+    add_format(p_coeff)
 
     p_table = sub.add_parser("table", help="coefficient table of one degree")
     p_table.add_argument("--degree", type=int, required=True, metavar="N")
@@ -139,12 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument(
         "--dedup", action="store_true", help="one row per distinct nonzero value"
     )
-    p_table.add_argument(
-        "--backend",
-        choices=("series", "per-word-dp", "dp", "both"),
-        default="series",
-    )
-    add_common(p_table)
+    add_scan(p_table)
+    add_format(p_table)
 
     return parser
 
@@ -323,9 +319,9 @@ def _verify_scanning(args: argparse.Namespace, emitter: _CheckEmitter) -> int:
         least, reason = _LEAST_MAX[what]
         if N < least:
             raise ValueError(f"{what} needs --max {least} or more: {reason}")
-    # theorem and minimal compute the words degree_report does; the other
-    # checks compute every word
-    words = bch.report_words(N, K, args.backend) if what in ("theorem", "minimal") else None
+    # cor1 and cor2 compute every word; the other checks compute the words
+    # degree_report does
+    words = None if what in ("cor1", "cor2") else bch.report_words(N, K, args.backend)
     _announce_scan(N, K, words)
     # the per-word DP alone reads no series; the others share one for every degree
     series = None if bch.canonical_backend(args.backend) == bch.DP_BACKEND else bch_series(K, N)

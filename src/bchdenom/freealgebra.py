@@ -175,19 +175,10 @@ def staircase_coeff(word: Word, alphabet_size: int = 2) -> Fraction:
     letters, where it is 1 / (p_0! p_1! ...).  The empty word gives 1.
     """
     word._check_alphabet(alphabet_size)
-    coeff = _ONE
-    last = -1
-    run = 0
-    for c in word.letters:
-        if c < last:
-            return _ZERO
-        if c == last:
-            run += 1
-            coeff /= run
-        else:
-            last = c
-            run = 1
-    return coeff
+    if not word.letters:
+        return _ONE
+    row = _staircase_rows(word.letters)[0]  # stops at the first descent
+    return row[-1] if len(row) == word.degree else _ZERO
 
 
 def series_exp_generator(generator: int, max_degree: int, alphabet_size: int) -> TruncatedSeries:

@@ -97,7 +97,7 @@ def alternating_digit_residue(a: int) -> int:
 def test_criterion_06_degree_11_value_table(series2_14):
     with criterion(6, "degree-11 distinct value table (30 golden rows)"):
         started = time.perf_counter()
-        entries = bch.table11(series=series2_14)
+        entries = bch.coefficient_value_table(11, 2, series=series2_14)
         assert len(entries) == 30
         golden = json.loads((GOLDEN_DIR / "degree11_golden.json").read_text())
         assert len(golden) == 30

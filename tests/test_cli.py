@@ -67,6 +67,18 @@ def test_dn_rejects_bad_max(capsys):
     assert "error" in err
 
 
+def test_dn_and_coeff_take_no_scan_flags(capsys, monkeypatch):
+    # neither command computes a scan, so neither reads $BCHDENOM_PARALLELISM
+    monkeypatch.setenv("BCHDENOM_PARALLELISM", "zero")
+    code, out, err = run(capsys, "dn", "--max", "3")
+    assert code == 0 and err == ""
+    assert len(out.strip().splitlines()) == 4  # header + 3 rows
+    assert run(capsys, "coeff", "AB")[0] == 0
+    for argv in (["dn", "--max", "3"], ["coeff", "AB"]):
+        assert run(capsys, *argv, "--parallelism", "2")[0] == 2
+        assert run(capsys, *argv, "--backend", "dp")[0] == 2
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -132,8 +144,8 @@ def run_on_backend(capsys, backend, *argv):
     return code, out, err
 
 
-# cor1, cor2 and goldberg read every word: the per-word DP computes all of
-# them, and "both" compares the two backends word by word
+# cor1 and cor2 read every word, and goldberg one word per run-length class
+# on the per-word DP; "both" compares the two backends word by word
 @pytest.mark.parametrize("backend", ["series", "dp", "both"])
 def test_verify_cor1(capsys, backend):
     code, out, _ = run_on_backend(capsys, backend, "verify", "--what", "cor1", "--max", "7")
@@ -163,7 +175,7 @@ def test_verify_goldberg(capsys, backend):
 
 @pytest.mark.parametrize("what, max_degree, expected_code", [("cor1", "5", 0), ("cor2", "4", 1), ("goldberg", "11", 0)])
 def test_verify_dp_congruence_builds_no_series(capsys, monkeypatch, what, max_degree, expected_code):
-    # --backend dp builds no series on the checks that compute every word either
+    # --backend dp builds no series on cor1, cor2 and goldberg either
     monkeypatch.setattr(cli, "bch_series", None)
     monkeypatch.setattr(bch, "bch_series", None)
     code, out, _ = run(capsys, "verify", "--what", what, "--max", max_degree, "--backend", "dp")
@@ -256,6 +268,12 @@ def test_verify_announces_the_words_it_computes(capsys, alphabet, degree, backen
     code, _, err = run(capsys, *argv)
     assert code == 0
     assert err == f"scanning degree {degree} ({count} words)...\n"
+
+
+def test_verify_goldberg_on_dp_announces_one_word_per_class(capsys):
+    code, _, err = run(capsys, "verify", "--what", "goldberg", "--max", "13", "--backend", "dp")
+    assert code == 0
+    assert err == "scanning degree 13 (101 words)...\n"
 
 
 def test_verify_goldberg_regression_exits_1(capsys, monkeypatch):

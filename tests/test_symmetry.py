@@ -12,6 +12,7 @@ unreduced scan.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
 from itertools import groupby
 from math import lcm
@@ -21,9 +22,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bchdenom import bch
-from bchdenom.bch import DenominatorReport, class_representatives, degree_coefficients, degree_report
+from bchdenom.bch import (
+    DenominatorReport,
+    GoldbergDegreeResult,
+    class_representatives,
+    degree_coefficients,
+    degree_report,
+    goldberg_check,
+)
 from bchdenom.freealgebra import Word, bch_coeff_word
-from bchdenom.numtheory import common_denominator, compute_dn, partitions
+from bchdenom.numtheory import common_denominator, compute_dn, goldberg_denominator, partitions
 
 
 @cache
@@ -160,6 +168,28 @@ def test_degree_report_equals_per_word_reducer(K, N, backend):
         assert degree_report(n, K, backend) == full_scan_report(n, K, backend)
 
 
+def full_scan_goldberg(n_max: int) -> list[GoldbergDegreeResult]:
+    """The Goldberg check read word by word, stopping at the first failing word."""
+    results = []
+    for n in range(4, n_max + 1):
+        candidate = goldberg_denominator(n)
+        result = GoldbergDegreeResult(n, candidate, True, None, None, None)
+        for packed, c in enumerate(coefficients(n, 2, "dp")):
+            if candidate % c.denominator:
+                witness = Word.unpack(packed, n, 2)
+                result = GoldbergDegreeResult(
+                    n, candidate, False, witness, c.denominator, Fraction(candidate, c.denominator)
+                )
+                break
+        results.append(result)
+    return results
+
+
+@pytest.mark.parametrize("backend", ["series", "dp", "both"])
+def test_goldberg_check_equals_full_scan(backend):
+    assert goldberg_check(12, backend=backend) == full_scan_goldberg(12)
+
+
 def test_dp_report_computes_one_word_per_class(monkeypatch):
     computed = []
 
@@ -173,6 +203,12 @@ def test_dp_report_computes_one_word_per_class(monkeypatch):
     computed.clear()
     degree_report(9, 2, "both")  # the cross-check stays unreduced
     assert computed == list(range(2**9))
+    computed.clear()
+    goldberg_check(9, backend="dp")  # so does the Goldberg check, degrees 4..9
+    assert computed == [packed for n in range(4, 10) for packed in class_representatives(n, 2)]
+    computed.clear()
+    goldberg_check(9, backend="both")
+    assert computed == [packed for n in range(4, 10) for packed in range(2**n)]
 
 
 def test_degree_coefficients_of_chosen_words():
