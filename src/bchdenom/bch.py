@@ -66,6 +66,7 @@ from .freealgebra import (
     DEFAULT_TABLE_BUDGET,
     TruncatedSeries,
     Word,
+    _scaled_bch_coeff_word,
     bch_coeff_word,
     bch_series,
 )
@@ -249,12 +250,14 @@ def class_representatives(n: int, alphabet_size: int = 2) -> list[int]:
     return sorted(reps)
 
 
-def _dp_scan_chunk(task: tuple[int, int, Sequence[int]]) -> list[Fraction]:
-    degree, alphabet_size, words = task
-    return [
-        bch_coeff_word(Word.unpack(packed, degree, alphabet_size), alphabet_size)
-        for packed in words
-    ]
+def _dp_scan_chunk(task: tuple[int, int, Sequence[int], bool]) -> list[Fraction]:
+    """The per-word DP of some packed words: on integers, or on ``Fraction``s for every word."""
+    degree, alphabet_size, words, every_word = task
+    words = (Word.unpack(packed, degree, alphabet_size) for packed in words)
+    if every_word:
+        # Fractions until the benchmark's peak RSS stops growing with its call count (ROADMAP item 4)
+        return [bch_coeff_word(word, alphabet_size) for word in words]
+    return list(map(_scaled_bch_coeff_word, words))
 
 
 def _check_degree(n: int) -> None:
@@ -288,7 +291,9 @@ def degree_coefficients(
     rather than copied, which callers read and do not modify.  ``series``
     may carry a precomputed series (reused across degrees); otherwise the
     series backend builds one.  With backend "both"
-    the two backends are compared entry by entry before returning.  With
+    the two backends are compared entry by entry before returning.  The
+    per-word DP computes given ``words`` on integers
+    (``_scaled_bch_coeff_word``) and every word with ``bch_coeff_word``.  With
     ``parallelism`` above 1 the per-word DP runs on ``pool`` (an open pool
     from ``worker_pool``, shared across degrees), or on a pool opened for
     this call.  ``table_budget`` bounds the words the
@@ -335,12 +340,13 @@ def degree_coefficients(
         table = series.tables[n].coefficients
         return table if words is None else [table[packed] for packed in words]
 
-    if words is None:
+    every_word = words is None
+    if every_word:
         words = range(total)
     if parallelism == 1:
-        return _dp_scan_chunk((n, alphabet_size, words))
+        return _dp_scan_chunk((n, alphabet_size, words, every_word))
     chunk = max(1, -(-len(words) // (_pool_size(parallelism) * 4)))
-    tasks = [(n, alphabet_size, words[s : s + chunk]) for s in range(0, len(words), chunk)]
+    tasks = [(n, alphabet_size, words[s : s + chunk], every_word) for s in range(0, len(words), chunk)]
     with worker_pool(backend, parallelism) if pool is None else nullcontext(pool) as pool:
         return list(chain.from_iterable(pool.map(_dp_scan_chunk, tasks)))
 

@@ -309,6 +309,11 @@ _LEAST_MAX = {
 }
 
 
+def _congruence_primes(what: str, N: int) -> list[int]:
+    """The primes cor1 checks (degrees p <= N), or cor2 (degrees p + 1 <= N, p odd)."""
+    return numtheory.primes_below(N + 1) if what == "cor1" else numtheory.primes_below(N)[1:]
+
+
 def _verify_scanning(args: argparse.Namespace, emitter: _CheckEmitter) -> int:
     what = args.what
     K = args.alphabet
@@ -319,10 +324,13 @@ def _verify_scanning(args: argparse.Namespace, emitter: _CheckEmitter) -> int:
         least, reason = _LEAST_MAX[what]
         if N < least:
             raise ValueError(f"{what} needs --max {least} or more: {reason}")
-    # cor1 and cor2 compute every word; the other checks compute the words
-    # degree_report does
-    words = None if what in ("cor1", "cor2") else bch.report_words(N, K, args.backend)
-    _announce_scan(N, K, words)
+    # announce the largest degree the check scans: cor1 and cor2 compute
+    # every word of their primes' degrees, the others the words degree_report does
+    if what in ("cor1", "cor2"):
+        p = _congruence_primes(what, N)[-1]
+        _announce_scan(p if what == "cor1" else p + 1, K)
+    else:
+        _announce_scan(N, K, bch.report_words(N, K, args.backend))
     # the per-word DP alone reads no series; the others share one for every degree
     series = None if bch.canonical_backend(args.backend) == bch.DP_BACKEND else bch_series(K, N)
     with bch.worker_pool(args.backend, args.parallelism) as pool:
@@ -348,12 +356,8 @@ def _run_scanning(what: str, K: int, N: int, scan: dict, emitter: _CheckEmitter)
         return _finish(failures)
 
     if what in ("cor1", "cor2"):
-        # cor1 checks the prime degrees p <= N, cor2 the degrees p + 1 <= N of the odd primes
-        if what == "cor1":
-            check, primes = bch.check_corollary_prime, numtheory.primes_below(N + 1)
-        else:
-            check, primes = bch.check_corollary_prime_plus_one, numtheory.primes_below(N)[1:]
-        for p in primes:
+        check = bch.check_corollary_prime if what == "cor1" else bch.check_corollary_prime_plus_one
+        for p in _congruence_primes(what, N):
             report = check(p, **scan)
             if not report.passed:
                 failures.append({"check": what, **report.to_json_dict()})

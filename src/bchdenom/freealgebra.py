@@ -19,7 +19,9 @@ Two independent backends compute the same coefficients:
 * ``bch_coeff_word`` -- a per-word dynamic program over prefix lengths
   that never builds tables.  A word has a nonzero coefficient in the
   exponential product only if its letters are nondecreasing ("staircase"
-  words), which keeps the transition sparse.
+  words), which keeps the transition sparse.  ``_scaled_bch_coeff_word``
+  runs the same program on Python integers, scaled by i! at prefix length
+  i, and makes one ``Fraction`` per word.
 
 The backends share no arithmetic and are cross-checked in the test suite.
 """
@@ -371,3 +373,57 @@ def bch_coeff_word(word: Word, alphabet_size: int = 2) -> Fraction:
             total += Fraction((-1) ** (k + 1), k) * cur[n]
         prev = cur
     return total
+
+
+def _scaled_bch_coeff_word(word: Word) -> Fraction:
+    """``bch_coeff_word`` on Python integers, for a nonempty word.
+
+    The same dynamic program, carrying F_k(i) = i! * f_k(i).  A staircase
+    block w[j:i] whose runs have the pieces r_1, r_2, ... then moves
+    F_{k-1}(j) to F_k(i) with the integer weight comb(i, j) times the
+    multinomial (i-j)!/(r_1! r_2! ...), that is i!/(j! r_1! r_2! ...).
+    With L = lcm(1..n), the coefficient is
+    sum_k (-1)^{k+1} (L/k) F_k(n) / (L * n!): one ``Fraction`` per word.
+    The tests hold it to ``bch_coeff_word`` and ``bch_series``.
+    """
+    letters = word.letters
+    n = len(letters)
+    steps = []  # steps[j][i-j-1]: the weight from prefix j to prefix i
+    for j in range(n):
+        row = []
+        weight = 1
+        last = -1
+        run = 0
+        for i in range(j, n):
+            c = letters[i]
+            if c < last:
+                break
+            if c == last:
+                run += 1
+            else:
+                last = c
+                run = 1
+            weight = weight * (i + 1) // run  # exact: the new weight is an integer
+            row.append(weight)
+        steps.append(row)
+    scale = lcm(*range(1, n + 1))
+    prev = [1] + [0] * n
+    total = 0
+    for k in range(1, n + 1):
+        cur = [0] * (n + 1)
+        alive = False
+        for j in range(k - 1, n):
+            fj = prev[j]
+            if not fj:
+                continue
+            alive = True
+            for i, weight in enumerate(steps[j], j + 1):
+                cur[i] += fj * weight
+        if not alive:
+            break
+        if k % 2:
+            total += scale // k * cur[n]
+        else:
+            total -= scale // k * cur[n]
+        prev = cur
+    return Fraction(total, scale * factorial(n))

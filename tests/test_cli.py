@@ -270,6 +270,20 @@ def test_verify_announces_the_words_it_computes(capsys, alphabet, degree, backen
     assert err == f"scanning degree {degree} ({count} words)...\n"
 
 
+@pytest.mark.parametrize(
+    "what, max_degree, announced",
+    [
+        ("cor1", "14", "scanning degree 13 (2**13 words)...\n"),  # 13 is the largest prime <= 14
+        ("cor2", "13", "scanning degree 12 (2**12 words)...\n"),  # 11 + 1 is the largest p + 1 <= 13
+        ("cor1", "12", ""),  # its largest degree, 11, is below PROGRESS_DEGREE
+    ],
+)
+def test_verify_congruence_announces_the_largest_degree_it_scans(capsys, what, max_degree, announced):
+    code, _, err = run(capsys, "verify", "--what", what, "--max", max_degree)
+    assert code == (1 if what == "cor2" else 0)  # the uniform cor2 residue is refuted
+    assert err == announced
+
+
 def test_verify_goldberg_on_dp_announces_one_word_per_class(capsys):
     code, _, err = run(capsys, "verify", "--what", "goldberg", "--max", "13", "--backend", "dp")
     assert code == 0

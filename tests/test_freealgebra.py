@@ -18,6 +18,7 @@ from bchdenom.freealgebra import (
     DegreeTable,
     TruncatedSeries,
     Word,
+    _scaled_bch_coeff_word,
     all_words,
     bch_coeff_word,
     bch_series,
@@ -341,6 +342,22 @@ def test_backends_agree_small():
     for degree in range(1, 4):
         for word in all_words(degree, 3):
             assert bch_coeff_word(word, 3) == series3.coefficient(word)
+
+
+@given(st.data())
+def test_scaled_dp_matches_fraction_dp(data):
+    K = data.draw(st.integers(min_value=2, max_value=5))
+    letters = data.draw(st.lists(st.integers(min_value=0, max_value=K - 1), min_size=1, max_size=12))
+    word = Word(tuple(letters))
+    assert _scaled_bch_coeff_word(word) == bch_coeff_word(word, K)
+
+
+@pytest.mark.parametrize("K, N", [(2, 10), (3, 6)])
+def test_scaled_dp_matches_series_on_every_word(K, N):
+    series = bch_series(K, N)
+    for degree in range(1, N + 1):
+        for word in all_words(degree, K):
+            assert _scaled_bch_coeff_word(word) == series.coefficient(word)
 
 
 def test_substitution_collapse_small():

@@ -191,13 +191,19 @@ def test_goldberg_check_equals_full_scan(backend):
 
 
 def test_dp_report_computes_one_word_per_class(monkeypatch):
+    # counts the words either DP kernel evaluates: the integer one computes
+    # the class representatives, bch_coeff_word every word
     computed = []
 
-    def counting(word, alphabet_size=2):
-        computed.append(word.pack(alphabet_size))
-        return bch_coeff_word(word, alphabet_size)
+    def counting(kernel):
+        def count(word, *alphabet_size):
+            computed.append(word.pack(2))
+            return kernel(word, *alphabet_size)
 
-    monkeypatch.setattr(bch, "bch_coeff_word", counting)
+        return count
+
+    monkeypatch.setattr(bch, "_scaled_bch_coeff_word", counting(bch._scaled_bch_coeff_word))
+    monkeypatch.setattr(bch, "bch_coeff_word", counting(bch_coeff_word))
     degree_report(9, 2, "dp")
     assert computed == class_representatives(9, 2)
     computed.clear()
