@@ -265,8 +265,19 @@ def _check_degree(n: int) -> None:
         raise ValueError("degree must be >= 1")
 
 
-def _check_budget(n: int, alphabet_size: int, table_budget: int, scanned: int | None) -> None:
-    """Refuse a scan of more words than the budget; ``scanned`` None means all K^n."""
+def _check_budget(
+    n: int,
+    alphabet_size: int,
+    backend: str,
+    words: Sequence[int] | None = None,
+    table_budget: int = DEFAULT_TABLE_BUDGET,
+) -> None:
+    """Refuse a degree-n scan of more words than the budget.
+
+    The scan computes the given ``words`` on the per-word DP, else all K^n
+    (the series holds every word of a degree in its table).
+    """
+    scanned = len(words) if words is not None and canonical_backend(backend) == DP_BACKEND else None
     if (alphabet_size**n if scanned is None else scanned) > table_budget:
         what = f"{alphabet_size}^{n} words" if scanned is None else f"{scanned} words of degree {n}"
         raise BudgetError(f"scan of {what} exceeds table budget {table_budget}")
@@ -296,18 +307,16 @@ def degree_coefficients(
     (``_scaled_bch_coeff_word``) and every word with ``bch_coeff_word``.  With
     ``parallelism`` above 1 the per-word DP runs on ``pool`` (an open pool
     from ``worker_pool``, shared across degrees), or on a pool opened for
-    this call.  ``table_budget`` bounds the words the
-    scan computes: the given ``words`` on the per-word DP, else all K^n
-    (the series holds every word of a degree in its table).  ``scan_limit``
-    is accepted and ignored, because ``perfbench/traced_cli.py`` still
-    passes it; the table budget is the only scan budget.
+    this call.  ``table_budget`` bounds the words the scan computes
+    (``_check_budget``).  ``scan_limit`` is accepted and ignored, because
+    ``perfbench/traced_cli.py`` still passes it; the table budget is the
+    only scan budget.
     """
     _check_degree(n)
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     backend = canonical_backend(backend)
-    scanned = len(words) if words is not None and backend == DP_BACKEND else None
-    _check_budget(n, alphabet_size, table_budget, scanned)
+    _check_budget(n, alphabet_size, backend, words, table_budget)
     total = alphabet_size**n
     if words is not None and not all(0 <= packed < total for packed in words):
         raise ValueError(f"packed word out of range for degree {n}")

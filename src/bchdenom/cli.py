@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Generator, Iterator, Sequence
+from contextlib import closing, contextmanager
 from fractions import Fraction
+from functools import partial
 
 from . import bch, numtheory
 from .errors import BudgetError
@@ -38,6 +40,21 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError("alphabet size must be >= 2")
     if getattr(args, "enum_bound", DEFAULT_ENUMERATION_BOUND) < 1:
         raise ValueError("enumeration bound must be >= 1")
+    if getattr(args, "what", None) in _LEAST_MAX:
+        if args.alphabet != 2:
+            raise ValueError(f"{args.what} is a two-letter check")
+        least, reason = _LEAST_MAX[args.what]
+        if args.max < least:
+            raise ValueError(f"{args.what} needs --max {least} or more: {reason}")
+
+
+#: Smallest --max for each two-letter check; below it the check would pass
+#: without examining the degrees its claim is about.
+_LEAST_MAX = {
+    "cor1": (2, "the first prime degree is 2"),
+    "cor2": (4, "the first odd prime p = 3 has degree p + 1 = 4"),
+    "goldberg": (11, "the candidate first fails at degree 11"),
+}
 
 
 def _parallelism(text: str) -> int:
@@ -103,17 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--what",
         required=True,
-        choices=("theorem", "minimal", "cor1", "cor2", "eq3", "bernoulli", "goldberg"),
-        help=(
-            "theorem: every denominator divides n!*d_n; "
-            "minimal: the denominator lcm equals n!*d_n; "
-            "cor1: prime-degree numerator congruence; "
-            "cor2: prime-plus-one congruence and zero set; "
-            "eq3: composition-lcm oracle equals n!*d_n; "
-            "bernoulli: Bernoulli-polynomial denominator equals the kernel; "
-            "goldberg: the Bernoulli-quotient candidate passes below degree 11 "
-            "and fails at 11"
-        ),
+        choices=tuple(_CHECKS),
+        help="; ".join(f"{what}: {claim}" for what, (_, claim) in _CHECKS.items()),
     )
     p_verify.add_argument("--max", type=int, required=True, metavar="N")
     p_verify.add_argument("--alphabet", type=int, default=2, metavar="K")
@@ -171,29 +179,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dn
-
-
-_DN_FIELDS = ("n", "d_n", "kernel", "common_denominator", "d_n_factorization", "common_factorization")
-
-
-def _cmd_dn(args: argparse.Namespace) -> int:
-    header = f"{'n':>3} {'d_n':>6} {'kernel':>6} {'n!*d_n':>24}  {'d_n factors':<14} n!*d_n factors"
-    emitter = _CheckEmitter(args.format, fields=_DN_FIELDS, header=header)
-    for n in range(1, args.max + 1):
-        d_n, d_fact = numtheory.compute_dn(n)
-        kernel = numtheory.squarefree_kernel(n)
-        common, common_fact = numtheory.common_denominator(n)
-        values = (n, str(d_n), str(kernel), str(common), str(d_fact), str(common_fact))
-        emitter.emit(
-            dict(zip(_DN_FIELDS, values)),
-            f"{n:>3} {d_n:>6} {kernel:>6} {common:>24}  {d_fact!s:<14} {common_fact}",
-        )
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# verify
+# verify, and the one row loop every command prints through (_report)
 
 
 class _CheckEmitter:
@@ -247,144 +233,154 @@ def _csv_cell(value):
     return value
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    what = args.what
-    emitter = _CheckEmitter(args.format)
-    if what in ("theorem", "minimal", "cor1", "cor2", "goldberg"):
-        return _verify_scanning(args, emitter)
-    if what == "eq3":
-        bound = args.enum_bound
-        failures = []
-        for n in range(1, args.max + 1):
-            if n > bound:
-                # n is bound + 1: counting its partitions costs less than
-                # the oracle just spent on degree bound
-                count = sum(1 for _ in numtheory.partitions(n))
-                raise BudgetError(
-                    f"eq3 up to degree {args.max} needs degree {n} ({count} partitions), "
-                    f"beyond the enumeration budget --enum-bound {bound}"
-                )
-            oracle = numtheory.Dn_bruteforce(n, bound=bound)
-            closed, _ = numtheory.common_denominator(n)
-            ok = oracle == closed
-            if not ok:
-                failures.append({"check": "eq3", "degree": n, "oracle": str(oracle), "closed_form": str(closed)})
-            emitter.emit(
-                {"check": "eq3", "degree": n, "passed": ok, "value": str(closed)},
-                f"eq3 n={n}: {'PASS' if ok else 'FAIL'} ({oracle} vs {closed})",
-            )
-        return _finish(failures)
-    if what == "bernoulli":
-        failures = []
-        for n in range(1, args.max + 1):
-            poly = numtheory.bernoulli_poly_denominator(n)
-            kernel = numtheory.squarefree_kernel(n)
-            ok = poly == kernel
-            if not ok:
-                failures.append({"check": "bernoulli", "degree": n, "poly_denominator": str(poly), "kernel": str(kernel)})
-            emitter.emit(
-                {"check": "bernoulli", "degree": n, "passed": ok, "value": str(kernel)},
-                f"bernoulli n={n}: {'PASS' if ok else 'FAIL'} ({poly} vs {kernel})",
-            )
-        return _finish(failures)
-    raise AssertionError(what)
+def _report(emitter: _CheckEmitter, rows: Generator[tuple, None, None]) -> int:
+    """Emit every row; then print the first failure record, always as JSON, and return 1, or return 0.
 
-
-def _finish(failures: list[dict]) -> int:
-    if not failures:
+    A row is (record, plain line, failure record or None).  ``rows`` is closed on every way out,
+    a closed stdout too, and with it any worker pool it holds.
+    """
+    failure = None
+    with closing(rows):
+        for record, plain, failed in rows:
+            emitter.emit(record, plain)
+            failure = failed if failure is None else failure
+    if failure is None:
         return EXIT_OK
-    # the violation record is always JSON, whatever the report format
     import json
 
-    print(json.dumps(failures[0]))
+    print(json.dumps(failure))
     return EXIT_VIOLATION
 
 
-#: Smallest --max for each two-letter check; below it the check would pass
-#: without examining the degrees its claim is about.
-_LEAST_MAX = {
-    "cor1": (2, "the first prime degree is 2"),
-    "cor2": (4, "the first odd prime p = 3 has degree p + 1 = 4"),
-    "goldberg": (11, "the candidate first fails at degree 11"),
-}
+def _cmd_verify(args: argparse.Namespace) -> int:
+    rows, _ = _CHECKS[args.what]
+    return _report(_CheckEmitter(args.format), rows(args))
 
 
-def _congruence_primes(what: str, N: int) -> list[int]:
-    """The primes cor1 checks (degrees p <= N), or cor2 (degrees p + 1 <= N, p odd)."""
-    return numtheory.primes_below(N + 1) if what == "cor1" else numtheory.primes_below(N)[1:]
+@contextmanager
+def _scan(args: argparse.Namespace, degree: int, words: list[int] | None = None) -> Iterator[dict]:
+    """The backend keywords of a scanning check's run: one series and one worker pool.
 
-
-def _verify_scanning(args: argparse.Namespace, emitter: _CheckEmitter) -> int:
-    what = args.what
+    The largest ``degree`` the check scans, with the ``words`` it computes there (None: all),
+    is announced and held to the table budget before the pool opens.
+    """
     K = args.alphabet
-    N = args.max
-    if what in _LEAST_MAX:
-        if K != 2:
-            raise ValueError(f"{what} is a two-letter check")
-        least, reason = _LEAST_MAX[what]
-        if N < least:
-            raise ValueError(f"{what} needs --max {least} or more: {reason}")
-    # announce the largest degree the check scans: cor1 and cor2 compute
-    # every word of their primes' degrees, the others the words degree_report does
-    if what in ("cor1", "cor2"):
-        p = _congruence_primes(what, N)[-1]
-        _announce_scan(p if what == "cor1" else p + 1, K)
-    else:
-        _announce_scan(N, K, bch.report_words(N, K, args.backend))
+    _announce_scan(degree, K, words)
     # the per-word DP alone reads no series; the others share one for every degree
-    series = None if bch.canonical_backend(args.backend) == bch.DP_BACKEND else bch_series(K, N)
+    series = None if bch.canonical_backend(args.backend) == bch.DP_BACKEND else bch_series(K, args.max)
+    bch._check_budget(degree, K, args.backend, words)
     with bch.worker_pool(args.backend, args.parallelism) as pool:
-        scan = {"backend": args.backend, "series": series, "parallelism": args.parallelism, "pool": pool}
-        return _run_scanning(what, K, N, scan, emitter)
+        yield {"backend": args.backend, "series": series, "parallelism": args.parallelism, "pool": pool}
 
 
-def _run_scanning(what: str, K: int, N: int, scan: dict, emitter: _CheckEmitter) -> int:
-    """Run one scanning check; ``scan`` holds the backend keywords of every degree it reads."""
-    failures: list[dict] = []
-
-    if what in ("theorem", "minimal"):
+def _degree_rows(verdict: str, args: argparse.Namespace) -> Iterator[tuple]:
+    """theorem and minimal: one degree report per degree, judged by its field ``verdict``."""
+    what, K, N = args.what, args.alphabet, args.max
+    with _scan(args, N, bch.report_words(N, K, args.backend)) as scan:
         for n in range(1, N + 1):
             report = bch.degree_report(n, K, **scan)
-            ok = report.divisibility_ok if what == "theorem" else report.minimal
-            if not ok:
-                failures.append({"check": what, **report.to_json_dict()})
-            emitter.emit(
-                {"check": what, "passed": ok, **report.to_json_dict()},
+            ok, fields = getattr(report, verdict), report.to_json_dict()
+            plain = (
                 f"{what} n={n}: {'PASS' if ok else 'FAIL'} "
-                f"(lcm {report.observed_lcm}, n!*d_n {report.common_denominator})",
+                f"(lcm {report.observed_lcm}, n!*d_n {report.common_denominator})"
             )
-        return _finish(failures)
+            yield {"check": what, "passed": ok, **fields}, plain, None if ok else {"check": what, **fields}
 
-    if what in ("cor1", "cor2"):
-        check = bch.check_corollary_prime if what == "cor1" else bch.check_corollary_prime_plus_one
-        for p in _congruence_primes(what, N):
+
+def _congruence_rows(args: argparse.Namespace) -> Iterator[tuple]:
+    """cor1 at the prime degrees p <= N, cor2 at the degrees p + 1 <= N of the odd primes p."""
+    what, N = args.what, args.max
+    if what == "cor1":
+        check, primes, shift = bch.check_corollary_prime, numtheory.primes_below(N + 1), 0
+    else:
+        check, primes, shift = bch.check_corollary_prime_plus_one, numtheory.primes_below(N)[1:], 1
+    with _scan(args, primes[-1] + shift) as scan:  # each degree's every word
+        for p in primes:
             report = check(p, **scan)
-            if not report.passed:
-                failures.append({"check": what, **report.to_json_dict()})
+            record = {"check": what, **report.to_json_dict()}
             degree = "" if report.degree == p else f" (degree {report.degree})"
-            emitter.emit(
-                {"check": what, **report.to_json_dict()},
+            plain = (
                 f"{what} p={p}{degree}: {'PASS' if report.passed else 'FAIL'} "
-                f"(expected residue {report.expected_residue} mod {p})",
+                f"(expected residue {report.expected_residue} mod {p})"
             )
-        return _finish(failures)
+            yield record, plain, None if report.passed else record
 
-    if what == "goldberg":
+
+def _goldberg_rows(args: argparse.Namespace) -> Iterator[tuple]:
+    N = args.max
+    with _scan(args, N, bch.report_words(N, args.alphabet, args.backend)) as scan:
         for r in bch.goldberg_check(N, **scan):
             outcome = "divides" if r.passed else (
                 f"FAILS at {r.witness.to_string(2)} (denominator {r.witness_denominator}, ratio {r.ratio})"
             )
-            emitter.emit({"check": "goldberg", **r.to_json_dict()}, f"goldberg n={r.degree}: {outcome}")
+            record = {"check": "goldberg", **r.to_json_dict()}
             # expected pattern: all degrees through 10 pass, degree 11 fails
-            if r.degree <= 11 and r.passed != (r.degree <= 10):
-                failures.append({"check": "goldberg", **r.to_json_dict()})
-        return _finish(failures)
+            unexpected = r.degree <= 11 and r.passed != (r.degree <= 10)
+            yield record, f"goldberg n={r.degree}: {outcome}", record if unexpected else None
 
-    raise AssertionError(what)
+
+def _match_row(check: str, n: int, found: tuple[str, int], expected: tuple[str, int]) -> tuple:
+    """The eq3 or bernoulli row of degree n: whether the ``found`` (name, value) is the ``expected`` one."""
+    (found_name, value), (expected_name, wanted) = found, expected
+    ok = value == wanted
+    record = {"check": check, "degree": n, "passed": ok, "value": str(wanted)}
+    failure = None if ok else {"check": check, "degree": n, found_name: str(value), expected_name: str(wanted)}
+    return record, f"{check} n={n}: {'PASS' if ok else 'FAIL'} ({value} vs {wanted})", failure
+
+
+def _eq3_rows(args: argparse.Namespace) -> Iterator[tuple]:
+    bound = args.enum_bound
+    for n in range(1, args.max + 1):
+        if n > bound:
+            # n is bound + 1: counting its partitions costs less than the oracle spent on degree bound
+            count = sum(1 for _ in numtheory.partitions(n))
+            raise BudgetError(
+                f"eq3 up to degree {args.max} needs degree {n} ({count} partitions), "
+                f"beyond the enumeration budget --enum-bound {bound}"
+            )
+        oracle = numtheory.Dn_bruteforce(n, bound=bound)
+        yield _match_row("eq3", n, ("oracle", oracle), ("closed_form", numtheory.common_denominator(n)[0]))
+
+
+def _bernoulli_rows(args: argparse.Namespace) -> Iterator[tuple]:
+    for n in range(1, args.max + 1):
+        poly = numtheory.bernoulli_poly_denominator(n)
+        kernel = numtheory.squarefree_kernel(n)
+        yield _match_row("bernoulli", n, ("poly_denominator", poly), ("kernel", kernel))
+
+
+#: Each check of ``verify --what``, in the order ``--help`` lists them: its rows and what it checks.
+_CHECKS: dict[str, tuple[Callable[[argparse.Namespace], Iterator[tuple]], str]] = {
+    "theorem": (partial(_degree_rows, "divisibility_ok"), "every denominator divides n!*d_n"),
+    "minimal": (partial(_degree_rows, "minimal"), "the denominator lcm equals n!*d_n"),
+    "cor1": (_congruence_rows, "prime-degree numerator congruence"),
+    "cor2": (_congruence_rows, "prime-plus-one congruence and zero set"),
+    "eq3": (_eq3_rows, "composition-lcm oracle equals n!*d_n"),
+    "bernoulli": (_bernoulli_rows, "Bernoulli-polynomial denominator equals the kernel"),
+    "goldberg": (_goldberg_rows, "the Bernoulli-quotient candidate passes below degree 11 and fails at 11"),
+}
 
 
 # ---------------------------------------------------------------------------
-# coeff and table: one row per word, in the same columns
+# dn, coeff and table (the last two print one row per word, in the same columns)
+
+_DN_FIELDS = ("n", "d_n", "kernel", "common_denominator", "d_n_factorization", "common_factorization")
+
+
+def _cmd_dn(args: argparse.Namespace) -> int:
+    header = f"{'n':>3} {'d_n':>6} {'kernel':>6} {'n!*d_n':>24}  {'d_n factors':<14} n!*d_n factors"
+    return _report(_CheckEmitter(args.format, fields=_DN_FIELDS, header=header), _dn_rows(args.max))
+
+
+def _dn_rows(n_max: int) -> Iterator[tuple]:
+    for n in range(1, n_max + 1):
+        d_n, d_fact = numtheory.compute_dn(n)
+        kernel = numtheory.squarefree_kernel(n)
+        common, common_fact = numtheory.common_denominator(n)
+        values = (n, str(d_n), str(kernel), str(common), str(d_fact), str(common_fact))
+        plain = f"{n:>3} {d_n:>6} {kernel:>6} {common:>24}  {d_fact!s:<14} {common_fact}"
+        yield dict(zip(_DN_FIELDS, values)), plain, None
+
 
 _WORD_FIELDS = ("word", "h_num", "h_den", "a", "denom_factorization")
 
@@ -395,6 +391,10 @@ def _word_record(word: str, h: Fraction, a: int, factorization: PrimeFactorizati
 
 
 def _cmd_coeff(args: argparse.Namespace) -> int:
+    return _report(_CheckEmitter(args.format, fields=_WORD_FIELDS), _coeff_rows(args))
+
+
+def _coeff_rows(args: argparse.Namespace) -> Iterator[tuple]:
     word = Word.from_string(args.word, args.alphabet)
     if word.degree < 1:
         raise ValueError("the word must be nonempty")
@@ -404,45 +404,41 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
     factorization = PrimeFactorization.of(h.denominator)
     text = word.to_string(args.alphabet)
     # the JSON record also carries the common denominator; the CSV row does not
-    _CheckEmitter(args.format, fields=_WORD_FIELDS).emit(
-        {**_word_record(text, h, a, factorization), "common_denominator": str(common)},
+    yield {**_word_record(text, h, a, factorization), "common_denominator": str(common)}, (
         f"word               {text}\n"
         f"degree             {word.degree}\n"
         f"coefficient        {h}\n"
         f"denominator        {h.denominator} = {factorization}\n"
         f"common denominator {common}\n"
-        f"numerator over it  {a}",
-    )
-    return EXIT_OK
+        f"numerator over it  {a}"
+    ), None
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    n = args.degree
-    K = args.alphabet
+    n, K = args.degree, args.alphabet
     _announce_scan(n, K)
     common, _ = numtheory.common_denominator(n)
-
     header = f"degree {n}, alphabet {K}, common denominator {common}"
-    emitter = _CheckEmitter(args.format, fields=_WORD_FIELDS, header=header)
 
-    def emit(word: Word, h: Fraction, a: int, factorization: PrimeFactorization) -> None:
+    def row(word: Word, h: Fraction, a: int, factorization: PrimeFactorization) -> tuple:
         text = word.to_string(K)
         record = _word_record(text, h, a, factorization)
         plain = "" if args.format != "plain" else (  # only the plain format prints this line
             f"{text:<{n + 2}} h={h!s:<16} a={a!s:<12} denom={record['denom_factorization']}"
         )
-        emitter.emit(record, plain)
+        return record, plain, None
 
     if args.dedup:
-        for e in bch.coefficient_value_table(n, K, args.backend, parallelism=args.parallelism):
-            emit(e.word, e.value, e.numerator, e.denominator_factorization)
+        entries = bch.coefficient_value_table(n, K, args.backend, parallelism=args.parallelism)
+        rows = (row(e.word, e.value, e.numerator, e.denominator_factorization) for e in entries)
     else:
         coeffs = bch.degree_coefficients(n, K, args.backend, parallelism=args.parallelism)
-        for packed, h in enumerate(coeffs):
-            word = Word.unpack(packed, n, K)
-            a = bch.numerator_over_common(word, K, coefficient=h)
-            emit(word, h, a, PrimeFactorization.of(h.denominator))
-    return EXIT_OK
+        words = (Word.unpack(packed, n, K) for packed in range(len(coeffs)))
+        rows = (
+            row(w, h, bch.numerator_over_common(w, K, coefficient=h), PrimeFactorization.of(h.denominator))
+            for w, h in zip(words, coeffs)
+        )
+    return _report(_CheckEmitter(args.format, fields=_WORD_FIELDS, header=header), rows)
 
 
 if __name__ == "__main__":

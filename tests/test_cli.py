@@ -560,10 +560,11 @@ def test_parallelism_env_garbage_is_a_usage_error(capsys, monkeypatch, value):
 
 
 class _RecordingPool:
-    """Stands in for ``multiprocessing.Pool``: records its size and tasks, and maps in this process."""
+    """Stands in for ``multiprocessing.Pool``: records its size, tasks and exits, and maps in this process."""
 
     sizes: list[int] = []
     tasks: list[int] = []
+    exits: list[_RecordingPool] = []
 
     def __init__(self, processes):
         self.sizes.append(processes)
@@ -572,6 +573,7 @@ class _RecordingPool:
         return self
 
     def __exit__(self, *exc):
+        self.exits.append(self)
         return False
 
     def map(self, fn, items):
@@ -584,6 +586,7 @@ def recording_pool(monkeypatch):
     """``multiprocessing.Pool``, replaced by a ``_RecordingPool``: no process starts."""
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(_RecordingPool, "tasks", [])
+    monkeypatch.setattr(_RecordingPool, "exits", [])
     monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     return _RecordingPool
 
@@ -628,6 +631,62 @@ def test_library_pools_are_capped_without_a_word(capsys, recording_pool):
     assert reports == [bch.degree_report(n, 2, "dp") for n in range(2, 7)]
     assert recording_pool.sizes == [cpus] * 5
     assert capsys.readouterr().err == ""
+
+
+def _budget_at_degree_4(real):
+    def degree_report(n, *args, **kwargs):
+        if n == 4:
+            raise cli.BudgetError("scan of degree 4 exceeds a test budget")
+        return real(n, *args, **kwargs)
+
+    return degree_report
+
+
+# (argv after "verify", bch attribute to patch and its factory, exit code, pools opened)
+POOL_PATHS = {
+    "pass": (["--what", "minimal", "--max", "7"], None, 0, 1),
+    "violation": (["--what", "cor2", "--max", "6"], None, 1, 1),
+    "budget-before-the-pool": (["--what", "cor1", "--max", "23"], None, 3, 0),
+    "budget-inside-the-pool": (
+        ["--what", "theorem", "--max", "6"], ("degree_report", _budget_at_degree_4), 3, 1
+    ),
+    "usage": (["--what", "cor1", "--max", "1"], None, 2, 0),
+}
+
+
+@pytest.mark.parametrize("argv, patch, expected, pools", POOL_PATHS.values(), ids=POOL_PATHS.keys())
+def test_every_pool_a_verify_run_opens_is_exited(
+    capsys, monkeypatch, recording_pool, argv, patch, expected, pools
+):
+    monkeypatch.setattr(bch, "_usable_cpus", lambda: 2)
+    if patch is not None:
+        attr, factory = patch
+        monkeypatch.setattr(bch, attr, factory(getattr(bch, attr)))
+    code, out, err = run(capsys, "verify", *argv, "--backend", "dp", "--parallelism", "2")
+    assert code == expected
+    assert recording_pool.sizes == [2] * pools
+    assert len(recording_pool.exits) == pools
+    if expected == 3:
+        assert "budget" in err and (out == "") == (pools == 0)
+
+
+def test_closed_stdout_exits_the_pool(monkeypatch, recording_pool):
+    # the emitter's first write fails as on a closed pipe: _report closes the rows, and so the pool
+    monkeypatch.setattr(bch, "_usable_cpus", lambda: 2)
+    argv = ["verify", "--what", "minimal", "--max", "6", "--backend", "dp", "--parallelism", "2"]
+    args = cli.build_parser().parse_args(argv)
+
+    class ClosedStdout:
+        def emit(self, record, plain):
+            raise BrokenPipeError
+
+    rows, _ = cli._CHECKS["minimal"]
+    # the kept traceback holds the rows, so only an explicit close exits the pool here
+    with pytest.raises(BrokenPipeError) as closed:
+        cli._report(ClosedStdout(), rows(args))
+    assert closed.traceback
+    assert recording_pool.sizes == [2]
+    assert len(recording_pool.exits) == 1
 
 
 def test_usable_cpus_without_affinity(monkeypatch):
@@ -735,6 +794,9 @@ EXIT_CASES = {
     "cor1-max-1": (["verify", "--what", "cor1", "--max", "1"], None, 2),
     "cor2-max-3": (["verify", "--what", "cor2", "--max", "3"], None, 2),
     "cor2-violation": (["verify", "--what", "cor2", "--max", "6"], None, 1),
+    # refused before the first degree runs, as on the series backend
+    "cor1-budget-dp": (["verify", "--what", "cor1", "--max", "23", "--backend", "dp"], None, 3),
+    "cor2-budget-dp": (["verify", "--what", "cor2", "--max", "24", "--backend", "dp"], None, 3),
     "eq3-pass": (["verify", "--what", "eq3", "--max", "8"], None, 0),
     "eq3-violation": (["verify", "--what", "eq3", "--max", "3"], ("numtheory.common_denominator", _plus_one), 1),
     "eq3-budget": (["verify", "--what", "eq3", "--max", "22", "--enum-bound", "4"], None, 3),
@@ -775,4 +837,55 @@ def test_exit_code_contract(capsys, monkeypatch, argv, patch, expected):
     elif expected == 2:
         assert err and out == ""
     elif expected == 3:
-        assert "budget" in err  # eq3 streams the degrees it finished first
+        assert "budget" in err
+        if argv[:3] != ["verify", "--what", "eq3"]:  # eq3 streams the degrees it finished first
+            assert out == ""
+
+
+def _broken_at(degrees, broken):
+    """A patch factory, as in EXIT_CASES, that applies ``broken`` at ``degrees`` only."""
+    return lambda real: lambda n: broken(real)(n) if n in degrees else real(n)
+
+
+def _int_plus_one(real):
+    return lambda n: real(n) + 1
+
+
+def _int_one(real):
+    return lambda n: 1
+
+
+# check: (--max, the degrees it reports, patch as in EXIT_CASES, the first of its two failing degrees)
+TWO_FAILURES = {
+    "theorem": ("6", [1, 2, 3, 4, 5, 6], ("bch.common_denominator", _broken_at((3, 5), _one)), 3),
+    "cor1": ("7", [2, 3, 5, 7], ("bch.common_denominator", _broken_at((3, 5), _doubled)), 3),
+    "goldberg": ("11", list(range(4, 12)), ("numtheory.goldberg_denominator", _broken_at((5, 7), _int_one)), 5),
+    "eq3": ("6", [1, 2, 3, 4, 5, 6], ("numtheory.common_denominator", _broken_at((2, 4), _plus_one)), 2),
+    "bernoulli": (
+        "6", [1, 2, 3, 4, 5, 6], ("numtheory.squarefree_kernel", _broken_at((2, 4), _int_plus_one)), 2
+    ),
+}
+
+
+@pytest.mark.parametrize("what", TWO_FAILURES)
+def test_two_failing_degrees_emit_every_row_then_the_first_failure(capsys, monkeypatch, what):
+    max_degree, degrees, (target, factory), first_failure = TWO_FAILURES[what]
+    module_name, attr = target.split(".")
+    module = getattr(cli, module_name)
+    monkeypatch.setattr(module, attr, factory(getattr(module, attr)))
+    violations = set()
+    for output_format in ("plain", "json", "csv"):
+        code, out, _ = run(capsys, "verify", "--what", what, "--max", max_degree, "--format", output_format)
+        assert code == 1
+        *lines, last = out.splitlines()
+        if output_format == "plain":
+            assert [line.split(" ", 1)[0] for line in lines] == [what] * len(degrees)
+        elif output_format == "json":
+            assert [json.loads(line)["degree"] for line in lines] == degrees
+        else:
+            header, *rows = csv.reader(io.StringIO("\n".join(lines)))
+            assert [int(row[header.index("degree")]) for row in rows] == degrees
+        violation = json.loads(last)
+        assert (violation["check"], violation["degree"]) == (what, first_failure)
+        violations.add(last)
+    assert len(violations) == 1  # the violation record is JSON whatever the format
