@@ -7,9 +7,10 @@ sit the congruence checks for prime and prime-plus-one degrees (two front
 ends over one residue scan), the refutation of the Bernoulli-quotient
 candidate denominator, and the deduplicated value table of a degree.
 Each check passes its backend keywords through to ``degree_coefficients``,
-which alone names and checks them.  Two reducers read a degree's
-coefficients: ``_first_words`` (each distinct value and its first word)
-and ``_congruence_scan`` (every word that breaks a congruence).
+which alone names and checks them.  One reducer reads a degree's
+coefficients: ``_first_words`` (each distinct value and its first word).
+``_value_entries`` adds each value's numerator over n! * d_n and its
+factorization, once per value, for the congruence checks and the table.
 
 Scans are deterministic: words are visited in packed (lexicographic)
 order, reductions are commutative, and witnesses are always the
@@ -177,7 +178,7 @@ class GoldbergDegreeResult(Record):
 
 
 class TableEntry(Record):
-    """One distinct nonzero coefficient value of a degree, with its arithmetic.
+    """One distinct coefficient value of a degree, with its arithmetic.
 
     ``word`` is the lexicographically smallest word attaining the value.
     """
@@ -475,6 +476,30 @@ def numerator_over_common(
     return _integer_numerator(coefficient, common, word, alphabet_size)
 
 
+def _value_entries(
+    n: int, alphabet_size: int, coeffs: Sequence[Fraction]
+) -> tuple[list[TableEntry], dict[int, int]]:
+    """Each distinct value of ``coeffs``, every word of degree n, as a ``TableEntry``, worked out once.
+
+    An entry holds the value's first word, its numerator over n! * d_n (else
+    ``CommonDenominatorError``) and the factorization of its denominator.
+    Returns the entries in the order of ``coefficient_value_table``, zero
+    last, and the position among them of each object of ``coeffs``, keyed by
+    its id: the series shares one object per value, so a pass over the
+    words hashes no ``Fraction``.
+    """
+    common, _ = common_denominator(n)
+    factor = cache(PrimeFactorization.of)  # values with one denominator share its factorization
+    entries = []
+    for h, packed in _first_words(coeffs, None).items():
+        word = Word.unpack(packed, n, alphabet_size)
+        a = _integer_numerator(h, common, word, alphabet_size)
+        entries.append(TableEntry(h, factor(h.denominator), a, word))
+    entries.sort(key=lambda e: (-abs(e.value), 0 if e.value > 0 else 1))
+    position = {entry.value: i for i, entry in enumerate(entries)}
+    return entries, {key: position[h] for key, h in dict(zip(map(id, coeffs), coeffs)).items()}
+
+
 def _congruence_scan(
     p: int, n: int, expected: int, zero: Callable[[int], bool], **scan
 ) -> CongruenceReport:
@@ -482,29 +507,22 @@ def _congruence_scan(
 
     The packed words for which ``zero`` is true must have coefficient 0
     instead.  Every word is computed, through ``degree_coefficients`` with
-    the backend keywords ``scan``.
+    the backend keywords ``scan``, but each value's residue once: the pass
+    over the words only picks out, as ``Word``s, those that fail.
     """
     coeffs = degree_coefficients(n, 2, **scan)
-    common, _ = common_denominator(n)
-    violations = []
-    zero_failures = []
-    for packed, h in enumerate(coeffs):
+    entries, position = _value_entries(n, 2, coeffs)
+    residues = [entry.numerator % p for entry in entries]
+    violations, zero_failures = [], []
+    for packed, i in enumerate(map(position.__getitem__, map(id, coeffs))):
         if zero(packed):
-            if h:
+            if entries[i].numerator:
                 zero_failures.append(Word.unpack(packed, n, 2))
-            continue
-        word = Word.unpack(packed, n, 2)
-        a = _integer_numerator(h, common, word, 2)
-        residue = a % p
-        if residue != expected:
-            violations.append((word, a, residue))
+        elif residues[i] != expected:
+            violations.append((Word.unpack(packed, n, 2), entries[i].numerator, residues[i]))
     return CongruenceReport(
-        p=p,
-        degree=n,
-        modulus=p,
-        expected_residue=expected,
-        violations=tuple(violations),
-        exceptional_zero_failures=tuple(zero_failures),
+        p=p, degree=n, modulus=p, expected_residue=expected,
+        violations=tuple(violations), exceptional_zero_failures=tuple(zero_failures),
     )
 
 
@@ -584,21 +602,5 @@ def coefficient_value_table(
     decreasing absolute value, positive before negative on ties.
     ``scan`` holds the other backend keywords of ``degree_coefficients``.
     """
-    coeffs = degree_coefficients(n, alphabet_size, backend, **scan)
-    common, _ = common_denominator(n)
-    entries = []
-    for h, packed in _first_words(coeffs, None).items():
-        if not h:
-            continue
-        word = Word.unpack(packed, n, alphabet_size)
-        entries.append(
-            TableEntry(
-                value=h,
-                denominator_factorization=PrimeFactorization.of(h.denominator),
-                numerator=_integer_numerator(h, common, word, alphabet_size),
-                word=word,
-            )
-        )
-    entries.sort(key=lambda e: (-abs(e.value), 0 if e.value > 0 else 1))
-    return entries
-
+    entries, _ = _value_entries(n, alphabet_size, degree_coefficients(n, alphabet_size, backend, **scan))
+    return [entry for entry in entries if entry.value]

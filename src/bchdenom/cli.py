@@ -266,8 +266,8 @@ def _scan(args: argparse.Namespace, degree: int, words: list[int] | None = None)
     """
     K = args.alphabet
     _announce_scan(degree, K, words)
-    # the per-word DP alone reads no series; the others share one for every degree
-    series = None if bch.canonical_backend(args.backend) == bch.DP_BACKEND else bch_series(K, args.max)
+    # the per-word DP alone reads no series; the others share one, through the largest degree
+    series = None if bch.canonical_backend(args.backend) == bch.DP_BACKEND else bch_series(K, degree)
     bch._check_budget(degree, K, args.backend, words)
     with bch.worker_pool(args.backend, args.parallelism) as pool:
         yield {"backend": args.backend, "series": series, "parallelism": args.parallelism, "pool": pool}
@@ -420,24 +420,21 @@ def _cmd_table(args: argparse.Namespace) -> int:
     common, _ = numtheory.common_denominator(n)
     header = f"degree {n}, alphabet {K}, common denominator {common}"
 
-    def row(word: Word, h: Fraction, a: int, factorization: PrimeFactorization) -> tuple:
-        text = word.to_string(K)
-        record = _word_record(text, h, a, factorization)
+    def row(word: Word, entry: bch.TableEntry) -> tuple:
+        text, h, a = word.to_string(K), entry.value, entry.numerator
+        record = _word_record(text, h, a, entry.denominator_factorization)
         plain = "" if args.format != "plain" else (  # only the plain format prints this line
             f"{text:<{n + 2}} h={h!s:<16} a={a!s:<12} denom={record['denom_factorization']}"
         )
         return record, plain, None
 
+    # every word's arithmetic is its value's, done once per value
+    coeffs = bch.degree_coefficients(n, K, args.backend, parallelism=args.parallelism)
+    entries, position = bch._value_entries(n, K, coeffs)
     if args.dedup:
-        entries = bch.coefficient_value_table(n, K, args.backend, parallelism=args.parallelism)
-        rows = (row(e.word, e.value, e.numerator, e.denominator_factorization) for e in entries)
+        rows = (row(e.word, e) for e in entries if e.value)
     else:
-        coeffs = bch.degree_coefficients(n, K, args.backend, parallelism=args.parallelism)
-        words = (Word.unpack(packed, n, K) for packed in range(len(coeffs)))
-        rows = (
-            row(w, h, bch.numerator_over_common(w, K, coefficient=h), PrimeFactorization.of(h.denominator))
-            for w, h in zip(words, coeffs)
-        )
+        rows = (row(Word.unpack(packed, n, K), entries[position[id(h)]]) for packed, h in enumerate(coeffs))
     return _report(_CheckEmitter(args.format, fields=_WORD_FIELDS, header=header), rows)
 
 

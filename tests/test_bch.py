@@ -163,9 +163,22 @@ def test_corollary_prime_two():
     assert numerator_over_common(W("BA")) % 2 == 1
 
 
-@pytest.mark.parametrize("p,expected", [(3, 1), (5, 4), (7, 1)])
-def test_corollary_prime_small(p, expected):
-    report = check_corollary_prime(p)
+def on_every_backend(*cases):
+    """Each case on the series backend, under its own id, then on dp and both, with the backend in the id.
+
+    The series shares one ``Fraction`` per value and the per-word DP makes
+    one per word, so a congruence scan takes both of its paths.
+    """
+    return [
+        pytest.param(*case, backend, id="-".join(map(str, case + ((backend,) if backend != "series" else ()))))
+        for backend in ("series", "dp", "both")
+        for case in cases
+    ]
+
+
+@pytest.mark.parametrize("p,expected,backend", on_every_backend((3, 1), (5, 4), (7, 1)))
+def test_corollary_prime_small(p, expected, backend):
+    report = check_corollary_prime(p, backend=backend)
     assert report.expected_residue == (-bch.compute_dn(p)[0]) % p == expected
     assert report.passed
     assert report.degree == p and report.modulus == p
@@ -192,11 +205,11 @@ def test_corollary_prime_plus_one_p3_reports_reversed_words():
     assert not report.passed
 
 
-@pytest.mark.parametrize("p", [3, 5])
-def test_prime_plus_one_congruence_sign_split(p):
+@pytest.mark.parametrize("p,backend", on_every_backend((3,), (5,)))
+def test_prime_plus_one_congruence_sign_split(p, backend):
     # What does hold at degree p+1: outside the zero set, words A...B have
     # numerator residue (p-1)/2 * d_{p+1}, words B...A the negated residue.
-    report = check_corollary_prime_plus_one(p)
+    report = check_corollary_prime_plus_one(p, backend=backend)
     plus = report.expected_residue
     minus = (-plus) % p
     violating_words = {w for w, _, _ in report.violations}
@@ -210,6 +223,21 @@ def test_prime_plus_one_congruence_sign_split(p):
     assert violating_words == expected_violations
     assert all(residue == minus for _, _, residue in report.violations)
     assert plus != minus
+
+
+@pytest.mark.parametrize("backend", ["series", "dp"])
+def test_congruence_scan_reports_a_nonzero_word_of_the_zero_set(monkeypatch, backend):
+    real = bch.degree_coefficients
+
+    def nonzero_power(n, *args, **kwargs):
+        coeffs = list(real(n, *args, **kwargs))
+        coeffs[0] = coeffs[1]  # A^5 takes the value, and on the series the object, of AAAAB
+        return coeffs
+
+    monkeypatch.setattr(bch, "degree_coefficients", nonzero_power)
+    report = check_corollary_prime(5, backend=backend)
+    assert report.exceptional_zero_failures == (W("AAAAA"),)
+    assert report.violations == () and not report.passed
 
 
 def test_corollary_exceptional_words_vanish():

@@ -182,6 +182,17 @@ def test_verify_dp_congruence_builds_no_series(capsys, monkeypatch, what, max_de
     assert code == expected_code and out
 
 
+@pytest.mark.parametrize("what, built, expected_code", [("cor1", 7, 0), ("cor2", 8, 1)])
+def test_verify_congruence_builds_the_series_to_its_largest_degree(capsys, monkeypatch, what, built, expected_code):
+    # --max 10 scans cor1 at the primes through 7 and cor2 at the degrees p + 1 through 8
+    degrees = []
+    real = cli.bch_series
+    monkeypatch.setattr(cli, "bch_series", lambda K, n, **kw: degrees.append(n) or real(K, n, **kw))
+    code, out, _ = run(capsys, "verify", "--what", what, "--max", "10")
+    assert code == expected_code and out
+    assert degrees == [built]
+
+
 def test_verify_goldberg_below_counterexample(capsys):
     # degree 11 is never examined below --max 11, so there is nothing to pass
     code, out, err = run(capsys, "verify", "--what", "goldberg", "--max", "8")
@@ -393,7 +404,6 @@ def test_table_factors_each_distinct_denominator_once(capsys, monkeypatch):
     calls = []
     real = nt._trial_divisors
     monkeypatch.setattr(nt, "_trial_divisors", lambda: calls.append(1) or real())
-    nt.PrimeFactorization.of.cache_clear()
     code, out, _ = run(capsys, "table", "--degree", "10")
     assert code == 0 and len(out.splitlines()) == 1 + 2**10
     assert len(calls) == len(distinct) < 2**10
@@ -508,7 +518,8 @@ def test_table_computes_common_denominator_once(capsys):
     assert code == 0
     assert len(out.splitlines()) == 32
     info = common_denominator.cache_info()
-    assert (info.misses, info.hits) == (1, 32)
+    # the header's and the value arithmetic's, not one per word
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_table_checks_every_word_against_the_common_denominator(capsys, monkeypatch):
