@@ -8,9 +8,8 @@ ends over one residue scan), the refutation of the Bernoulli-quotient
 candidate denominator, and the deduplicated value table of a degree.
 Each check passes its backend keywords through to ``degree_coefficients``,
 which alone names and checks them.  One reducer reads a degree's
-coefficients: ``_first_words`` (each distinct value and its first word).
-``_value_entries`` adds each value's numerator over n! * d_n and its
-factorization, once per value, for the congruence checks and the table.
+coefficients, ``_first_words``: each distinct value, its first word and
+the value of each word; the arithmetic of a value is done once.
 
 Scans are deterministic: words are visited in packed (lexicographic)
 order, reductions are commutative, and witnesses are always the
@@ -51,7 +50,7 @@ than assume it.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import AbstractContextManager, nullcontext
 from fractions import Fraction
 from functools import cache
@@ -252,13 +251,21 @@ def class_representatives(n: int, alphabet_size: int = 2) -> list[int]:
 
 
 def _dp_scan_chunk(task: tuple[int, int, Sequence[int], bool]) -> list[Fraction]:
-    """The per-word DP of some packed words: on integers, or on ``Fraction``s for every word."""
+    """The per-word DP of some packed words: on integers, or on ``Fraction``s for every word.
+
+    Equal values come back as one object, as the series shares them, so a
+    reducer tells them apart by identity and a pool sends each value of a
+    chunk once.
+    """
     degree, alphabet_size, words, every_word = task
     words = (Word.unpack(packed, degree, alphabet_size) for packed in words)
     if every_word:
         # Fractions until the benchmark's peak RSS stops growing with its call count (ROADMAP item 4)
-        return [bch_coeff_word(word, alphabet_size) for word in words]
-    return list(map(_scaled_bch_coeff_word, words))
+        coeffs = (bch_coeff_word(word, alphabet_size) for word in words)
+    else:
+        coeffs = map(_scaled_bch_coeff_word, words)
+    shared: dict[Fraction, Fraction] = {}
+    return [shared.setdefault(h, h) for h in coeffs]
 
 
 def _check_degree(n: int) -> None:
@@ -412,21 +419,29 @@ def report_words(n: int, alphabet_size: int, backend: str) -> list[int] | None:
     return None
 
 
-def _first_words(coeffs: Sequence[Fraction], words: Sequence[int] | None) -> dict[Fraction, int]:
+def _first_words(
+    coeffs: Sequence[Fraction], words: Sequence[int] | None
+) -> tuple[dict[Fraction, int], Iterator[int]]:
     """Each distinct value of ``coeffs``, in order of first appearance, and the first word holding it.
 
     ``coeffs`` are the coefficients of the increasing packed ``words``
     (None: every word, so an index is a packed word).  The objects are
     told apart by identity first, at C speed: ``bch_series`` shares one
-    ``Fraction`` per value, so on the series backend only the few
-    distinct objects of a degree are hashed.
+    ``Fraction`` per value, and the per-word DP one per value in each
+    chunk, so only the few distinct objects of a degree are hashed, each
+    once.  Also returns, lazily, each coefficient's value as its position
+    in that order.
     """
-    # read backwards, each object's first index is the last one written
-    first_index = dict(zip(map(id, reversed(coeffs)), range(len(coeffs) - 1, -1, -1)))
-    firsts: dict[Fraction, int] = {}
-    for i in sorted(first_index.values()):
-        firsts.setdefault(coeffs[i], i if words is None else words[i])
-    return firsts
+    # read backwards, each object's first index is the last one written;
+    # the loop then turns each object's entry into its value's position
+    by_id = dict(zip(map(id, reversed(coeffs)), range(len(coeffs) - 1, -1, -1)))
+    by_value: dict[Fraction, int] = {}
+    first: list[int] = []
+    for i in sorted(by_id.values()):
+        k = by_id[id(coeffs[i])] = by_value.setdefault(coeffs[i], len(first))
+        if k == len(first):
+            first.append(i if words is None else words[i])
+    return dict(zip(by_value, first)), map(by_id.__getitem__, map(id, coeffs))
 
 
 def degree_report(
@@ -442,7 +457,7 @@ def degree_report(
     coeffs = degree_coefficients(n, alphabet_size, backend, words=words, **scan)
     d_n, _ = compute_dn(n)
     common, _ = common_denominator(n)
-    firsts = _first_words(coeffs, words)
+    firsts, _ = _first_words(coeffs, words)
     observed = lcm(*{h.denominator for h in firsts})
     # the lcm need not be attained by any single word (degrees 9..12 for
     # two letters); the witness is then the first word of maximal
@@ -478,26 +493,22 @@ def numerator_over_common(
 
 def _value_entries(
     n: int, alphabet_size: int, coeffs: Sequence[Fraction]
-) -> tuple[list[TableEntry], dict[int, int]]:
+) -> tuple[list[TableEntry], Iterator[int]]:
     """Each distinct value of ``coeffs``, every word of degree n, as a ``TableEntry``, worked out once.
 
     An entry holds the value's first word, its numerator over n! * d_n (else
     ``CommonDenominatorError``) and the factorization of its denominator.
-    Returns the entries in the order of ``coefficient_value_table``, zero
-    last, and the position among them of each object of ``coeffs``, keyed by
-    its id: the series shares one object per value, so a pass over the
-    words hashes no ``Fraction``.
+    The entries come in order of first appearance, and with them, lazily,
+    each word's entry as its position among them (see ``_first_words``).
     """
     common, _ = common_denominator(n)
-    factor = cache(PrimeFactorization.of)  # values with one denominator share its factorization
+    firsts, positions = _first_words(coeffs, None)
     entries = []
-    for h, packed in _first_words(coeffs, None).items():
+    for h, packed in firsts.items():
         word = Word.unpack(packed, n, alphabet_size)
         a = _integer_numerator(h, common, word, alphabet_size)
-        entries.append(TableEntry(h, factor(h.denominator), a, word))
-    entries.sort(key=lambda e: (-abs(e.value), 0 if e.value > 0 else 1))
-    position = {entry.value: i for i, entry in enumerate(entries)}
-    return entries, {key: position[h] for key, h in dict(zip(map(id, coeffs), coeffs)).items()}
+        entries.append(TableEntry(h, PrimeFactorization.of(h.denominator), a, word))
+    return entries, positions
 
 
 def _congruence_scan(
@@ -511,18 +522,23 @@ def _congruence_scan(
     over the words only picks out, as ``Word``s, those that fail.
     """
     coeffs = degree_coefficients(n, 2, **scan)
-    entries, position = _value_entries(n, 2, coeffs)
+    entries, positions = _value_entries(n, 2, coeffs)
     residues = [entry.numerator % p for entry in entries]
-    violations, zero_failures = [], []
-    for packed, i in enumerate(map(position.__getitem__, map(id, coeffs))):
+    violations = []
+    zero_failures = []
+    for packed, i in enumerate(positions):
         if zero(packed):
-            if entries[i].numerator:
+            if entries[i].value:
                 zero_failures.append(Word.unpack(packed, n, 2))
         elif residues[i] != expected:
             violations.append((Word.unpack(packed, n, 2), entries[i].numerator, residues[i]))
     return CongruenceReport(
-        p=p, degree=n, modulus=p, expected_residue=expected,
-        violations=tuple(violations), exceptional_zero_failures=tuple(zero_failures),
+        p=p,
+        degree=n,
+        modulus=p,
+        expected_residue=expected,
+        violations=tuple(violations),
+        exceptional_zero_failures=tuple(zero_failures),
     )
 
 
@@ -581,7 +597,7 @@ def goldberg_check(n_max: int, backend: str = SERIES_BACKEND, **scan) -> list[Go
     for n in range(4, n_max + 1):
         candidate = numtheory.goldberg_denominator(n)
         words = report_words(n, 2, backend)
-        firsts = _first_words(degree_coefficients(n, 2, backend, words=words, **scan), words)
+        firsts, _ = _first_words(degree_coefficients(n, 2, backend, words=words, **scan), words)
         failing = next((h for h in firsts if candidate % h.denominator), None)
         if failing is None:
             results.append(GoldbergDegreeResult(n, candidate, True, None, None, None))
@@ -603,4 +619,6 @@ def coefficient_value_table(
     ``scan`` holds the other backend keywords of ``degree_coefficients``.
     """
     entries, _ = _value_entries(n, alphabet_size, degree_coefficients(n, alphabet_size, backend, **scan))
-    return [entry for entry in entries if entry.value]
+    entries = [entry for entry in entries if entry.value]
+    entries.sort(key=lambda e: (-abs(e.value), 0 if e.value > 0 else 1))
+    return entries

@@ -420,21 +420,24 @@ def _cmd_table(args: argparse.Namespace) -> int:
     common, _ = numtheory.common_denominator(n)
     header = f"degree {n}, alphabet {K}, common denominator {common}"
 
-    def row(word: Word, entry: bch.TableEntry) -> tuple:
-        text, h, a = word.to_string(K), entry.value, entry.numerator
-        record = _word_record(text, h, a, entry.denominator_factorization)
+    def row(word: Word, h: Fraction, a: int, factorization: PrimeFactorization) -> tuple:
+        text = word.to_string(K)
+        record = _word_record(text, h, a, factorization)
         plain = "" if args.format != "plain" else (  # only the plain format prints this line
             f"{text:<{n + 2}} h={h!s:<16} a={a!s:<12} denom={record['denom_factorization']}"
         )
         return record, plain, None
 
-    # every word's arithmetic is its value's, done once per value
-    coeffs = bch.degree_coefficients(n, K, args.backend, parallelism=args.parallelism)
-    entries, position = bch._value_entries(n, K, coeffs)
     if args.dedup:
-        rows = (row(e.word, e) for e in entries if e.value)
+        entries = bch.coefficient_value_table(n, K, args.backend, parallelism=args.parallelism)
+        rows = (row(e.word, e.value, e.numerator, e.denominator_factorization) for e in entries)
     else:
-        rows = (row(Word.unpack(packed, n, K), entries[position[id(h)]]) for packed, h in enumerate(coeffs))
+        coeffs = bch.degree_coefficients(n, K, args.backend, parallelism=args.parallelism)
+        words = (Word.unpack(packed, n, K) for packed in range(len(coeffs)))
+        rows = (
+            row(w, h, bch.numerator_over_common(w, K, coefficient=h), PrimeFactorization.of(h.denominator))
+            for w, h in zip(words, coeffs)
+        )
     return _report(_CheckEmitter(args.format, fields=_WORD_FIELDS, header=header), rows)
 
 

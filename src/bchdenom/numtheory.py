@@ -185,8 +185,9 @@ class PrimeFactorization(Record):
             last = p
 
     @classmethod
+    @functools.lru_cache(maxsize=1024)
     def of(cls, m: int) -> "PrimeFactorization":
-        """Factor m >= 1 by trial division."""
+        """Factor m >= 1 by trial division; memoized, as a table asks once per word."""
         if m < 1:
             raise ValueError("m must be >= 1")
         factors = []
@@ -276,8 +277,8 @@ def squarefree_kernel(n: int) -> int:
 def common_denominator(n: int) -> tuple[int, PrimeFactorization]:
     """n! * d_n, the per-degree common denominator, with its factorization.
 
-    Memoized: every report of a degree asks for it, and the result (an
-    int and a frozen factorization) is immutable.
+    Memoized: a table of one degree asks for it once per word, and the
+    result (an int and a frozen factorization) is immutable.
     """
     dn, dn_factors = compute_dn(n)
     value = math.factorial(n) * dn

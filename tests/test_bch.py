@@ -98,6 +98,13 @@ def test_dp_report_budget_counts_class_words():
         degree_coefficients(8, 3, "dp", table_budget=3**7)  # every word, as for table
 
 
+@pytest.mark.parametrize("words", [None, bch.class_representatives(9)])
+def test_dp_shares_one_fraction_per_value_as_the_series_does(words):
+    # serially, as on the series, a degree's objects are as many as its values
+    coeffs = degree_coefficients(9, 2, "dp", words=words)
+    assert len({id(c) for c in coeffs}) == len(set(coeffs)) < len(coeffs)
+
+
 def test_degree_coefficients_rejects_short_series(series2_6):
     with pytest.raises(ValueError):
         degree_coefficients(8, 2, series=series2_6)
@@ -164,21 +171,23 @@ def test_corollary_prime_two():
 
 
 def on_every_backend(*cases):
-    """Each case on the series backend, under its own id, then on dp and both, with the backend in the id.
+    """Each case with the scan keywords of the series backend, under its own id, then of dp and both.
 
-    The series shares one ``Fraction`` per value and the per-word DP makes
-    one per word, so a congruence scan takes both of its paths.
+    The series shares one ``Fraction`` per value, and the per-word DP on a
+    pool one per value in each chunk it sends, so a congruence scan meets
+    several objects of one value.
     """
+    scans = {"series": {}, "dp": {"backend": "dp", "parallelism": 2}, "both": {"backend": "both"}}
     return [
-        pytest.param(*case, backend, id="-".join(map(str, case + ((backend,) if backend != "series" else ()))))
-        for backend in ("series", "dp", "both")
+        pytest.param(*case, scan, id="-".join(map(str, case + ((name,) if name != "series" else ()))))
+        for name, scan in scans.items()
         for case in cases
     ]
 
 
-@pytest.mark.parametrize("p,expected,backend", on_every_backend((3, 1), (5, 4), (7, 1)))
-def test_corollary_prime_small(p, expected, backend):
-    report = check_corollary_prime(p, backend=backend)
+@pytest.mark.parametrize("p,expected,scan", on_every_backend((3, 1), (5, 4), (7, 1)))
+def test_corollary_prime_small(p, expected, scan):
+    report = check_corollary_prime(p, **scan)
     assert report.expected_residue == (-bch.compute_dn(p)[0]) % p == expected
     assert report.passed
     assert report.degree == p and report.modulus == p
@@ -205,11 +214,11 @@ def test_corollary_prime_plus_one_p3_reports_reversed_words():
     assert not report.passed
 
 
-@pytest.mark.parametrize("p,backend", on_every_backend((3,), (5,)))
-def test_prime_plus_one_congruence_sign_split(p, backend):
+@pytest.mark.parametrize("p,scan", on_every_backend((3,), (5,)))
+def test_prime_plus_one_congruence_sign_split(p, scan):
     # What does hold at degree p+1: outside the zero set, words A...B have
     # numerator residue (p-1)/2 * d_{p+1}, words B...A the negated residue.
-    report = check_corollary_prime_plus_one(p, backend=backend)
+    report = check_corollary_prime_plus_one(p, **scan)
     plus = report.expected_residue
     minus = (-plus) % p
     violating_words = {w for w, _, _ in report.violations}
