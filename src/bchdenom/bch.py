@@ -7,7 +7,8 @@ sit the congruence checks for prime and prime-plus-one degrees (two front
 ends over one residue scan), the refutation of the Bernoulli-quotient
 candidate denominator, and the deduplicated value table of a degree.
 Each check passes its backend keywords through to ``degree_coefficients``,
-which alone names and checks them.  One reducer reads a degree's
+which alone names and checks them; ``shared_scan`` sets them up once for
+a run of several degrees.  One reducer reads a degree's
 coefficients, ``_first_words``: each distinct value, its first word and
 the value of each word; the arithmetic of a value is done once.
 
@@ -51,9 +52,8 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterator, Sequence
-from contextlib import AbstractContextManager, nullcontext
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from fractions import Fraction
-from functools import cache
 from itertools import chain
 from math import lcm
 from operator import attrgetter
@@ -76,23 +76,9 @@ if TYPE_CHECKING:
     from multiprocessing.pool import Pool
 
 SERIES_BACKEND = "series"
-DP_BACKEND = "per-word-dp"
+DP_BACKEND = "dp"
 BOTH_BACKENDS = "both"
-
-_BACKEND_ALIASES = {
-    "series": SERIES_BACKEND,
-    "per-word-dp": DP_BACKEND,
-    "dp": DP_BACKEND,
-    "both": BOTH_BACKENDS,
-}
-
-
-def canonical_backend(name: str) -> str:
-    """The canonical name of a backend given by its name or an alias."""
-    try:
-        return _BACKEND_ALIASES[name]
-    except KeyError:
-        raise ValueError(f"unknown backend {name!r}") from None
+BACKENDS = (SERIES_BACKEND, DP_BACKEND, BOTH_BACKENDS)
 
 
 class CommonDenominatorError(RuntimeError):
@@ -185,17 +171,15 @@ class TableEntry(Record):
     __slots__ = ("value", "denominator_factorization", "numerator", "word")
 
 
-@cache
 def _letters_fit(alphabet_size: int, letter: int, rises: int, falls: int) -> bool:
-    """Whether letters 0..K-1 can go on from ``letter`` with this many rises and falls."""
-    if rises and any(
-        _letters_fit(alphabet_size, up, rises - 1, falls)
-        for up in range(letter + 1, alphabet_size)
-    ):
-        return True
-    if falls and any(_letters_fit(alphabet_size, down, rises, falls - 1) for down in range(letter)):
-        return True
-    return not rises and not falls
+    """Whether letters 0..K-1 can go on from ``letter`` with this many rises and falls.
+
+    The falls cut the rises into falls + 1 increasing stretches; only the
+    first starts at ``letter``, and each climbs at most K - 1.  The same
+    holds for the falls, cut by the rises.
+    """
+    top = alphabet_size - 1
+    return rises <= top - letter + falls * top and falls <= letter + rises * top
 
 
 def _smallest_word(lengths: tuple[int, ...], asc: int, desc: int, alphabet_size: int) -> int | None:
@@ -285,7 +269,7 @@ def _check_budget(
     The scan computes the given ``words`` on the per-word DP, else all K^n
     (the series holds every word of a degree in its table).
     """
-    scanned = len(words) if words is not None and canonical_backend(backend) == DP_BACKEND else None
+    scanned = len(words) if words is not None and backend == DP_BACKEND else None
     if (alphabet_size**n if scanned is None else scanned) > table_budget:
         what = f"{alphabet_size}^{n} words" if scanned is None else f"{scanned} words of degree {n}"
         raise BudgetError(f"scan of {what} exceeds table budget {table_budget}")
@@ -305,17 +289,19 @@ def degree_coefficients(
 ) -> list[Fraction]:
     """The coefficients of the packed ``words`` of degree n, in their order.
 
-    ``words`` defaults to every word, so the result is indexed by packed
-    word; on the series backend it is then the series' own table, shared
-    rather than copied, which callers read and do not modify.  ``series``
-    may carry a precomputed series (reused across degrees); otherwise the
-    series backend builds one.  With backend "both"
-    the two backends are compared entry by entry before returning.  The
-    per-word DP computes given ``words`` on integers
-    (``_scaled_bch_coeff_word``) and every word with ``bch_coeff_word``.  With
-    ``parallelism`` above 1 the per-word DP runs on ``pool`` (an open pool
-    from ``worker_pool``, shared across degrees), or on a pool opened for
-    this call.  ``table_budget`` bounds the words the scan computes
+    ``backend`` is one of ``BACKENDS``: "series", the dense series; "dp",
+    the per-word DP; or "both", which compares the two entry by entry
+    before returning.  Any other name is a ``ValueError``.  ``words``
+    defaults to every word, so the result is indexed by packed word; on
+    the series backend it is then the series' own table, shared rather
+    than copied, which callers read and do not modify.  ``series`` may
+    carry a precomputed series (``shared_scan`` builds one for a run);
+    otherwise the series backend builds one.  The per-word DP computes
+    given ``words`` on integers (``_scaled_bch_coeff_word``) and every
+    word with ``bch_coeff_word``.  With ``parallelism`` above 1 the
+    per-word DP runs on ``pool`` (an open pool from ``worker_pool``, such
+    as the one ``shared_scan`` shares across a run), or on a pool opened
+    for this call.  ``table_budget`` bounds the words the scan computes
     (``_check_budget``).  ``scan_limit`` is accepted and ignored, because
     ``perfbench/traced_cli.py`` still passes it; the table budget is the
     only scan budget.
@@ -323,7 +309,8 @@ def degree_coefficients(
     _check_degree(n)
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    backend = canonical_backend(backend)
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
     _check_budget(n, alphabet_size, backend, words, table_budget)
     total = alphabet_size**n
     if words is not None and not all(0 <= packed < total for packed in words):
@@ -372,13 +359,30 @@ def worker_pool(backend: str, parallelism: int) -> AbstractContextManager[Pool |
     """The worker pool a run's per-word scans share across degrees, as a context.
 
     It yields None (no pool) when the scans are serial or read only the
-    dense series.  The pool has ``_pool_size(parallelism)`` workers.
+    dense series (backend "series"); "dp" and "both" run the per-word DP
+    on it.  The pool has ``_pool_size(parallelism)`` workers.
     """
-    if parallelism <= 1 or canonical_backend(backend) == SERIES_BACKEND:
+    if parallelism <= 1 or backend == SERIES_BACKEND:
         return nullcontext()
     import multiprocessing  # only here: serial runs skip its import
 
     return multiprocessing.Pool(_pool_size(parallelism))
+
+
+@contextmanager
+def shared_scan(
+    alphabet_size: int, backend: str, parallelism: int, degree: int, words: Sequence[int] | None = None
+) -> Iterator[dict]:
+    """The backend keywords of a run's degree scans, as a context: one series and one worker pool.
+
+    The run's largest scan, of the packed ``words`` at ``degree`` (None: every word), is held to
+    the table budget first; then the series is built through ``degree`` for the backends that
+    read one, and the worker pool opens.
+    """
+    _check_budget(degree, alphabet_size, backend, words)
+    series = None if backend == DP_BACKEND else bch_series(alphabet_size, degree)
+    with worker_pool(backend, parallelism) as pool:
+        yield {"backend": backend, "series": series, "parallelism": parallelism, "pool": pool}
 
 
 def _pool_size(parallelism: int) -> int:
@@ -414,7 +418,7 @@ def report_words(n: int, alphabet_size: int, backend: str) -> list[int] | None:
     one, is the smallest word of its class.  The series backend and "both"
     (the unreduced cross-check) compute every word.
     """
-    if canonical_backend(backend) == DP_BACKEND:
+    if backend == DP_BACKEND:
         return class_representatives(n, alphabet_size)
     return None
 

@@ -12,13 +12,13 @@ import argparse
 import os
 import sys
 from collections.abc import Callable, Generator, Iterator, Sequence
-from contextlib import closing, contextmanager
+from contextlib import AbstractContextManager, closing
 from fractions import Fraction
 from functools import partial
 
 from . import bch, numtheory
 from .errors import BudgetError
-from .freealgebra import Word, bch_coeff_word, bch_series
+from .freealgebra import Word, bch_coeff_word
 from .numtheory import DEFAULT_ENUMERATION_BOUND, PrimeFactorization
 
 EXIT_OK = 0
@@ -76,13 +76,6 @@ def _warn(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _announce_scan(degree: int, alphabet_size: int, words: list[int] | None = None) -> None:
-    """Announce a large scan of ``words`` (None: every word) on stderr."""
-    if degree >= PROGRESS_DEGREE:
-        count = f"{alphabet_size}**{degree}" if words is None else len(words)
-        _warn(f"scanning degree {degree} ({count} words)...")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bchdenom",
@@ -103,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_scan(p: argparse.ArgumentParser) -> None:
         """The flags of the commands that compute a degree's coefficients."""
-        p.add_argument("--backend", choices=tuple(bch._BACKEND_ALIASES), default="series")
+        p.add_argument("--backend", choices=bch.BACKENDS, default="series")
         p.add_argument(
             "--parallelism",
             type=_parallelism,
@@ -257,20 +250,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return _report(_CheckEmitter(args.format), rows(args))
 
 
-@contextmanager
-def _scan(args: argparse.Namespace, degree: int, words: list[int] | None = None) -> Iterator[dict]:
-    """The backend keywords of a scanning check's run: one series and one worker pool.
+def _scan(
+    args: argparse.Namespace, degree: int, words: list[int] | None = None
+) -> AbstractContextManager[dict]:
+    """The backend keywords of a scanning command's run, from ``bch.shared_scan``.
 
-    The largest ``degree`` the check scans, with the ``words`` it computes there (None: all),
-    is announced and held to the table budget before the pool opens.
+    From degree ``PROGRESS_DEGREE`` on, the largest ``degree`` is first announced on stderr, with
+    the number of ``words`` computed there (None: every word).
     """
-    K = args.alphabet
-    _announce_scan(degree, K, words)
-    # the per-word DP alone reads no series; the others share one, through the largest degree
-    series = None if bch.canonical_backend(args.backend) == bch.DP_BACKEND else bch_series(K, degree)
-    bch._check_budget(degree, K, args.backend, words)
-    with bch.worker_pool(args.backend, args.parallelism) as pool:
-        yield {"backend": args.backend, "series": series, "parallelism": args.parallelism, "pool": pool}
+    if degree >= PROGRESS_DEGREE:
+        count = f"{args.alphabet}**{degree}" if words is None else len(words)
+        _warn(f"scanning degree {degree} ({count} words)...")
+    return bch.shared_scan(args.alphabet, args.backend, args.parallelism, degree, words)
 
 
 def _degree_rows(verdict: str, args: argparse.Namespace) -> Iterator[tuple]:
@@ -415,30 +406,32 @@ def _coeff_rows(args: argparse.Namespace) -> Iterator[tuple]:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    common, _ = numtheory.common_denominator(args.degree)
+    header = f"degree {args.degree}, alphabet {args.alphabet}, common denominator {common}"
+    return _report(_CheckEmitter(args.format, fields=_WORD_FIELDS, header=header), _table_rows(args))
+
+
+def _table_rows(args: argparse.Namespace) -> Iterator[tuple]:
+    """One row per distinct nonzero value (``--dedup``) or per word, from one scan of the degree."""
     n, K = args.degree, args.alphabet
-    _announce_scan(n, K)
-    common, _ = numtheory.common_denominator(n)
-    header = f"degree {n}, alphabet {K}, common denominator {common}"
-
-    def row(word: Word, h: Fraction, a: int, factorization: PrimeFactorization) -> tuple:
-        text = word.to_string(K)
-        record = _word_record(text, h, a, factorization)
-        plain = "" if args.format != "plain" else (  # only the plain format prints this line
-            f"{text:<{n + 2}} h={h!s:<16} a={a!s:<12} denom={record['denom_factorization']}"
-        )
-        return record, plain, None
-
-    if args.dedup:
-        entries = bch.coefficient_value_table(n, K, args.backend, parallelism=args.parallelism)
-        rows = (row(e.word, e.value, e.numerator, e.denominator_factorization) for e in entries)
-    else:
-        coeffs = bch.degree_coefficients(n, K, args.backend, parallelism=args.parallelism)
-        words = (Word.unpack(packed, n, K) for packed in range(len(coeffs)))
-        rows = (
-            row(w, h, bch.numerator_over_common(w, K, coefficient=h), PrimeFactorization.of(h.denominator))
-            for w, h in zip(words, coeffs)
-        )
-    return _report(_CheckEmitter(args.format, fields=_WORD_FIELDS, header=header), rows)
+    with _scan(args, n) as scan:
+        if args.dedup:
+            entries = bch.coefficient_value_table(n, K, **scan)
+            values = ((e.word, e.value, e.numerator, e.denominator_factorization) for e in entries)
+        else:
+            coeffs = bch.degree_coefficients(n, K, **scan)
+            words = (Word.unpack(packed, n, K) for packed in range(len(coeffs)))
+            values = (
+                (w, h, bch.numerator_over_common(w, K, coefficient=h), PrimeFactorization.of(h.denominator))
+                for w, h in zip(words, coeffs)
+            )
+        for word, h, a, factorization in values:
+            text = word.to_string(K)
+            record = _word_record(text, h, a, factorization)
+            plain = "" if args.format != "plain" else (  # only the plain format prints this line
+                f"{text:<{n + 2}} h={h!s:<16} a={a!s:<12} denom={record['denom_factorization']}"
+            )
+            yield record, plain, None
 
 
 if __name__ == "__main__":

@@ -217,6 +217,13 @@ def test_criterion_11_backend_equivalence(series2_14, series3_8):
                 assert bch_coeff_word(word, 3) == table[packed]
 
 
+def test_criterion_13_minimality_at_degree_30():
+    with criterion(13, "denominator lcm equals n!*d_n at the paper's degree 30 (K=2, per-word DP)"):
+        report = bch.degree_report(30, 2, "dp")
+        assert report.minimal
+        assert report.observed_lcm == numtheory.common_denominator(30)[0]
+
+
 def test_supplement_prime_plus_one_sign_split(series2_14):
     # Not one of the numbered criteria: the corrected degree-(p+1) law.
     # Outside the zero set, words A...B carry residue (p-1)/2 * d_{p+1} and

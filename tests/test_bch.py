@@ -53,15 +53,15 @@ def test_degree_report_witness_is_lexicographically_first(series2_6):
 
 def test_degree_report_backend_invariant(series2_6):
     via_series = degree_report(5, 2, series=series2_6)
-    via_dp = degree_report(5, 2, "per-word-dp")
+    via_dp = degree_report(5, 2, "dp")
     assert via_series == via_dp
     via_both = degree_report(5, 2, "both")
     assert via_both == via_series
 
 
 def test_degree_report_parallel_matches_serial():
-    serial = degree_report(6, 2, "per-word-dp", parallelism=1)
-    parallel = degree_report(6, 2, "per-word-dp", parallelism=2)
+    serial = degree_report(6, 2, "dp", parallelism=1)
+    parallel = degree_report(6, 2, "dp", parallelism=2)
     assert serial == parallel
 
 
@@ -71,8 +71,10 @@ def test_degree_report_budgets():
         degree_report(23, 2)
     with pytest.raises(BudgetError):
         degree_report(8, 3, table_budget=3**7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown backend"):
         degree_coefficients(3, 2, "bogus")
+    with pytest.raises(ValueError, match="unknown backend"):
+        degree_coefficients(3, 2, "per-word-dp")  # one name per backend: no aliases
 
 
 @pytest.mark.parametrize("parallelism", [0, -1])

@@ -176,7 +176,6 @@ def test_verify_goldberg(capsys, backend):
 @pytest.mark.parametrize("what, max_degree, expected_code", [("cor1", "5", 0), ("cor2", "4", 1), ("goldberg", "11", 0)])
 def test_verify_dp_congruence_builds_no_series(capsys, monkeypatch, what, max_degree, expected_code):
     # --backend dp builds no series on cor1, cor2 and goldberg either
-    monkeypatch.setattr(cli, "bch_series", None)
     monkeypatch.setattr(bch, "bch_series", None)
     code, out, _ = run(capsys, "verify", "--what", what, "--max", max_degree, "--backend", "dp")
     assert code == expected_code and out
@@ -186,8 +185,8 @@ def test_verify_dp_congruence_builds_no_series(capsys, monkeypatch, what, max_de
 def test_verify_congruence_builds_the_series_to_its_largest_degree(capsys, monkeypatch, what, built, expected_code):
     # --max 10 scans cor1 at the primes through 7 and cor2 at the degrees p + 1 through 8
     degrees = []
-    real = cli.bch_series
-    monkeypatch.setattr(cli, "bch_series", lambda K, n, **kw: degrees.append(n) or real(K, n, **kw))
+    real = bch.bch_series
+    monkeypatch.setattr(bch, "bch_series", lambda K, n, **kw: degrees.append(n) or real(K, n, **kw))
     code, out, _ = run(capsys, "verify", "--what", what, "--max", "10")
     assert code == expected_code and out
     assert degrees == [built]
@@ -205,7 +204,7 @@ def test_verify_goldberg_below_counterexample(capsys):
 def test_verify_congruence_empty_range_is_usage_error(capsys, monkeypatch, what, least, code_at_least):
     # an empty range of checked degrees must not pass; refused before the series is built
     with monkeypatch.context() as m:
-        m.setattr(cli, "bch_series", None)
+        m.setattr(bch, "bch_series", None)
         code, out, err = run(capsys, "verify", "--what", what, "--max", str(least - 1))
     assert code == 2
     assert out == ""
@@ -234,7 +233,7 @@ def test_verify_dp_scan_builds_no_series(capsys, monkeypatch, what):
     def no_series(*_args, **_kwargs):
         raise AssertionError("the per-word scan must not build the dense series")
 
-    monkeypatch.setattr(cli, "bch_series", no_series)
+    monkeypatch.setattr(bch, "bch_series", no_series)
     code, out, _ = run(capsys, "verify", "--what", what, "--max", "6", "--backend", "dp")
     assert code == 0
     assert out == expected
@@ -470,7 +469,7 @@ def test_table_deterministic_across_runs_and_backends(capsys):
     _, parallel, _ = run(
         capsys,
         "table", "--degree", "5", "--format", "csv",
-        "--backend", "per-word-dp", "--parallelism", "2",
+        "--backend", "dp", "--parallelism", "2",
     )
     assert parallel == first
 
@@ -546,7 +545,7 @@ def test_unknown_command_usage(capsys):
 
 def test_parallelism_env_default(capsys, monkeypatch):
     monkeypatch.setenv("BCHDENOM_PARALLELISM", "2")
-    code, out, _ = run(capsys, "table", "--degree", "3", "--backend", "per-word-dp", "--format", "csv")
+    code, out, _ = run(capsys, "table", "--degree", "3", "--backend", "dp", "--format", "csv")
     assert code == 0
     assert len(out.strip().splitlines()) == 9
 
@@ -607,7 +606,7 @@ def recording_pool(monkeypatch):
     [
         ["verify", "--what", "minimal", "--max", "7", "--backend", "dp"],  # one pool for the run
         ["verify", "--what", "cor1", "--max", "7", "--backend", "both"],
-        ["table", "--degree", "6", "--backend", "dp", "--format", "csv"],  # a pool of the scan's own
+        ["table", "--degree", "6", "--backend", "dp", "--format", "csv"],  # one pool, as for verify
     ],
     ids=["minimal", "cor1", "table"],
 )
@@ -653,15 +652,17 @@ def _budget_at_degree_4(real):
     return degree_report
 
 
-# (argv after "verify", bch attribute to patch and its factory, exit code, pools opened)
+# (argv before "--backend dp --parallelism 2", bch attribute to patch and its factory, exit code, pools opened)
 POOL_PATHS = {
-    "pass": (["--what", "minimal", "--max", "7"], None, 0, 1),
-    "violation": (["--what", "cor2", "--max", "6"], None, 1, 1),
-    "budget-before-the-pool": (["--what", "cor1", "--max", "23"], None, 3, 0),
+    "pass": (["verify", "--what", "minimal", "--max", "7"], None, 0, 1),
+    "violation": (["verify", "--what", "cor2", "--max", "6"], None, 1, 1),
+    "budget-before-the-pool": (["verify", "--what", "cor1", "--max", "23"], None, 3, 0),
     "budget-inside-the-pool": (
-        ["--what", "theorem", "--max", "6"], ("degree_report", _budget_at_degree_4), 3, 1
+        ["verify", "--what", "theorem", "--max", "6"], ("degree_report", _budget_at_degree_4), 3, 1
     ),
-    "usage": (["--what", "cor1", "--max", "1"], None, 2, 0),
+    "usage": (["verify", "--what", "cor1", "--max", "1"], None, 2, 0),
+    "table": (["table", "--degree", "6"], None, 0, 1),
+    "table-dedup": (["table", "--degree", "6", "--dedup"], None, 0, 1),
 }
 
 
@@ -669,11 +670,12 @@ POOL_PATHS = {
 def test_every_pool_a_verify_run_opens_is_exited(
     capsys, monkeypatch, recording_pool, argv, patch, expected, pools
 ):
+    # verify and table set up their scans alike, through cli._scan
     monkeypatch.setattr(bch, "_usable_cpus", lambda: 2)
     if patch is not None:
         attr, factory = patch
         monkeypatch.setattr(bch, attr, factory(getattr(bch, attr)))
-    code, out, err = run(capsys, "verify", *argv, "--backend", "dp", "--parallelism", "2")
+    code, out, err = run(capsys, *argv, "--backend", "dp", "--parallelism", "2")
     assert code == expected
     assert recording_pool.sizes == [2] * pools
     assert len(recording_pool.exits) == pools
@@ -684,20 +686,23 @@ def test_every_pool_a_verify_run_opens_is_exited(
 def test_closed_stdout_exits_the_pool(monkeypatch, recording_pool):
     # the emitter's first write fails as on a closed pipe: _report closes the rows, and so the pool
     monkeypatch.setattr(bch, "_usable_cpus", lambda: 2)
-    argv = ["verify", "--what", "minimal", "--max", "6", "--backend", "dp", "--parallelism", "2"]
-    args = cli.build_parser().parse_args(argv)
 
     class ClosedStdout:
         def emit(self, record, plain):
             raise BrokenPipeError
 
-    rows, _ = cli._CHECKS["minimal"]
-    # the kept traceback holds the rows, so only an explicit close exits the pool here
-    with pytest.raises(BrokenPipeError) as closed:
-        cli._report(ClosedStdout(), rows(args))
-    assert closed.traceback
-    assert recording_pool.sizes == [2]
-    assert len(recording_pool.exits) == 1
+    commands = [
+        (["verify", "--what", "minimal", "--max", "6"], cli._CHECKS["minimal"][0]),
+        (["table", "--degree", "6"], cli._table_rows),
+    ]
+    for opened, (argv, rows) in enumerate(commands, 1):
+        args = cli.build_parser().parse_args([*argv, "--backend", "dp", "--parallelism", "2"])
+        # the kept traceback holds the rows, so only an explicit close exits the pool here
+        with pytest.raises(BrokenPipeError) as closed:
+            cli._report(ClosedStdout(), rows(args))
+        assert closed.traceback
+        assert recording_pool.sizes == [2] * opened
+        assert len(recording_pool.exits) == opened
 
 
 def test_usable_cpus_without_affinity(monkeypatch):
@@ -784,6 +789,7 @@ EXIT_CASES = {
     "table-dedup-pass": (["table", "--degree", "4", "--dedup", "--backend", "dp"], None, 0),
     "table-degree-0": (["table", "--degree", "0"], None, 2),
     "table-budget": (["table", "--degree", "25"], None, 3),
+    "table-backend-alias": (["table", "--degree", "4", "--backend", "per-word-dp"], None, 2),
     "theorem-pass": (["verify", "--what", "theorem", "--max", "6"], None, 0),
     "theorem-violation": (["verify", "--what", "theorem", "--max", "6"], ("bch.common_denominator", _one), 1),
     "minimal-pass-dp": (["verify", "--what", "minimal", "--max", "6", "--backend", "dp"], None, 0),
@@ -793,6 +799,9 @@ EXIT_CASES = {
         1,
     ),
     "minimal-max-0": (["verify", "--what", "minimal", "--max", "0"], None, 2),
+    "minimal-backend-alias": (
+        ["verify", "--what", "minimal", "--max", "6", "--backend", "per-word-dp"], None, 2
+    ),
     "minimal-budget": (["verify", "--what", "minimal", "--alphabet", "3", "--max", "14"], None, 3),
     "minimal-dp-three-letters-14": (
         ["verify", "--what", "minimal", "--alphabet", "3", "--max", "14", "--backend", "dp"],

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import groupby
+from itertools import groupby, product
 from math import lcm
 
 import pytest
@@ -122,6 +122,22 @@ def test_class_representatives_are_the_class_minima(K, N):
         for packed in range(K**n):
             minima.setdefault(class_key(Word.unpack(packed, n, K)), packed)
         assert class_representatives(n, K) == sorted(minima.values())
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_letters_fit_matches_the_letter_sequences(K):
+    # every run boundary changes the letter: the (first letter, rises, falls)
+    # the sequences of up to 7 letters make are those _letters_fit accepts
+    made = set()
+    for length in range(1, 8):
+        for letters in product(range(K), repeat=length):
+            steps = list(zip(letters, letters[1:]))
+            if all(a != b for a, b in steps):
+                made.add((letters[0], sum(b > a for a, b in steps), sum(b < a for a, b in steps)))
+    for letter in range(K):
+        for rises in range(7):
+            for falls in range(7 - rises):
+                assert bch._letters_fit(K, letter, rises, falls) == ((letter, rises, falls) in made)
 
 
 def test_class_representatives_count_partitions():
