@@ -61,9 +61,8 @@ from typing import TYPE_CHECKING
 
 from . import numtheory
 from ._records import Record
-from .errors import BudgetError
+from .errors import check_budget
 from .freealgebra import (
-    DEFAULT_TABLE_BUDGET,
     TruncatedSeries,
     Word,
     _scaled_bch_coeff_word,
@@ -257,22 +256,16 @@ def _check_degree(n: int) -> None:
         raise ValueError("degree must be >= 1")
 
 
-def _check_budget(
-    n: int,
-    alphabet_size: int,
-    backend: str,
-    words: Sequence[int] | None = None,
-    table_budget: int = DEFAULT_TABLE_BUDGET,
-) -> None:
-    """Refuse a degree-n scan of more words than the budget.
+def _check_budget(n: int, alphabet_size: int, backend: str, words: Sequence[int] | None = None) -> None:
+    """Refuse a degree-n scan of more words than the scan budget.
 
     The scan computes the given ``words`` on the per-word DP, else all K^n
     (the series holds every word of a degree in its table).
     """
-    scanned = len(words) if words is not None and backend == DP_BACKEND else None
-    if (alphabet_size**n if scanned is None else scanned) > table_budget:
-        what = f"{alphabet_size}^{n} words" if scanned is None else f"{scanned} words of degree {n}"
-        raise BudgetError(f"scan of {what} exceeds table budget {table_budget}")
+    if words is not None and backend == DP_BACKEND:
+        check_budget(len(words), f"scan of {len(words)} words of degree {n}")
+    else:
+        check_budget(alphabet_size**n, f"scan of {alphabet_size}^{n} words")
 
 
 def degree_coefficients(
@@ -284,7 +277,6 @@ def degree_coefficients(
     series: TruncatedSeries | None = None,
     parallelism: int = 1,
     pool: Pool | None = None,
-    table_budget: int = DEFAULT_TABLE_BUDGET,
     scan_limit: int | None = None,
 ) -> list[Fraction]:
     """The coefficients of the packed ``words`` of degree n, in their order.
@@ -301,29 +293,24 @@ def degree_coefficients(
     word with ``bch_coeff_word``.  With ``parallelism`` above 1 the
     per-word DP runs on ``pool`` (an open pool from ``worker_pool``, such
     as the one ``shared_scan`` shares across a run), or on a pool opened
-    for this call.  ``table_budget`` bounds the words the scan computes
+    for this call.  The scan budget bounds the words the scan computes
     (``_check_budget``).  ``scan_limit`` is accepted and ignored, because
-    ``perfbench/traced_cli.py`` still passes it; the table budget is the
-    only scan budget.
+    ``perfbench/traced_cli.py`` still passes it.
     """
     _check_degree(n)
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    _check_budget(n, alphabet_size, backend, words, table_budget)
+    _check_budget(n, alphabet_size, backend, words)
     total = alphabet_size**n
     if words is not None and not all(0 <= packed < total for packed in words):
         raise ValueError(f"packed word out of range for degree {n}")
 
     if backend == BOTH_BACKENDS:
-        from_series = degree_coefficients(
-            n, alphabet_size, SERIES_BACKEND,
-            words=words, series=series, table_budget=table_budget,
-        )
+        from_series = degree_coefficients(n, alphabet_size, SERIES_BACKEND, words=words, series=series)
         from_dp = degree_coefficients(
-            n, alphabet_size, DP_BACKEND,
-            words=words, parallelism=parallelism, pool=pool, table_budget=table_budget,
+            n, alphabet_size, DP_BACKEND, words=words, parallelism=parallelism, pool=pool
         )
         for i, (a, b) in enumerate(zip(from_series, from_dp)):
             if a != b:
@@ -336,7 +323,7 @@ def degree_coefficients(
 
     if backend == SERIES_BACKEND:
         if series is None:
-            series = bch_series(alphabet_size, n, table_budget=table_budget)
+            series = bch_series(alphabet_size, n)
         if series.alphabet_size != alphabet_size:
             raise ValueError("precomputed series has the wrong alphabet size")
         if series.max_degree < n:
@@ -376,7 +363,7 @@ def shared_scan(
     """The backend keywords of a run's degree scans, as a context: one series and one worker pool.
 
     The run's largest scan, of the packed ``words`` at ``degree`` (None: every word), is held to
-    the table budget first; then the series is built through ``degree`` for the backends that
+    the scan budget first; then the series is built through ``degree`` for the backends that
     read one, and the worker pool opens.
     """
     _check_budget(degree, alphabet_size, backend, words)
@@ -453,7 +440,7 @@ def degree_report(
 ) -> DenominatorReport:
     """Scan one degree and compare denominators against n! * d_n.
 
-    It computes the words ``report_words`` names, and the table budget
+    It computes the words ``report_words`` names, and the scan budget
     counts them; ``scan`` holds the other backend keywords of
     ``degree_coefficients``.
     """

@@ -19,7 +19,7 @@ from functools import partial
 from . import bch, numtheory
 from .errors import BudgetError
 from .freealgebra import Word, bch_coeff_word
-from .numtheory import DEFAULT_ENUMERATION_BOUND, PrimeFactorization
+from .numtheory import PrimeFactorization
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -38,8 +38,6 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError("max degree must be >= 1")
     if getattr(args, "alphabet", 2) < 2:
         raise ValueError("alphabet size must be >= 2")
-    if getattr(args, "enum_bound", DEFAULT_ENUMERATION_BOUND) < 1:
-        raise ValueError("enumeration bound must be >= 1")
     if getattr(args, "what", None) in _LEAST_MAX:
         if args.alphabet != 2:
             raise ValueError(f"{args.what} is a two-letter check")
@@ -119,14 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max", type=int, required=True, metavar="N")
     p_verify.add_argument("--alphabet", type=int, default=2, metavar="K")
     add_scan(p_verify)
-    p_verify.add_argument(
-        "--enum-bound",
-        type=int,
-        default=DEFAULT_ENUMERATION_BOUND,
-        metavar="B",
-        help=f"largest degree the eq3 oracle enumerates partitions for "
-        f"(default {DEFAULT_ENUMERATION_BOUND})",
-    )
     add_format(p_verify)
 
     p_coeff = sub.add_parser("coeff", help="coefficient of a single word")
@@ -229,8 +219,9 @@ def _csv_cell(value):
 def _report(emitter: _CheckEmitter, rows: Generator[tuple, None, None]) -> int:
     """Emit every row; then print the first failure record, always as JSON, and return 1, or return 0.
 
-    A row is (record, plain line, failure record or None).  ``rows`` is closed on every way out,
-    a closed stdout too, and with it any worker pool it holds.
+    A row is (record, plain line, failure record or None); a row may leave out (as None) a record
+    its format does not print, and every failure after the first.  ``rows`` is closed on every
+    way out, a closed stdout too, and with it any worker pool it holds.
     """
     failure = None
     with closing(rows):
@@ -285,10 +276,15 @@ def _congruence_rows(args: argparse.Namespace) -> Iterator[tuple]:
         check, primes, shift = bch.check_corollary_prime, numtheory.primes_below(N + 1), 0
     else:
         check, primes, shift = bch.check_corollary_prime_plus_one, numtheory.primes_below(N)[1:], 1
+    failed = False
     with _scan(args, primes[-1] + shift) as scan:  # each degree's every word
         for p in primes:
             report = check(p, **scan)
-            record = {"check": what, **report.to_json_dict()}
+            # a record names every violating word, so it is built only where it is printed: on every
+            # json and csv row, and in plain format for the first failure alone
+            printed = args.format != "plain" or not (report.passed or failed)
+            record = {"check": what, **report.to_json_dict()} if printed else None
+            failed = failed or not report.passed
             degree = "" if report.degree == p else f" (degree {report.degree})"
             plain = (
                 f"{what} p={p}{degree}: {'PASS' if report.passed else 'FAIL'} "
@@ -320,16 +316,9 @@ def _match_row(check: str, n: int, found: tuple[str, int], expected: tuple[str, 
 
 
 def _eq3_rows(args: argparse.Namespace) -> Iterator[tuple]:
-    bound = args.enum_bound
+    numtheory.check_partition_budget(args.max)  # the largest degree has the most partitions
     for n in range(1, args.max + 1):
-        if n > bound:
-            # n is bound + 1: counting its partitions costs less than the oracle spent on degree bound
-            count = sum(1 for _ in numtheory.partitions(n))
-            raise BudgetError(
-                f"eq3 up to degree {args.max} needs degree {n} ({count} partitions), "
-                f"beyond the enumeration budget --enum-bound {bound}"
-            )
-        oracle = numtheory.Dn_bruteforce(n, bound=bound)
+        oracle = numtheory.Dn_bruteforce(n)
         yield _match_row("eq3", n, ("oracle", oracle), ("closed_form", numtheory.common_denominator(n)[0]))
 
 

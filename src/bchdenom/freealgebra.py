@@ -33,10 +33,7 @@ from functools import total_ordering
 from math import comb, factorial, lcm
 
 from ._records import Record
-from .errors import BudgetError
-
-#: Refuse to allocate a degree table with more than this many entries.
-DEFAULT_TABLE_BUDGET = 1 << 22
+from .errors import check_budget
 
 _UPPERCASE = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -245,12 +242,10 @@ def series_log1p(y: TruncatedSeries, max_degree: int | None = None) -> Truncated
     return series_multiply(y, horner)
 
 
-def bch_series(
-    alphabet_size: int, max_degree: int, *, table_budget: int = DEFAULT_TABLE_BUDGET
-) -> TruncatedSeries:
+def bch_series(alphabet_size: int, max_degree: int) -> TruncatedSeries:
     """H = log(e^{A_0} ... e^{A_{K-1}}) truncated at ``max_degree``.
 
-    The dense backend: exact, and O(K^N) in memory, so the table budget is
+    The dense backend: exact, and O(K^N) in memory, so the scan budget is
     enforced up front.  Computes what ``series_log1p`` of P = e^{A_0} ...
     e^{A_{K-1}} - 1 would, but on integer tables: the Horner tables times
     d! * lcm(1..N), where the constants (-1)^{k+1}/k become
@@ -271,11 +266,7 @@ def bch_series(
         raise ValueError("alphabet size must be >= 2")
     if max_degree < 1:
         raise ValueError("max degree must be >= 1")
-    if alphabet_size**max_degree > table_budget:
-        raise BudgetError(
-            f"degree table of {alphabet_size}^{max_degree} entries exceeds "
-            f"budget {table_budget}"
-        )
+    check_budget(alphabet_size**max_degree, f"degree table of {alphabet_size}^{max_degree} entries")
     K = alphabet_size
     N = max_degree
     scale = lcm(*range(1, N + 1))

@@ -14,7 +14,9 @@ rationals are ``fractions.Fraction``.  The two central quantities are
   set of values and the same lcm; the oracle enumerates each partition
   once (627 at n = 20, against 524,288 compositions).  It is still plain
   enumeration plus lcm and never consults the closed formula, so
-  agreement of the two routes is meaningful.
+  agreement of the two routes is meaningful.  Its p(n) partitions are
+  counted first, without enumerating them (``partition_count``), and held
+  to the one scan budget of ``errors`` (through n = 70).
 
 The remaining operations (Legendre's formula, multinomial valuations,
 minimal digit-sum excess over k-part compositions, the explicit digit
@@ -31,11 +33,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from ._records import Record
-from .errors import BudgetError
-
-#: Largest n for which the partition oracles run without an explicit
-#: larger bound (p(20) = 627 partitions).
-DEFAULT_ENUMERATION_BOUND = 20
+from .errors import check_budget
 
 
 def is_prime(p: int) -> bool:
@@ -340,19 +338,38 @@ def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def Dn_bruteforce(n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND) -> int:
+def partition_count(n: int) -> int:
+    """p(n), the number of partitions of n >= 0, by the O(n^2) recurrence on the parts allowed.
+
+    ``counts[m]`` is the number of partitions of m into the parts tried so far; nothing is
+    enumerated.
+    """
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            counts[m] += counts[m - part]
+    return counts[n]
+
+
+def check_partition_budget(n: int) -> None:
+    """Refuse, before it starts, an enumeration of the partitions of n beyond the scan budget."""
+    count = partition_count(n)
+    check_budget(count, f"enumeration of the {count} partitions of {n}")
+
+
+def Dn_bruteforce(n: int) -> int:
     """lcm{k * j_1! ... j_k!} over all compositions (j_1,...,j_k) of n.
 
     k * j_1! ... j_k! is the same for every ordering of the parts, so the
     lcm over compositions equals the lcm over partitions, and each
     partition is enumerated once.  This is the independent cross-check for
     n! * d_n: plain enumeration plus lcm, sharing no code with
-    ``compute_dn`` or the digit-sum and valuation helpers.
+    ``compute_dn`` or the digit-sum and valuation helpers.  The p(n)
+    partitions are held to the scan budget before any is enumerated.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > bound:
-        raise BudgetError(f"partition enumeration for n={n} exceeds bound {bound}")
+    check_partition_budget(n)
     fact = [math.factorial(j) for j in range(n + 1)]
     result = 1
     for parts in partitions(n):
@@ -385,7 +402,7 @@ def multinomial_valuation(n: int, parts: Sequence[int], p: int) -> int:
     return v
 
 
-def hp_min(n: int, k: int, p: int, *, bound: int = DEFAULT_ENUMERATION_BOUND) -> int:
+def hp_min(n: int, k: int, p: int) -> int:
     """Minimal digit-sum excess over compositions of n into k positive parts.
 
     min over (j_1,...,j_k) of (s_p(j_1)+...+s_p(j_k) - s_p(n)) / (p-1),
@@ -397,8 +414,7 @@ def hp_min(n: int, k: int, p: int, *, bound: int = DEFAULT_ENUMERATION_BOUND) ->
     _require_prime(p)
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    if n > bound:
-        raise BudgetError(f"partition enumeration for n={n} exceeds bound {bound}")
+    check_partition_budget(n)
     sums = [_digit_sum(j, p) for j in range(n + 1)]
     best = min(sum(sums[j] for j in parts) for parts in partitions(n) if len(parts) == k)
     excess = best - sums[n]

@@ -59,9 +59,9 @@ def test_criterion_02_kernel_sequence():
 
 
 def test_criterion_03_oracle_equivalence():
-    with criterion(3, "composition-lcm oracle equals n!*d_n, n = 1..20"):
+    with criterion(3, "composition-lcm oracle equals n!*d_n, n = 1..30"):
         started = time.perf_counter()
-        for n in range(1, 21):
+        for n in range(1, 31):
             assert numtheory.Dn_bruteforce(n) == numtheory.common_denominator(n)[0]
         assert time.perf_counter() - started < 120.0
 

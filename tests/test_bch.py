@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bchdenom import bch
+from bchdenom import bch, errors
 from bchdenom.bch import (
     CommonDenominatorError,
     check_corollary_prime,
@@ -65,12 +65,13 @@ def test_degree_report_parallel_matches_serial():
     assert serial == parallel
 
 
-def test_degree_report_budgets():
-    # the table budget (2^22 words by default) is the only scan budget
+def test_degree_report_budgets(monkeypatch):
+    # the scan budget (2^22 words) is the only scan budget
     with pytest.raises(BudgetError):
         degree_report(23, 2)
+    monkeypatch.setattr(errors, "SCAN_BUDGET", 3**7)
     with pytest.raises(BudgetError):
-        degree_report(8, 3, table_budget=3**7)
+        degree_report(8, 3)
     with pytest.raises(ValueError, match="unknown backend"):
         degree_coefficients(3, 2, "bogus")
     with pytest.raises(ValueError, match="unknown backend"):
@@ -87,17 +88,21 @@ def test_checks_forward_backend_keywords_to_one_check(parallelism):
         goldberg_check(5, bakend="dp")  # a misspelt keyword is not swallowed
 
 
-def test_dp_report_budget_counts_class_words():
+def test_dp_report_budget_counts_class_words(monkeypatch):
     # the class-reduced DP builds no table: its budget counts the words it computes
     classes = len(bch.class_representatives(8, 3))
-    assert degree_report(8, 3, "dp", table_budget=classes) == degree_report(8, 3, "series")
+    series = degree_report(8, 3, "series")
+    monkeypatch.setattr(errors, "SCAN_BUDGET", classes)
+    assert degree_report(8, 3, "dp") == series
+    monkeypatch.setattr(errors, "SCAN_BUDGET", classes - 1)
     with pytest.raises(BudgetError, match=f"scan of {classes} words of degree 8"):
-        degree_report(8, 3, "dp", table_budget=classes - 1)
+        degree_report(8, 3, "dp")
+    monkeypatch.setattr(errors, "SCAN_BUDGET", 3**7)
     for backend in ("series", "both"):
         with pytest.raises(BudgetError, match=r"3\^8 words"):
-            degree_report(8, 3, backend, table_budget=3**7)
+            degree_report(8, 3, backend)
     with pytest.raises(BudgetError):
-        degree_coefficients(8, 3, "dp", table_budget=3**7)  # every word, as for table
+        degree_coefficients(8, 3, "dp")  # every word, as for table
 
 
 @pytest.mark.parametrize("words", [None, bch.class_representatives(9)])

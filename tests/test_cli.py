@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from bchdenom import bch, cli
+from bchdenom import bch, cli, errors
 
 D_SEQUENCE = [1, 1, 2, 1, 6, 2, 6, 3, 10, 2, 6, 2, 210, 30, 12, 3, 30, 10, 210, 42, 330, 30, 60, 30, 546]
 KERNEL_SEQUENCE = [1, 1, 2, 1, 6, 2, 6, 3, 10, 2, 6, 2, 210, 30, 6, 3, 30, 10, 210, 42, 330, 30, 30, 30, 546]
@@ -89,33 +89,53 @@ def test_verify_eq3(capsys):
     assert out.count("PASS") == 10
 
 
-def test_verify_eq3_budget_exceeded(capsys):
-    code, _, err = run(capsys, "verify", "--what", "eq3", "--max", "22", "--enum-bound", "4")
+def _never_enumerated(real):
+    """A patch factory, as in EXIT_CASES, for a partition enumerator that must not run."""
+
+    def never(n):
+        raise AssertionError(f"the partitions of {n} were enumerated")
+
+    return never
+
+
+def test_verify_eq3_budget_exceeded(capsys, monkeypatch):
+    # p(71) = 4697205 partitions are over the scan budget: counted without enumerating a single
+    # partition, and refused before the first degree runs
+    monkeypatch.setattr(cli.numtheory, "partitions", _never_enumerated(None))
+    code, out, err = run(capsys, "verify", "--what", "eq3", "--max", "71")
     assert code == 3
-    assert "budget" in err
+    assert out == ""
+    assert err == (
+        "budget exceeded: enumeration of the 4697205 partitions of 71 exceeds the scan budget 4194304\n"
+    )
 
 
-def test_verify_eq3_budget_names_flag_degree_and_cap(capsys):
+def test_verify_eq3_budget_is_the_scan_budget(capsys, monkeypatch):
+    # the largest degree's partitions are held to the one scan budget, whose value is all that moves it
+    monkeypatch.setattr(errors, "SCAN_BUDGET", 627)  # p(20)
+    code, out, err = run(capsys, "verify", "--what", "eq3", "--max", "20")
+    assert code == 0 and out.count("PASS") == 20 and err == ""
     code, out, err = run(capsys, "verify", "--what", "eq3", "--max", "22")
-    assert code == 3
-    assert out.count("PASS") == 20
-    assert "--enum-bound 20" in err
-    assert "degree 22" in err and "degree 21" in err
-    assert "792 partitions" in err  # p(21)
-    assert "hard cap" not in err  # --enum-bound is the only enumeration budget
-    assert "compositions" not in err
+    assert code == 3 and out == ""
+    assert "792 partitions of 21" not in err and "1002 partitions of 22" in err  # p(22), the largest degree
+    assert "--" not in err and "compositions" not in err  # no flag raises it
 
 
 def test_verify_enum_bound_hard_cap(capsys):
-    # there is no hard cap: any bound of at least 1 is accepted
-    code, out, err = run(capsys, "verify", "--what", "eq3", "--max", "5", "--enum-bound", "25")
+    # no bound short of the scan budget: eq3 reaches the paper's degree 30 with no flag, and the
+    # --enum-bound flag is gone (a usage error)
+    code, out, err = run(capsys, "verify", "--what", "eq3", "--max", "30")
     assert code == 0
-    assert out.count("PASS") == 5
+    assert out.count("PASS") == 30 and len(out.splitlines()) == 30
+    code, out, err = run(capsys, "verify", "--what", "eq3", "--max", "5", "--enum-bound", "25")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --enum-bound 25" in err
 
 
 def test_verify_eq3_above_default_bound_warns_nothing(capsys):
-    # the partition oracle at degree 24 is about interpreter start
-    code, out, err = run(capsys, "verify", "--what", "eq3", "--max", "24", "--enum-bound", "24")
+    # past degree 20, the old enumeration default: the partition oracle at degree 24 is about
+    # interpreter start, and says nothing on stderr
+    code, out, err = run(capsys, "verify", "--what", "eq3", "--max", "24")
     assert code == 0
     assert out.count("PASS") == 24
     assert err == ""
@@ -819,10 +839,13 @@ EXIT_CASES = {
     "cor2-budget-dp": (["verify", "--what", "cor2", "--max", "24", "--backend", "dp"], None, 3),
     "eq3-pass": (["verify", "--what", "eq3", "--max", "8"], None, 0),
     "eq3-violation": (["verify", "--what", "eq3", "--max", "3"], ("numtheory.common_denominator", _plus_one), 1),
-    "eq3-budget": (["verify", "--what", "eq3", "--max", "22", "--enum-bound", "4"], None, 3),
+    # p(71) partitions, over the scan budget: refused before any is enumerated
+    "eq3-budget": (
+        ["verify", "--what", "eq3", "--max", "71"], ("numtheory.Dn_bruteforce", _never_enumerated), 3
+    ),
+    # --enum-bound is gone, so any value of it is an unknown flag
     "eq3-enum-bound-0": (["verify", "--what", "eq3", "--max", "3", "--enum-bound", "0"], None, 2),
-    "eq3-enum-bound-negative": (["verify", "--what", "eq3", "--max", "3", "--enum-bound", "-1"], None, 2),
-    "eq3-enum-bound-26": (["verify", "--what", "eq3", "--max", "26", "--enum-bound", "26"], None, 0),
+    "eq3-26": (["verify", "--what", "eq3", "--max", "26"], None, 0),
     "bernoulli-pass": (["verify", "--what", "bernoulli", "--max", "10"], None, 0),
     "bernoulli-violation": (
         ["verify", "--what", "bernoulli", "--max", "3"],
@@ -857,9 +880,45 @@ def test_exit_code_contract(capsys, monkeypatch, argv, patch, expected):
     elif expected == 2:
         assert err and out == ""
     elif expected == 3:
-        assert "budget" in err
-        if argv[:3] != ["verify", "--what", "eq3"]:  # eq3 streams the degrees it finished first
-            assert out == ""
+        assert "budget" in err and out == ""
+
+
+# (argv, patched scan budget or None, what the refusal counts): one of each kind of size
+BUDGET_REFUSALS = {
+    "series-table": (["table", "--degree", "25"], None, "scan of 2^25 words"),
+    "per-word-scan": (["verify", "--what", "cor1", "--max", "23", "--backend", "dp"], None, "scan of 2^23 words"),
+    "class-scan": (
+        ["verify", "--what", "minimal", "--alphabet", "3", "--max", "8", "--backend", "dp"],
+        len(bch.class_representatives(8, 3)) - 1,
+        f"scan of {len(bch.class_representatives(8, 3))} words of degree 8",
+    ),
+    "partitions": (
+        ["verify", "--what", "eq3", "--max", "71"], None, "enumeration of the 4697205 partitions of 71"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, budget, what", BUDGET_REFUSALS.values(), ids=BUDGET_REFUSALS.keys())
+def test_every_budget_refusal_is_one_message(capsys, monkeypatch, argv, budget, what):
+    # tables, words, classes and partitions: one budget, one check, one message, and no output
+    if budget is not None:
+        monkeypatch.setattr(errors, "SCAN_BUDGET", budget)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.splitlines()[-1] == f"budget exceeded: {what} exceeds the scan budget {errors.SCAN_BUDGET}"
+
+
+def test_plain_cor2_builds_only_the_printed_record(capsys, monkeypatch):
+    # every cor2 degree fails, and a record names each violating word; plain format prints the
+    # first failure's record alone, so it builds that one only
+    calls = []
+    real = bch.CongruenceReport.to_json_dict
+    monkeypatch.setattr(bch.CongruenceReport, "to_json_dict", lambda r: calls.append(r.p) or real(r))
+    code, out, _ = run(capsys, "verify", "--what", "cor2", "--max", "12")
+    *lines, last = out.splitlines()
+    assert code == 1 and calls == [3]
+    assert [line.split(":")[0] for line in lines] == [f"cor2 p={p} (degree {p + 1})" for p in (3, 5, 7, 11)]
+    assert json.loads(last) == {"check": "cor2", **real(bch.check_corollary_prime_plus_one(3))}
 
 
 def _broken_at(degrees, broken):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bchdenom import errors
 from bchdenom.errors import BudgetError
 from bchdenom.freealgebra import (
     DegreeTable,
@@ -302,13 +303,14 @@ def test_bch_series_three_letters_degree_two():
             assert series.coefficient(Word((i, j))) == expected
 
 
-def test_bch_series_validation():
+def test_bch_series_validation(monkeypatch):
     with pytest.raises(ValueError):
         bch_series(1, 3)
     with pytest.raises(ValueError):
         bch_series(2, 0)
-    with pytest.raises(BudgetError):
-        bch_series(2, 24, table_budget=1 << 20)
+    monkeypatch.setattr(errors, "SCAN_BUDGET", 1 << 20)
+    with pytest.raises(BudgetError, match=r"degree table of 2\^24 entries exceeds the scan budget 1048576"):
+        bch_series(2, 24)
 
 
 # ---------------------------------------------------------------------------

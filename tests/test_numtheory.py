@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bchdenom import errors
 from bchdenom import numtheory as nt
 from bchdenom.errors import BudgetError
 
@@ -302,12 +303,21 @@ def test_Dn_bruteforce_degree_11():
     assert nt.Dn_bruteforce(11) == 239500800
 
 
-def test_Dn_bruteforce_bound():
-    with pytest.raises(BudgetError):
-        nt.Dn_bruteforce(25)
-    with pytest.raises(BudgetError):
-        nt.Dn_bruteforce(5, bound=4)
-    assert nt.Dn_bruteforce(5, bound=5) == 720
+def test_Dn_bruteforce_bound(monkeypatch):
+    # the oracle's p(n) partitions are held to the one scan budget, counted before any is enumerated
+    with pytest.raises(BudgetError, match="4697205 partitions of 71 exceeds the scan budget 4194304"):
+        nt.Dn_bruteforce(71)
+    monkeypatch.setattr(errors, "SCAN_BUDGET", 6)  # p(5) = 7
+    with pytest.raises(BudgetError, match="the 7 partitions of 5"):
+        nt.Dn_bruteforce(5)
+    monkeypatch.setattr(errors, "SCAN_BUDGET", 7)
+    assert nt.Dn_bruteforce(5) == 720
+
+
+def test_partition_count_matches_the_enumeration():
+    assert [nt.partition_count(n) for n in range(26)] == [sum(1 for _ in nt.partitions(n)) for n in range(26)]
+    # p(70) is the last count within the scan budget of 2^22
+    assert nt.partition_count(70) == 4087968 <= errors.SCAN_BUDGET < nt.partition_count(71) == 4697205
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +366,7 @@ def test_hp_min_bounds():
     with pytest.raises(ValueError):
         nt.hp_min(5, 0, 2)
     with pytest.raises(BudgetError):
-        nt.hp_min(25, 3, 2)
+        nt.hp_min(71, 3, 2)
 
 
 def test_constructive_partition_examples():
