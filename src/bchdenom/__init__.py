@@ -7,6 +7,8 @@ that equality exactly and verifies everything that is checkable at small
 degrees.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bch import (
     CommonDenominatorError,
     CongruenceReport,
@@ -61,50 +63,7 @@ from .numtheory import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetError",
-    "CommonDenominatorError",
-    "CongruenceReport",
-    "DegreeTable",
-    "DenominatorReport",
-    "Dn_bruteforce",
-    "GoldbergDegreeResult",
-    "PadicExpansion",
-    "PrimeFactorization",
-    "TableEntry",
-    "TruncatedSeries",
-    "Word",
-    "all_words",
-    "bch_coeff_word",
-    "bch_series",
-    "bernoulli_numbers",
-    "bernoulli_poly_denominator",
-    "check_corollary_prime",
-    "check_corollary_prime_plus_one",
-    "class_representatives",
-    "coefficient_value_table",
-    "common_denominator",
-    "compositions",
-    "compositions_into",
-    "compute_dn",
-    "constructive_partition",
-    "degree_coefficients",
-    "degree_report",
-    "digit_sum",
-    "factorial_valuation",
-    "goldberg_check",
-    "goldberg_denominator",
-    "hp_min",
-    "is_prime",
-    "multinomial_valuation",
-    "numerator_over_common",
-    "padic_expansion",
-    "padic_valuation",
-    "partitions",
-    "primes_below",
-    "series_exp_generator",
-    "series_log1p",
-    "series_multiply",
-    "squarefree_kernel",
-    "staircase_coeff",
-]
+# every public name imported above, and not the submodules those imports bind
+__all__ = sorted(
+    name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _ModuleType)
+)

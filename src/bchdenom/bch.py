@@ -10,7 +10,10 @@ Each check passes its backend keywords through to ``degree_coefficients``,
 which alone names and checks them; ``shared_scan`` sets them up once for
 a run of several degrees.  One reducer reads a degree's
 coefficients, ``_first_words``: each distinct value, its first word and
-the value of each word; the arithmetic of a value is done once.
+the value of each word; the arithmetic of a value is done once.  Each
+report is one call per degree, and one constructor, ``TableEntry.of``,
+prices a coefficient: its numerator over n! * d_n and the factorization
+of its denominator.
 
 Scans are deterministic: words are visited in packed (lexicographic)
 order, reductions are commutative, and witnesses are always the
@@ -162,12 +165,23 @@ class GoldbergDegreeResult(Record):
 
 
 class TableEntry(Record):
-    """One distinct coefficient value of a degree, with its arithmetic.
+    """A coefficient of a degree, with its arithmetic: the row of a word or of a distinct value.
 
-    ``word`` is the lexicographically smallest word attaining the value.
+    In a row of a distinct value, ``word`` is the lexicographically
+    smallest word attaining the value.
     """
 
     __slots__ = ("value", "denominator_factorization", "numerator", "word")
+
+    @classmethod
+    def of(cls, word: Word, value: Fraction, alphabet_size: int) -> TableEntry:
+        """The entry of ``word``'s coefficient ``value``, with its numerator over n! * d_n.
+
+        The numerator is an integer (else ``CommonDenominatorError``); then
+        the denominator is factored.
+        """
+        numerator = numerator_over_common(word, alphabet_size, coefficient=value)
+        return cls(value, PrimeFactorization.of(value.denominator), numerator, word)
 
 
 def _letters_fit(alphabet_size: int, letter: int, rises: int, falls: int) -> bool:
@@ -385,16 +399,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _integer_numerator(h: Fraction, common: int, word: Word, alphabet_size: int) -> int:
-    quotient, remainder = divmod(common, h.denominator)
-    if remainder:
-        raise CommonDenominatorError(
-            f"denominator of coefficient of {word.to_string(alphabet_size)} "
-            f"does not divide {common}"
-        )
-    return h.numerator * quotient
-
-
 def report_words(n: int, alphabet_size: int, backend: str) -> list[int] | None:
     """The packed words ``degree_report`` or ``goldberg_check`` computes at degree n; None: all.
 
@@ -435,20 +439,29 @@ def _first_words(
     return dict(zip(by_value, first)), map(by_id.__getitem__, map(id, coeffs))
 
 
+def _report_values(n: int, alphabet_size: int, backend: str, scan: dict) -> dict[Fraction, int]:
+    """Each distinct coefficient value of the words ``report_words`` names at degree n, with its first word.
+
+    The words are computed through ``degree_coefficients`` with the other
+    backend keywords ``scan``, and the scan budget counts them; the values
+    come from ``_first_words``.
+    """
+    words = report_words(n, alphabet_size, backend)  # this or degree_coefficients checks n
+    firsts, _ = _first_words(degree_coefficients(n, alphabet_size, backend, words=words, **scan), words)
+    return firsts
+
+
 def degree_report(
     n: int, alphabet_size: int = 2, backend: str = SERIES_BACKEND, **scan
 ) -> DenominatorReport:
     """Scan one degree and compare denominators against n! * d_n.
 
-    It computes the words ``report_words`` names, and the scan budget
-    counts them; ``scan`` holds the other backend keywords of
-    ``degree_coefficients``.
+    It reads the values ``_report_values`` gives; ``scan`` holds the other
+    backend keywords of ``degree_coefficients``.
     """
-    words = report_words(n, alphabet_size, backend)  # this or degree_coefficients checks n
-    coeffs = degree_coefficients(n, alphabet_size, backend, words=words, **scan)
+    firsts = _report_values(n, alphabet_size, backend, scan)
     d_n, _ = compute_dn(n)
     common, _ = common_denominator(n)
-    firsts, _ = _first_words(coeffs, words)
     observed = lcm(*{h.denominator for h in firsts})
     # the lcm need not be attained by any single word (degrees 9..12 for
     # two letters); the witness is then the first word of maximal
@@ -479,7 +492,13 @@ def numerator_over_common(
     if coefficient is None:
         coefficient = bch_coeff_word(word, alphabet_size)
     common, _ = common_denominator(word.degree)
-    return _integer_numerator(coefficient, common, word, alphabet_size)
+    quotient, remainder = divmod(common, coefficient.denominator)
+    if remainder:
+        raise CommonDenominatorError(
+            f"denominator of coefficient of {word.to_string(alphabet_size)} "
+            f"does not divide {common}"
+        )
+    return coefficient.numerator * quotient
 
 
 def _value_entries(
@@ -487,18 +506,13 @@ def _value_entries(
 ) -> tuple[list[TableEntry], Iterator[int]]:
     """Each distinct value of ``coeffs``, every word of degree n, as a ``TableEntry``, worked out once.
 
-    An entry holds the value's first word, its numerator over n! * d_n (else
-    ``CommonDenominatorError``) and the factorization of its denominator.
-    The entries come in order of first appearance, and with them, lazily,
-    each word's entry as its position among them (see ``_first_words``).
+    An entry (``TableEntry.of``) holds the value's first word.  The entries
+    come in order of first appearance, and with them, lazily, each word's
+    entry as its position among them (see ``_first_words``).
     """
-    common, _ = common_denominator(n)
     firsts, positions = _first_words(coeffs, None)
-    entries = []
-    for h, packed in firsts.items():
-        word = Word.unpack(packed, n, alphabet_size)
-        a = _integer_numerator(h, common, word, alphabet_size)
-        entries.append(TableEntry(h, PrimeFactorization.of(h.denominator), a, word))
+    words = (Word.unpack(packed, n, alphabet_size) for packed in firsts.values())
+    entries = [TableEntry.of(word, h, alphabet_size) for word, h in zip(words, firsts)]
     return entries, positions
 
 
@@ -573,30 +587,26 @@ def check_corollary_prime_plus_one(p: int, **scan) -> CongruenceReport:
     )
 
 
-def goldberg_check(n_max: int, backend: str = SERIES_BACKEND, **scan) -> list[GoldbergDegreeResult]:
-    """Test denom((B_{n-1}+B_{n-2})/n!) as a common denominator, degree by degree.
+def goldberg_check(n: int, backend: str = SERIES_BACKEND, **scan) -> GoldbergDegreeResult:
+    """Test denom((B_{n-1}+B_{n-2})/n!) as the common denominator of degree n >= 4.
 
-    For each degree 4..n_max, reports pass when every coefficient
-    denominator divides it, else the lexicographically first failing word
-    together with the non-integer quotient.  It computes the words
-    ``report_words`` names; ``scan`` holds the other backend keywords of
+    The degree passes when every coefficient denominator divides it, else
+    the result names the lexicographically first failing word and the
+    non-integer quotient.  It reads the values ``_report_values`` gives,
+    as ``degree_report`` does; ``scan`` holds the other backend keywords of
     ``degree_coefficients``.  The candidate first fails at degree 11.
     """
-    if n_max < 4:
-        raise ValueError("n_max must be >= 4")
-    results = []
-    for n in range(4, n_max + 1):
-        candidate = numtheory.goldberg_denominator(n)
-        words = report_words(n, 2, backend)
-        firsts, _ = _first_words(degree_coefficients(n, 2, backend, words=words, **scan), words)
-        failing = next((h for h in firsts if candidate % h.denominator), None)
-        if failing is None:
-            results.append(GoldbergDegreeResult(n, candidate, True, None, None, None))
-        else:
-            witness = Word.unpack(firsts[failing], n, 2)
-            ratio = Fraction(candidate, failing.denominator)
-            results.append(GoldbergDegreeResult(n, candidate, False, witness, failing.denominator, ratio))
-    return results
+    if n < 4:
+        raise ValueError("degree must be >= 4")
+    candidate = numtheory.goldberg_denominator(n)
+    firsts = _report_values(n, 2, backend, scan)
+    failing = next((h for h in firsts if candidate % h.denominator), None)
+    if failing is None:
+        return GoldbergDegreeResult(n, candidate, True, None, None, None)
+    witness = Word.unpack(firsts[failing], n, 2)
+    return GoldbergDegreeResult(
+        n, candidate, False, witness, failing.denominator, Fraction(candidate, failing.denominator)
+    )
 
 
 def coefficient_value_table(

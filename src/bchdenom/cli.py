@@ -13,13 +13,11 @@ import os
 import sys
 from collections.abc import Callable, Generator, Iterator, Sequence
 from contextlib import AbstractContextManager, closing
-from fractions import Fraction
 from functools import partial
 
 from . import bch, numtheory
 from .errors import BudgetError
 from .freealgebra import Word, bch_coeff_word
-from .numtheory import PrimeFactorization
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -246,13 +244,17 @@ def _scan(
 ) -> AbstractContextManager[dict]:
     """The backend keywords of a scanning command's run, from ``bch.shared_scan``.
 
-    From degree ``PROGRESS_DEGREE`` on, the largest ``degree`` is first announced on stderr, with
-    the number of ``words`` computed there (None: every word).
+    The largest ``degree`` is first announced (``_announce``) with the number of ``words``
+    computed there (None: every word).
     """
-    if degree >= PROGRESS_DEGREE:
-        count = f"{args.alphabet}**{degree}" if words is None else len(words)
-        _warn(f"scanning degree {degree} ({count} words)...")
+    _announce(degree, f"{args.alphabet}**{degree} words" if words is None else f"{len(words)} words")
     return bch.shared_scan(args.alphabet, args.backend, args.parallelism, degree, words)
+
+
+def _announce(degree: int, count: str) -> None:
+    """From degree ``PROGRESS_DEGREE`` on, name a run's largest degree on stderr, with its ``count``."""
+    if degree >= PROGRESS_DEGREE:
+        _warn(f"scanning degree {degree} ({count})...")
 
 
 def _degree_rows(verdict: str, args: argparse.Namespace) -> Iterator[tuple]:
@@ -296,7 +298,8 @@ def _congruence_rows(args: argparse.Namespace) -> Iterator[tuple]:
 def _goldberg_rows(args: argparse.Namespace) -> Iterator[tuple]:
     N = args.max
     with _scan(args, N, bch.report_words(N, args.alphabet, args.backend)) as scan:
-        for r in bch.goldberg_check(N, **scan):
+        for n in range(4, N + 1):
+            r = bch.goldberg_check(n, **scan)
             outcome = "divides" if r.passed else (
                 f"FAILS at {r.witness.to_string(2)} (denominator {r.witness_denominator}, ratio {r.ratio})"
             )
@@ -316,7 +319,8 @@ def _match_row(check: str, n: int, found: tuple[str, int], expected: tuple[str, 
 
 
 def _eq3_rows(args: argparse.Namespace) -> Iterator[tuple]:
-    numtheory.check_partition_budget(args.max)  # the largest degree has the most partitions
+    # the largest degree has the most partitions
+    _announce(args.max, f"{numtheory.check_partition_budget(args.max)} partitions")
     for n in range(1, args.max + 1):
         oracle = numtheory.Dn_bruteforce(n)
         yield _match_row("eq3", n, ("oracle", oracle), ("closed_form", numtheory.common_denominator(n)[0]))
@@ -365,8 +369,11 @@ def _dn_rows(n_max: int) -> Iterator[tuple]:
 _WORD_FIELDS = ("word", "h_num", "h_den", "a", "denom_factorization")
 
 
-def _word_record(word: str, h: Fraction, a: int, factorization: PrimeFactorization) -> dict:
-    values = (word, str(h.numerator), str(h.denominator), str(a), str(factorization))
+def _word_record(entry: bch.TableEntry, alphabet_size: int) -> dict:
+    """The row of a priced coefficient (``bch.TableEntry.of``)."""
+    h, factorization = entry.value, entry.denominator_factorization
+    text = entry.word.to_string(alphabet_size)
+    values = (text, str(h.numerator), str(h.denominator), str(entry.numerator), str(factorization))
     return dict(zip(_WORD_FIELDS, values))
 
 
@@ -378,19 +385,18 @@ def _coeff_rows(args: argparse.Namespace) -> Iterator[tuple]:
     word = Word.from_string(args.word, args.alphabet)
     if word.degree < 1:
         raise ValueError("the word must be nonempty")
-    h = bch_coeff_word(word, args.alphabet)
+    entry = bch.TableEntry.of(word, bch_coeff_word(word, args.alphabet), args.alphabet)
+    h = entry.value
     common, _ = numtheory.common_denominator(word.degree)
-    a = bch.numerator_over_common(word, args.alphabet, coefficient=h)
-    factorization = PrimeFactorization.of(h.denominator)
-    text = word.to_string(args.alphabet)
+    record = _word_record(entry, args.alphabet)
     # the JSON record also carries the common denominator; the CSV row does not
-    yield {**_word_record(text, h, a, factorization), "common_denominator": str(common)}, (
-        f"word               {text}\n"
+    yield {**record, "common_denominator": str(common)}, (
+        f"word               {record['word']}\n"
         f"degree             {word.degree}\n"
         f"coefficient        {h}\n"
-        f"denominator        {h.denominator} = {factorization}\n"
+        f"denominator        {h.denominator} = {entry.denominator_factorization}\n"
         f"common denominator {common}\n"
-        f"numerator over it  {a}"
+        f"numerator over it  {entry.numerator}"
     ), None
 
 
@@ -406,19 +412,14 @@ def _table_rows(args: argparse.Namespace) -> Iterator[tuple]:
     with _scan(args, n) as scan:
         if args.dedup:
             entries = bch.coefficient_value_table(n, K, **scan)
-            values = ((e.word, e.value, e.numerator, e.denominator_factorization) for e in entries)
         else:
             coeffs = bch.degree_coefficients(n, K, **scan)
-            words = (Word.unpack(packed, n, K) for packed in range(len(coeffs)))
-            values = (
-                (w, h, bch.numerator_over_common(w, K, coefficient=h), PrimeFactorization.of(h.denominator))
-                for w, h in zip(words, coeffs)
-            )
-        for word, h, a, factorization in values:
-            text = word.to_string(K)
-            record = _word_record(text, h, a, factorization)
+            entries = (bch.TableEntry.of(Word.unpack(packed, n, K), h, K) for packed, h in enumerate(coeffs))
+        for entry in entries:
+            record = _word_record(entry, K)
             plain = "" if args.format != "plain" else (  # only the plain format prints this line
-                f"{text:<{n + 2}} h={h!s:<16} a={a!s:<12} denom={record['denom_factorization']}"
+                f"{record['word']:<{n + 2}} h={entry.value!s:<16} a={entry.numerator!s:<12} "
+                f"denom={record['denom_factorization']}"
             )
             yield record, plain, None
 

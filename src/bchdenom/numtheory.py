@@ -351,10 +351,11 @@ def partition_count(n: int) -> int:
     return counts[n]
 
 
-def check_partition_budget(n: int) -> None:
-    """Refuse, before it starts, an enumeration of the partitions of n beyond the scan budget."""
+def check_partition_budget(n: int) -> int:
+    """p(n); but refuse, before it starts, an enumeration of the partitions of n beyond the scan budget."""
     count = partition_count(n)
     check_budget(count, f"enumeration of the {count} partitions of {n}")
+    return count
 
 
 def Dn_bruteforce(n: int) -> int:

@@ -183,7 +183,7 @@ def test_criterion_08_prime_plus_one_congruence(series2_14):
 
 def test_criterion_09_goldberg_refutation(series2_14):
     with criterion(9, "Bernoulli-quotient candidate holds to 10, fails at 11"):
-        results = bch.goldberg_check(11, series=series2_14)
+        results = [bch.goldberg_check(n, series=series2_14) for n in range(4, 12)]
         for result in results:
             if result.degree <= 10:
                 assert result.passed, f"degree {result.degree} unexpectedly fails"

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from types import ModuleType
 
 import pytest
 
+import bchdenom
 from bchdenom import bch, errors
 from bchdenom.bch import (
     CommonDenominatorError,
+    TableEntry,
     check_corollary_prime,
     check_corollary_prime_plus_one,
     coefficient_value_table,
@@ -19,6 +22,7 @@ from bchdenom.bch import (
 )
 from bchdenom.errors import BudgetError
 from bchdenom.freealgebra import Word, bch_coeff_word, bch_series
+from bchdenom.numtheory import PrimeFactorization
 
 
 def W(text):
@@ -163,6 +167,21 @@ def test_numerator_over_common_examples():
 def test_numerator_over_common_fatal_on_non_divisor():
     with pytest.raises(CommonDenominatorError):
         numerator_over_common(W("AB"), coefficient=Fraction(1, 7))
+    with pytest.raises(CommonDenominatorError):
+        TableEntry.of(W("AB"), Fraction(1, 7), 2)
+
+
+def test_table_entry_prices_one_coefficient():
+    word = W("AAAAAAAABBB")
+    entry = TableEntry.of(word, bch_coeff_word(word), 2)
+    assert entry == TableEntry(Fraction(1, 1247400), PrimeFactorization.of(1247400), 192, word)
+    assert str(entry.denominator_factorization) == "2^3*3^4*5^2*7*11"
+
+
+def test_package_exports_each_imported_name_and_no_submodule():
+    for name in bchdenom.__all__:
+        assert not isinstance(getattr(bchdenom, name), ModuleType), name
+    assert {"bch", "errors", "freealgebra", "numtheory"}.isdisjoint(bchdenom.__all__)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +299,7 @@ def test_corollary_prime_plus_one_validation():
 
 
 def test_goldberg_check_low_degrees(series2_6):
-    results = goldberg_check(6, series=series2_6)
+    results = [goldberg_check(n, series=series2_6) for n in range(4, 7)]
     assert [r.degree for r in results] == [4, 5, 6]
     assert all(r.passed for r in results)
     assert results[0].goldberg_denominator == 144
@@ -288,8 +307,9 @@ def test_goldberg_check_low_degrees(series2_6):
 
 
 def test_goldberg_check_validation():
-    with pytest.raises(ValueError):
-        goldberg_check(3)
+    for n in range(-1, 4):  # the candidate is checked from degree 4 on
+        with pytest.raises(ValueError, match="degree must be >= 4"):
+            goldberg_check(n)
 
 
 # ---------------------------------------------------------------------------

@@ -84,9 +84,10 @@ def test_dn_and_coeff_take_no_scan_flags(capsys, monkeypatch):
 
 
 def test_verify_eq3(capsys):
-    code, out, _ = run(capsys, "verify", "--what", "eq3", "--max", "10")
+    code, out, err = run(capsys, "verify", "--what", "eq3", "--max", "10")
     assert code == 0
     assert out.count("PASS") == 10
+    assert err == ""  # degree 10 is below PROGRESS_DEGREE
 
 
 def _never_enumerated(real):
@@ -114,7 +115,7 @@ def test_verify_eq3_budget_is_the_scan_budget(capsys, monkeypatch):
     # the largest degree's partitions are held to the one scan budget, whose value is all that moves it
     monkeypatch.setattr(errors, "SCAN_BUDGET", 627)  # p(20)
     code, out, err = run(capsys, "verify", "--what", "eq3", "--max", "20")
-    assert code == 0 and out.count("PASS") == 20 and err == ""
+    assert code == 0 and out.count("PASS") == 20 and err == "scanning degree 20 (627 partitions)...\n"
     code, out, err = run(capsys, "verify", "--what", "eq3", "--max", "22")
     assert code == 3 and out == ""
     assert "792 partitions of 21" not in err and "1002 partitions of 22" in err  # p(22), the largest degree
@@ -134,11 +135,11 @@ def test_verify_enum_bound_hard_cap(capsys):
 
 def test_verify_eq3_above_default_bound_warns_nothing(capsys):
     # past degree 20, the old enumeration default: the partition oracle at degree 24 is about
-    # interpreter start, and says nothing on stderr
+    # interpreter start, and its stderr is the announce line of its largest degree, p(24) = 1575
     code, out, err = run(capsys, "verify", "--what", "eq3", "--max", "24")
     assert code == 0
     assert out.count("PASS") == 24
-    assert err == ""
+    assert err == "scanning degree 24 (1575 partitions)...\n"
 
 
 def test_verify_bernoulli(capsys):
@@ -320,25 +321,52 @@ def test_verify_goldberg_on_dp_announces_one_word_per_class(capsys):
     assert err == "scanning degree 13 (101 words)...\n"
 
 
+def test_goldberg_prints_each_degree_as_it_finishes(monkeypatch):
+    # a row per goldberg_check call, printed before the next degree is computed; a stdout closed
+    # after the first row leaves degrees 5..11 uncomputed
+    computed = []
+    real = cli.bch.goldberg_check
+
+    def counting(n, **scan):
+        computed.append(n)
+        return real(n, **scan)
+
+    monkeypatch.setattr(cli.bch, "goldberg_check", counting)
+    args = cli.build_parser().parse_args(["verify", "--what", "goldberg", "--max", "11", "--backend", "dp"])
+    rows = cli._goldberg_rows(args)
+    _, plain, _ = next(rows)
+    assert plain == "goldberg n=4: divides" and computed == [4]
+    rows.close()
+
+    computed.clear()
+    printed = []
+
+    class ClosedAfterFirstRow:
+        def emit(self, record, plain):
+            printed.append(plain)
+            raise BrokenPipeError
+
+    with pytest.raises(BrokenPipeError):
+        cli._report(ClosedAfterFirstRow(), cli._goldberg_rows(args))
+    assert printed == ["goldberg n=4: divides"] and computed == [4]
+
+
 def test_verify_goldberg_regression_exits_1(capsys, monkeypatch):
     # if degree 11 ever passed, the check must report it, not crash
     real = cli.bch.goldberg_check
 
-    def degree_11_passes(*args, **kwargs):
-        results = real(*args, **kwargs)
-        return [
-            bch.GoldbergDegreeResult(
-                degree=r.degree,
-                goldberg_denominator=r.goldberg_denominator,
-                passed=True,
-                witness=None,
-                witness_denominator=None,
-                ratio=None,
-            )
-            if r.degree == 11
-            else r
-            for r in results
-        ]
+    def degree_11_passes(n, **kwargs):
+        r = real(n, **kwargs)
+        if n != 11:
+            return r
+        return bch.GoldbergDegreeResult(
+            degree=r.degree,
+            goldberg_denominator=r.goldberg_denominator,
+            passed=True,
+            witness=None,
+            witness_denominator=None,
+            ratio=None,
+        )
 
     monkeypatch.setattr(cli.bch, "goldberg_check", degree_11_passes)
     code, out, err = run(capsys, "verify", "--what", "goldberg", "--max", "11")
