@@ -87,8 +87,8 @@ class CommonDenominatorError(RuntimeError):
     """A reduced coefficient denominator failed to divide n! * d_n.
 
     This cannot happen for correct inputs; it would falsify the
-    divisibility theorem the package exists to check, so it is raised as a
-    fatal internal error rather than reported as a result.
+    divisibility theorem the package exists to check, so the command line
+    reports it as a violation, with exit status 1, not as a crash.
     """
 
 
@@ -198,30 +198,26 @@ def _letters_fit(alphabet_size: int, letter: int, rises: int, falls: int) -> boo
 def _smallest_word(lengths: tuple[int, ...], asc: int, desc: int, alphabet_size: int) -> int | None:
     """The smallest packed word with these run lengths, ascents and descents, if any.
 
-    Greedy, one letter at a time: a prefix extends to such a word exactly
-    when an unused run length can still hold the open run and the letters
-    can still make the remaining rises and falls, because the unused
-    lengths may follow in any order.
+    The lengths may follow in any order, so each run boundary is settled on
+    its own: the run takes the shortest unused length and falls where a
+    fall leaves letters for the rises and falls to come (``_letters_fit``),
+    else the longest and rises, each time to the least letter allowed.
     """
-    K = alphabet_size
-    letter = next((x for x in range(K) if _letters_fit(K, x, asc, desc)), None)
-    if letter is None:
+    T = alphabet_size - 1
+    letter = max(0, desc - asc * T)
+    if letter > T or not _letters_fit(alphabet_size, letter, asc, desc):
         return None
-    unused = list(lengths)  # non-increasing, so unused[0] is the longest
-    packed, run = letter, 1
-    for _ in range(sum(lengths) - 1):
-        for nxt in range(K):
-            if nxt == letter:
-                if run < unused[0]:
-                    run += 1
-                    break
-            elif run in unused:
-                rises, falls = (asc - 1, desc) if nxt > letter else (asc, desc - 1)
-                if min(rises, falls) >= 0 and _letters_fit(K, nxt, rises, falls):
-                    unused.remove(run)
-                    asc, desc, letter, run = rises, falls, nxt, 1
-                    break
-        packed = packed * K + letter
+    unused = list(lengths)  # non-increasing: the longest first, the shortest last
+    packed = 0
+    while unused:
+        fall = max(0, desc - 1 - asc * T)
+        if desc and fall < letter and _letters_fit(alphabet_size, fall, asc, desc - 1):
+            run, nxt, desc = unused.pop(), fall, desc - 1
+        else:  # a rise, or the last run
+            run, nxt, asc = unused.pop(0), max(letter + 1, desc - (asc - 1) * T), asc - 1
+        for _ in range(run):
+            packed = packed * alphabet_size + letter
+        letter = nxt
     return packed
 
 
@@ -230,20 +226,23 @@ def class_representatives(n: int, alphabet_size: int = 2) -> list[int]:
 
     A class is (asc, desc, sorted run lengths) with (asc, desc) and
     (desc, asc) merged; its words share one denominator (see the module
-    docstring).  Two letters give one class per partition of n.
+    docstring).  Two letters give one class per partition of n.  Of the
+    two orders, the one with more rises holds the smaller word.  Where the
+    other cannot start at letter 0, this one does.  Else both rise first,
+    the other at least as high, and exactly as high only when both rise to
+    1; then both fall back to 0 after the same shortest length, which
+    leaves the same comparison with one rise and one fall fewer.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
     reps = []
     for lengths in numtheory.partitions(n):
         boundaries = len(lengths) - 1
-        for asc in range(boundaries // 2 + 1):
-            desc = boundaries - asc
-            # relabelling pairs the words of (asc, desc) with those of
-            # (desc, asc), so either both orders have words or neither has
-            first = _smallest_word(lengths, asc, desc, alphabet_size)
-            if first is not None:
-                reps.append(min(first, _smallest_word(lengths, desc, asc, alphabet_size)))
+        for falls in range(boundaries // 2 + 1):
+            # relabelling pairs the words of the two orders: both have words or neither has
+            word = _smallest_word(lengths, boundaries - falls, falls, alphabet_size)
+            if word is not None:
+                reps.append(word)
     return sorted(reps)
 
 

@@ -36,21 +36,12 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError("max degree must be >= 1")
     if getattr(args, "alphabet", 2) < 2:
         raise ValueError("alphabet size must be >= 2")
-    if getattr(args, "what", None) in _LEAST_MAX:
+    if getattr(args, "what", None) and _CHECKS[args.what][2]:
         if args.alphabet != 2:
             raise ValueError(f"{args.what} is a two-letter check")
-        least, reason = _LEAST_MAX[args.what]
+        least, reason = _CHECKS[args.what][2]
         if args.max < least:
             raise ValueError(f"{args.what} needs --max {least} or more: {reason}")
-
-
-#: Smallest --max for each two-letter check; below it the check would pass
-#: without examining the degrees its claim is about.
-_LEAST_MAX = {
-    "cor1": (2, "the first prime degree is 2"),
-    "cor2": (4, "the first odd prime p = 3 has degree p + 1 = 4"),
-    "goldberg": (11, "the candidate first fails at degree 11"),
-}
 
 
 def _parallelism(text: str) -> int:
@@ -110,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--what",
         required=True,
         choices=tuple(_CHECKS),
-        help="; ".join(f"{what}: {claim}" for what, (_, claim) in _CHECKS.items()),
+        help="; ".join(f"{what}: {claim}" for what, (_, claim, _) in _CHECKS.items()),
     )
     p_verify.add_argument("--max", type=int, required=True, metavar="N")
     p_verify.add_argument("--alphabet", type=int, default=2, metavar="K")
@@ -154,6 +145,8 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         _warn(f"budget exceeded: {exc}")
         return EXIT_BUDGET
+    except bch.CommonDenominatorError as exc:  # it refutes the theorem checked: a violation, not a crash
+        return _violation({"check": getattr(args, "what", args.command), "error": str(exc)})
     except ValueError as exc:
         _warn(f"error: {exc}")
         return EXIT_USAGE
@@ -209,9 +202,7 @@ def _csv_cell(value):
         import json
 
         return json.dumps(value)
-    if value is None:
-        return ""
-    return value
+    return "" if value is None else value
 
 
 def _report(emitter: _CheckEmitter, rows: Generator[tuple, None, None]) -> int:
@@ -226,17 +217,18 @@ def _report(emitter: _CheckEmitter, rows: Generator[tuple, None, None]) -> int:
         for record, plain, failed in rows:
             emitter.emit(record, plain)
             failure = failed if failure is None else failure
-    if failure is None:
-        return EXIT_OK
+    return EXIT_OK if failure is None else _violation(failure)
+
+
+def _violation(record: dict) -> int:
     import json
 
-    print(json.dumps(failure))
+    print(json.dumps(record))  # JSON whatever the format, as the last line of stdout
     return EXIT_VIOLATION
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    rows, _ = _CHECKS[args.what]
-    return _report(_CheckEmitter(args.format), rows(args))
+    return _report(_CheckEmitter(args.format), _CHECKS[args.what][0](args))
 
 
 def _scan(
@@ -333,15 +325,24 @@ def _bernoulli_rows(args: argparse.Namespace) -> Iterator[tuple]:
         yield _match_row("bernoulli", n, ("poly_denominator", poly), ("kernel", kernel))
 
 
-#: Each check of ``verify --what``, in the order ``--help`` lists them: its rows and what it checks.
-_CHECKS: dict[str, tuple[Callable[[argparse.Namespace], Iterator[tuple]], str]] = {
-    "theorem": (partial(_degree_rows, "divisibility_ok"), "every denominator divides n!*d_n"),
-    "minimal": (partial(_degree_rows, "minimal"), "the denominator lcm equals n!*d_n"),
-    "cor1": (_congruence_rows, "prime-degree numerator congruence"),
-    "cor2": (_congruence_rows, "prime-plus-one congruence and zero set"),
-    "eq3": (_eq3_rows, "composition-lcm oracle equals n!*d_n"),
-    "bernoulli": (_bernoulli_rows, "Bernoulli-polynomial denominator equals the kernel"),
-    "goldberg": (_goldberg_rows, "the Bernoulli-quotient candidate passes below degree 11 and fails at 11"),
+#: Each check of ``verify --what``, in ``--help`` order: its rows, what it checks, and for a two-letter
+#: check the least --max and why (below it the check would examine no degree its claim is about).
+_CHECKS: dict[str, tuple[Callable[[argparse.Namespace], Iterator[tuple]], str, tuple[int, str] | None]] = {
+    "theorem": (partial(_degree_rows, "divisibility_ok"), "every denominator divides n!*d_n", None),
+    "minimal": (partial(_degree_rows, "minimal"), "the denominator lcm equals n!*d_n", None),
+    "cor1": (_congruence_rows, "prime-degree numerator congruence", (2, "the first prime degree is 2")),
+    "cor2": (
+        _congruence_rows,
+        "prime-plus-one congruence and zero set",
+        (4, "the first odd prime p = 3 has degree p + 1 = 4"),
+    ),
+    "eq3": (_eq3_rows, "composition-lcm oracle equals n!*d_n", None),
+    "bernoulli": (_bernoulli_rows, "Bernoulli-polynomial denominator equals the kernel", None),
+    "goldberg": (
+        _goldberg_rows,
+        "the Bernoulli-quotient candidate passes below degree 11 and fails at 11",
+        (11, "the candidate first fails at degree 11"),
+    ),
 }
 
 
@@ -371,10 +372,9 @@ _WORD_FIELDS = ("word", "h_num", "h_den", "a", "denom_factorization")
 
 def _word_record(entry: bch.TableEntry, alphabet_size: int) -> dict:
     """The row of a priced coefficient (``bch.TableEntry.of``)."""
-    h, factorization = entry.value, entry.denominator_factorization
-    text = entry.word.to_string(alphabet_size)
-    values = (text, str(h.numerator), str(h.denominator), str(entry.numerator), str(factorization))
-    return dict(zip(_WORD_FIELDS, values))
+    h, text = entry.value, entry.word.to_string(alphabet_size)
+    values = (text, h.numerator, h.denominator, entry.numerator, entry.denominator_factorization)
+    return dict(zip(_WORD_FIELDS, map(str, values)))
 
 
 def _cmd_coeff(args: argparse.Namespace) -> int:
@@ -386,15 +386,14 @@ def _coeff_rows(args: argparse.Namespace) -> Iterator[tuple]:
     if word.degree < 1:
         raise ValueError("the word must be nonempty")
     entry = bch.TableEntry.of(word, bch_coeff_word(word, args.alphabet), args.alphabet)
-    h = entry.value
     common, _ = numtheory.common_denominator(word.degree)
     record = _word_record(entry, args.alphabet)
     # the JSON record also carries the common denominator; the CSV row does not
     yield {**record, "common_denominator": str(common)}, (
         f"word               {record['word']}\n"
         f"degree             {word.degree}\n"
-        f"coefficient        {h}\n"
-        f"denominator        {h.denominator} = {entry.denominator_factorization}\n"
+        f"coefficient        {entry.value}\n"
+        f"denominator        {record['h_den']} = {record['denom_factorization']}\n"
         f"common denominator {common}\n"
         f"numerator over it  {entry.numerator}"
     ), None

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from bchdenom import bch, cli, errors
+from bchdenom.freealgebra import Word, bch_coeff_word
 
 D_SEQUENCE = [1, 1, 2, 1, 6, 2, 6, 3, 10, 2, 6, 2, 210, 30, 12, 3, 30, 10, 210, 42, 330, 30, 60, 30, 546]
 KERNEL_SEQUENCE = [1, 1, 2, 1, 6, 2, 6, 3, 10, 2, 6, 2, 210, 30, 6, 3, 30, 10, 210, 42, 330, 30, 30, 30, 546]
@@ -570,11 +571,23 @@ def test_table_computes_common_denominator_once(capsys):
 
 
 def test_table_checks_every_word_against_the_common_denominator(capsys, monkeypatch):
-    # a common denominator one factor of 2 short cannot hold every coefficient
+    # a common denominator one factor of 2 short cannot hold every coefficient: the table stops at
+    # the first word it cannot hold, with every earlier row and then a violation record naming it
     real = cli.bch.common_denominator
-    monkeypatch.setattr(cli.bch, "common_denominator", lambda n: (real(n)[0] // 2, real(n)[1]))
-    with pytest.raises(cli.bch.CommonDenominatorError):
-        run(capsys, "table", "--degree", "5", "--backend", "dp", "--format", "json")
+    halved = real(5)[0] // 2
+    words = (Word.unpack(packed, 5, 2) for packed in range(2**5))
+    first = next(word for word in words if halved % bch_coeff_word(word, 2).denominator)
+    monkeypatch.setattr(cli.bch, "common_denominator", _halved(real))
+    code, out, err = run(capsys, "table", "--degree", "5", "--backend", "dp", "--format", "json")
+    *rows, last = out.splitlines()
+    assert code == 1 and "Traceback" not in err
+    assert [json.loads(row)["word"] for row in rows] == [
+        Word.unpack(packed, 5, 2).to_string(2) for packed in range(first.pack(2))
+    ]
+    assert json.loads(last) == {
+        "check": "table",
+        "error": f"denominator of coefficient of {first.to_string(2)} does not divide {halved}",
+    }
 
 
 def test_table_budget_exceeded(capsys):
@@ -700,6 +713,11 @@ def _budget_at_degree_4(real):
     return degree_report
 
 
+def _halved(real):
+    # too small for some coefficient: a word is found whose denominator does not divide it
+    return lambda n: (real(n)[0] // 2, real(n)[1])
+
+
 # (argv before "--backend dp --parallelism 2", bch attribute to patch and its factory, exit code, pools opened)
 POOL_PATHS = {
     "pass": (["verify", "--what", "minimal", "--max", "7"], None, 0, 1),
@@ -709,6 +727,7 @@ POOL_PATHS = {
         ["verify", "--what", "theorem", "--max", "6"], ("degree_report", _budget_at_degree_4), 3, 1
     ),
     "usage": (["verify", "--what", "cor1", "--max", "1"], None, 2, 0),
+    "non-divisor": (["verify", "--what", "cor1", "--max", "5"], ("common_denominator", _halved), 1, 1),
     "table": (["table", "--degree", "6"], None, 0, 1),
     "table-dedup": (["table", "--degree", "6", "--dedup"], None, 0, 1),
 }
@@ -858,6 +877,8 @@ EXIT_CASES = {
     ),
     "cor1-pass": (["verify", "--what", "cor1", "--max", "7"], None, 0),
     "cor1-violation": (["verify", "--what", "cor1", "--max", "7"], ("bch.common_denominator", _doubled), 1),
+    # a denominator that does not divide n! * d_n is a violation record, not a traceback
+    "cor1-non-divisor": (["verify", "--what", "cor1", "--max", "5"], ("bch.common_denominator", _halved), 1),
     "cor1-three-letters": (["verify", "--what", "cor1", "--max", "5", "--alphabet", "3"], None, 2),
     "cor1-max-1": (["verify", "--what", "cor1", "--max", "1"], None, 2),
     "cor2-max-3": (["verify", "--what", "cor2", "--max", "3"], None, 2),

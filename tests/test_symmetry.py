@@ -31,7 +31,13 @@ from bchdenom.bch import (
     goldberg_check,
 )
 from bchdenom.freealgebra import Word, bch_coeff_word
-from bchdenom.numtheory import common_denominator, compute_dn, goldberg_denominator, partitions
+from bchdenom.numtheory import (
+    common_denominator,
+    compute_dn,
+    goldberg_denominator,
+    partition_count,
+    partitions,
+)
 
 
 @cache
@@ -115,7 +121,8 @@ def test_class_invariance_on_random_words(data):
     assert_class_invariant(lambda w: bch_coeff_word(w, K), Word(tuple(letters)), K)
 
 
-@pytest.mark.parametrize("K, N", [(2, 12), (3, 7), (4, 5)])
+# five and six letters: the rule's least letters scale with K - 1, which three letters barely exercise
+@pytest.mark.parametrize("K, N", [(2, 12), (3, 7), (4, 5), (5, 6), (6, 5)])
 def test_class_representatives_are_the_class_minima(K, N):
     for n in range(1, N + 1):
         minima: dict = {}
@@ -140,10 +147,24 @@ def test_letters_fit_matches_the_letter_sequences(K):
                 assert bch._letters_fit(K, letter, rises, falls) == ((letter, rises, falls) in made)
 
 
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_smallest_word_is_the_least_word_of_its_run_structure(K):
+    # both orders of every class: the least word with those run lengths, rises and falls, or None
+    for n in range(1, 8):
+        least: dict = {}
+        for packed in range(K**n):
+            least.setdefault(run_shape(Word.unpack(packed, n, K)), packed)
+        for lengths in partitions(n):
+            for asc in range(len(lengths)):
+                desc = len(lengths) - 1 - asc
+                expected = least.get((asc, desc, tuple(sorted(lengths))))
+                assert bch._smallest_word(lengths, asc, desc, K) == expected, (lengths, asc, desc)
+
+
 def test_class_representatives_count_partitions():
     # two letters: one class per partition of n, p(n) words
-    for n in range(1, 21):
-        assert len(class_representatives(n, 2)) == sum(1 for _ in partitions(n))
+    for n in range(1, 26):
+        assert len(class_representatives(n, 2)) == partition_count(n)
     # the K=2 scan of degrees 1..13 computes 372 words instead of 16,382
     assert sum(len(class_representatives(n, 2)) for n in range(1, 14)) == 372
     with pytest.raises(ValueError):
