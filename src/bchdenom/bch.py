@@ -256,7 +256,8 @@ def _dp_scan_chunk(task: tuple[int, int, Sequence[int], bool]) -> list[Fraction]
     degree, alphabet_size, words, every_word = task
     words = (Word.unpack(packed, degree, alphabet_size) for packed in words)
     if every_word:
-        # Fractions until the benchmark's peak RSS stops growing with its call count (ROADMAP item 4)
+        # Fractions until the benchmark stops keeping each call's stdout, so that its peak RSS stops
+        # growing with its call count (ROADMAP item 1), and the kernel switches (item 6)
         coeffs = (bch_coeff_word(word, alphabet_size) for word in words)
     else:
         coeffs = map(_scaled_bch_coeff_word, words)
@@ -377,12 +378,17 @@ def shared_scan(
 
     The run's largest scan, of the packed ``words`` at ``degree`` (None: every word), is held to
     the scan budget first; then the series is built through ``degree`` for the backends that
-    read one, and the worker pool opens.
+    read one, and the worker pool opens.  Given ``words`` (those ``report_words`` lists), the
+    keywords also carry them as ``listed``, (degree, words), so that the report of that degree
+    (``degree_report``, ``goldberg_check``) does not list them again.
     """
     _check_budget(degree, alphabet_size, backend, words)
     series = None if backend == DP_BACKEND else bch_series(alphabet_size, degree)
     with worker_pool(backend, parallelism) as pool:
-        yield {"backend": backend, "series": series, "parallelism": parallelism, "pool": pool}
+        scan = {"backend": backend, "series": series, "parallelism": parallelism, "pool": pool}
+        if words is not None:
+            scan["listed"] = (degree, words)
+        yield scan
 
 
 def _pool_size(parallelism: int) -> int:
@@ -443,9 +449,12 @@ def _report_values(n: int, alphabet_size: int, backend: str, scan: dict) -> dict
 
     The words are computed through ``degree_coefficients`` with the other
     backend keywords ``scan``, and the scan budget counts them; the values
-    come from ``_first_words``.
+    come from ``_first_words``.  Words that ``shared_scan`` has ``listed``
+    for degree n are read, not listed again.
     """
-    words = report_words(n, alphabet_size, backend)  # this or degree_coefficients checks n
+    listed_degree, words = scan.pop("listed", (None, None))
+    if listed_degree != n:
+        words = report_words(n, alphabet_size, backend)  # this or degree_coefficients checks n
     firsts, _ = _first_words(degree_coefficients(n, alphabet_size, backend, words=words, **scan), words)
     return firsts
 
@@ -456,7 +465,7 @@ def degree_report(
     """Scan one degree and compare denominators against n! * d_n.
 
     It reads the values ``_report_values`` gives; ``scan`` holds the other
-    backend keywords of ``degree_coefficients``.
+    backend keywords of ``degree_coefficients``, as ``shared_scan`` gives them.
     """
     firsts = _report_values(n, alphabet_size, backend, scan)
     d_n, _ = compute_dn(n)
@@ -593,7 +602,8 @@ def goldberg_check(n: int, backend: str = SERIES_BACKEND, **scan) -> GoldbergDeg
     the result names the lexicographically first failing word and the
     non-integer quotient.  It reads the values ``_report_values`` gives,
     as ``degree_report`` does; ``scan`` holds the other backend keywords of
-    ``degree_coefficients``.  The candidate first fails at degree 11.
+    ``degree_coefficients``, as ``shared_scan`` gives them.  The candidate
+    first fails at degree 11.
     """
     if n < 4:
         raise ValueError("degree must be >= 4")

@@ -339,6 +339,23 @@ def bch_coeff_word(word: Word, alphabet_size: int = 2) -> Fraction:
     of the length-i prefix, the product of the blocks' coefficients in the
     exponential product.  Then coeff = sum_k (-1)^{k+1}/k * f_k(n).
     Agrees with extraction from ``bch_series`` (enforced by tests).
+
+    The step cur[i] += f_k(j) * c skips the ``Fraction`` operations that
+    cannot change a value, each exact by itself:
+
+    * a factor that is ``_ONE`` gives the other factor, since x * 1 = x:
+      c is ``_ONE`` for every block of distinct letters, and f_k(j) is
+      ``_ONE`` at the start and wherever it took such a c;
+    * a cell still holding ``_ZERO`` takes the product, since 0 + x = x
+      (a product of nonzero values is never zero, so a cell holds
+      ``_ZERO`` until its first term);
+    * consecutive entries of one row that are the same object share one
+      product: ``_staircase_rows`` keeps the object where the letter
+      changes, and f_k(j) is fixed along the row, so the product is too.
+      The shared product starts afresh at each row j.
+
+    The k-th term of the sum divides f_k(n) by the integer k instead of
+    multiplying it by a new ``Fraction((-1)^{k+1}, k)``.
     """
     word._check_alphabet(alphabet_size)
     n = word.degree
@@ -356,12 +373,18 @@ def bch_coeff_word(word: Word, alphabet_size: int = 2) -> Fraction:
             if not fj:
                 continue
             alive = True
-            for offset, c in enumerate(rows[j]):
-                cur[j + 1 + offset] += fj * c
+            last = None
+            for i, c in enumerate(rows[j], j + 1):
+                if c is not last:
+                    last = c
+                    product = fj if c is _ONE else c if fj is _ONE else fj * c
+                held = cur[i]
+                cur[i] = product if held is _ZERO else held + product
         if not alive:
             break
         if cur[n]:
-            total += Fraction((-1) ** (k + 1), k) * cur[n]
+            term = cur[n] / k
+            total = total + term if k % 2 else total - term
         prev = cur
     return total
 

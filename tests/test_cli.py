@@ -352,6 +352,20 @@ def test_goldberg_prints_each_degree_as_it_finishes(monkeypatch):
     assert printed == ["goldberg n=4: divides"] and computed == [4]
 
 
+@pytest.mark.parametrize("what, N, first", [("minimal", 10, 1), ("goldberg", 12, 4)])
+def test_dp_run_lists_each_degree_once(capsys, monkeypatch, what, N, first):
+    # the largest degree is listed for the scan's budget and announcement, and its report reuses
+    # that list; stdout is the series backend's
+    argv = ["verify", "--what", what, "--max", str(N)]
+    _, expected, _ = run(capsys, *argv, "--backend", "series")
+    listed = []
+    real = bch.class_representatives
+    monkeypatch.setattr(bch, "class_representatives", lambda n, *K: listed.append(n) or real(n, *K))
+    code, out, _ = run(capsys, *argv, "--backend", "dp")
+    assert code == 0 and out == expected
+    assert sorted(listed) == list(range(first, N + 1))
+
+
 def test_verify_goldberg_regression_exits_1(capsys, monkeypatch):
     # if degree 11 ever passed, the check must report it, not crash
     real = cli.bch.goldberg_check

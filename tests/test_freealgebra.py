@@ -336,14 +336,13 @@ def test_bch_coeff_word_rejects_empty():
 
 
 def test_backends_agree_small():
-    series = bch_series(2, 5)
-    for degree in range(1, 6):
-        for word in all_words(degree, 2):
-            assert bch_coeff_word(word, 2) == series.coefficient(word)
-    series3 = bch_series(3, 3)
-    for degree in range(1, 4):
-        for word in all_words(degree, 3):
-            assert bch_coeff_word(word, 3) == series3.coefficient(word)
+    # four and five letters give rows of three or more runs, where one product serves several
+    # letter changes
+    for K, N in [(2, 5), (3, 3), (4, 5), (5, 4)]:
+        series = bch_series(K, N)
+        for degree in range(1, N + 1):
+            for word in all_words(degree, K):
+                assert bch_coeff_word(word, K) == series.coefficient(word)
 
 
 @given(st.data())
