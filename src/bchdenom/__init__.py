@@ -17,6 +17,7 @@ from .bch import (
     TableEntry,
     check_corollary_prime,
     check_corollary_prime_plus_one,
+    class_count,
     class_representatives,
     coefficient_value_table,
     degree_coefficients,

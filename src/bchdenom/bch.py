@@ -47,8 +47,8 @@ A class is therefore (asc, desc, sorted run lengths) with (asc, desc) and
 class (``class_representatives``), as does the Goldberg check.  For two
 letters the runs alternate, so there is one class per partition of n:
 p(n) words, as in Goldberg's formula (M. Goldberg, Duke Math. J. 23
-(1956) 13-21).  The tests check the invariance on both backends rather
-than assume it.
+(1956) 13-21); ``class_count`` counts them without listing any.  The
+tests check the invariance on both backends rather than assume it.
 """
 
 from __future__ import annotations
@@ -90,6 +90,10 @@ class CommonDenominatorError(RuntimeError):
     divisibility theorem the package exists to check, so the command line
     reports it as a violation, with exit status 1, not as a crash.
     """
+
+
+class BackendDisagreementError(RuntimeError):
+    """The two backends of "both" differ at a word: reported as a violation, exit status 1."""
 
 
 class DenominatorReport(Record):
@@ -221,6 +225,24 @@ def _smallest_word(lengths: tuple[int, ...], asc: int, desc: int, alphabet_size:
     return packed
 
 
+def class_count(n: int, alphabet_size: int = 2) -> int:
+    """How many words ``class_representatives(n, K)`` lists, counted without listing them.
+
+    ``parts[r][m]`` counts the partitions of r into exactly m parts: p(r, m) = p(r-1, m-1) + p(r-m, m).
+    Each has a word for each order of its m - 1 boundaries that K letters allow, which only the
+    numbers of rises and falls decide: the first test of ``_smallest_word``.
+    """
+    _check_degree(n)
+    parts = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
+    for r in range(1, n + 1):
+        for m in range(1, r + 1):
+            parts[r][m] = parts[r - 1][m - 1] + parts[r - m][m]
+    return sum(
+        parts[n][m] * sum(_smallest_word((), m - 1 - f, f, alphabet_size) is not None for f in range((m + 1) // 2))
+        for m in range(1, n + 1)
+    )
+
+
 def class_representatives(n: int, alphabet_size: int = 2) -> list[int]:
     """The smallest packed word of each run-length class of degree n, in increasing order.
 
@@ -231,10 +253,10 @@ def class_representatives(n: int, alphabet_size: int = 2) -> list[int]:
     other cannot start at letter 0, this one does.  Else both rise first,
     the other at least as high, and exactly as high only when both rise to
     1; then both fall back to 0 after the same shortest length, which
-    leaves the same comparison with one rise and one fall fewer.
+    leaves the same comparison with one rise and one fall fewer.  Their
+    number (``class_count``) is held to the scan budget before any is listed.
     """
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+    _check_budget(n, alphabet_size, DP_BACKEND, class_count(n, alphabet_size))
     reps = []
     for lengths in numtheory.partitions(n):
         boundaries = len(lengths) - 1
@@ -270,14 +292,14 @@ def _check_degree(n: int) -> None:
         raise ValueError("degree must be >= 1")
 
 
-def _check_budget(n: int, alphabet_size: int, backend: str, words: Sequence[int] | None = None) -> None:
+def _check_budget(n: int, alphabet_size: int, backend: str, count: int | None = None) -> None:
     """Refuse a degree-n scan of more words than the scan budget.
 
-    The scan computes the given ``words`` on the per-word DP, else all K^n
+    The scan computes ``count`` given words on the per-word DP, else all K^n
     (the series holds every word of a degree in its table).
     """
-    if words is not None and backend == DP_BACKEND:
-        check_budget(len(words), f"scan of {len(words)} words of degree {n}")
+    if count is not None and backend == DP_BACKEND:
+        check_budget(count, f"scan of {count} words of degree {n}")
     else:
         check_budget(alphabet_size**n, f"scan of {alphabet_size}^{n} words")
 
@@ -297,8 +319,9 @@ def degree_coefficients(
 
     ``backend`` is one of ``BACKENDS``: "series", the dense series; "dp",
     the per-word DP; or "both", which compares the two entry by entry
-    before returning.  Any other name is a ``ValueError``.  ``words``
-    defaults to every word, so the result is indexed by packed word; on
+    before returning (``BackendDisagreementError`` where they differ).
+    Any other name is a ``ValueError``.  ``words`` defaults to every
+    word, so the result is indexed by packed word; on
     the series backend it is then the series' own table, shared rather
     than copied, which callers read and do not modify.  ``series`` may
     carry a precomputed series (``shared_scan`` builds one for a run);
@@ -316,7 +339,7 @@ def degree_coefficients(
         raise ValueError("parallelism must be >= 1")
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    _check_budget(n, alphabet_size, backend, words)
+    _check_budget(n, alphabet_size, backend, None if words is None else len(words))
     total = alphabet_size**n
     if words is not None and not all(0 <= packed < total for packed in words):
         raise ValueError(f"packed word out of range for degree {n}")
@@ -329,7 +352,7 @@ def degree_coefficients(
         for i, (a, b) in enumerate(zip(from_series, from_dp)):
             if a != b:
                 word = Word.unpack(i if words is None else words[i], n, alphabet_size)
-                raise RuntimeError(
+                raise BackendDisagreementError(
                     f"backend disagreement at {word.to_string(alphabet_size)}: "
                     f"series {a} vs per-word {b}"
                 )
@@ -372,23 +395,19 @@ def worker_pool(backend: str, parallelism: int) -> AbstractContextManager[Pool |
 
 @contextmanager
 def shared_scan(
-    alphabet_size: int, backend: str, parallelism: int, degree: int, words: Sequence[int] | None = None
+    alphabet_size: int, backend: str, parallelism: int, degree: int, count: int | None = None
 ) -> Iterator[dict]:
     """The backend keywords of a run's degree scans, as a context: one series and one worker pool.
 
-    The run's largest scan, of the packed ``words`` at ``degree`` (None: every word), is held to
-    the scan budget first; then the series is built through ``degree`` for the backends that
-    read one, and the worker pool opens.  Given ``words`` (those ``report_words`` lists), the
-    keywords also carry them as ``listed``, (degree, words), so that the report of that degree
-    (``degree_report``, ``goldberg_check``) does not list them again.
+    The run's largest scan, of ``count`` words at ``degree`` (None: every word; a degree report's
+    count is ``_report_count``), is held to the scan budget first, before any word is listed;
+    then the series is built through ``degree`` for the backends that read one, and the worker
+    pool opens.
     """
-    _check_budget(degree, alphabet_size, backend, words)
+    _check_budget(degree, alphabet_size, backend, count)
     series = None if backend == DP_BACKEND else bch_series(alphabet_size, degree)
     with worker_pool(backend, parallelism) as pool:
-        scan = {"backend": backend, "series": series, "parallelism": parallelism, "pool": pool}
-        if words is not None:
-            scan["listed"] = (degree, words)
-        yield scan
+        yield {"backend": backend, "series": series, "parallelism": parallelism, "pool": pool}
 
 
 def _pool_size(parallelism: int) -> int:
@@ -404,19 +423,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def report_words(n: int, alphabet_size: int, backend: str) -> list[int] | None:
-    """The packed words ``degree_report`` or ``goldberg_check`` computes at degree n; None: all.
+def _report_count(n: int, alphabet_size: int, backend: str) -> int | None:
+    """How many words ``degree_report`` or ``goldberg_check`` computes at degree n; None: all.
 
     The per-word DP computes one word per run-length class
-    (``class_representatives``; p(n) words for two letters, after
-    Goldberg 1956): the words of a class share a denominator, so the lcm is
-    unchanged, and the first word of maximal denominator, or of a failing
-    one, is the smallest word of its class.  The series backend and "both"
-    (the unreduced cross-check) compute every word.
+    (``class_representatives``, counted by ``class_count``; p(n) words for
+    two letters, after Goldberg 1956): the words of a class share a
+    denominator, so the lcm is unchanged, and the first word of maximal
+    denominator, or of a failing one, is the smallest word of its class.
+    The series backend and "both" (the unreduced cross-check) compute every
+    word.
     """
-    if backend == DP_BACKEND:
-        return class_representatives(n, alphabet_size)
-    return None
+    return class_count(n, alphabet_size) if backend == DP_BACKEND else None
 
 
 def _first_words(
@@ -445,16 +463,15 @@ def _first_words(
 
 
 def _report_values(n: int, alphabet_size: int, backend: str, scan: dict) -> dict[Fraction, int]:
-    """Each distinct coefficient value of the words ``report_words`` names at degree n, with its first word.
+    """Each distinct coefficient value of the words a report computes at degree n, with its first word.
 
-    The words are computed through ``degree_coefficients`` with the other
-    backend keywords ``scan``, and the scan budget counts them; the values
-    come from ``_first_words``.  Words that ``shared_scan`` has ``listed``
-    for degree n are read, not listed again.
+    The words (``_report_count`` counts them; None: every word) are listed
+    here, once per degree, after the scan budget has counted them, and
+    computed through ``degree_coefficients`` with the other backend
+    keywords ``scan``.  The values come from ``_first_words``.
     """
-    listed_degree, words = scan.pop("listed", (None, None))
-    if listed_degree != n:
-        words = report_words(n, alphabet_size, backend)  # this or degree_coefficients checks n
+    counted = _report_count(n, alphabet_size, backend)  # this or degree_coefficients checks n
+    words = None if counted is None else class_representatives(n, alphabet_size)
     firsts, _ = _first_words(degree_coefficients(n, alphabet_size, backend, words=words, **scan), words)
     return firsts
 

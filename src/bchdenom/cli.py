@@ -145,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         _warn(f"budget exceeded: {exc}")
         return EXIT_BUDGET
-    except bch.CommonDenominatorError as exc:  # it refutes the theorem checked: a violation, not a crash
+    except (bch.CommonDenominatorError, bch.BackendDisagreementError) as exc:  # a violation, not a crash
         return _violation({"check": getattr(args, "what", args.command), "error": str(exc)})
     except ValueError as exc:
         _warn(f"error: {exc}")
@@ -231,16 +231,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return _report(_CheckEmitter(args.format), _CHECKS[args.what][0](args))
 
 
-def _scan(
-    args: argparse.Namespace, degree: int, words: list[int] | None = None
-) -> AbstractContextManager[dict]:
+def _scan(args: argparse.Namespace, degree: int, count: int | None = None) -> AbstractContextManager[dict]:
     """The backend keywords of a scanning command's run, from ``bch.shared_scan``.
 
-    The largest ``degree`` is first announced (``_announce``) with the number of ``words``
+    The largest ``degree`` is first announced (``_announce``) with the ``count`` of words
     computed there (None: every word).
     """
-    _announce(degree, f"{args.alphabet}**{degree} words" if words is None else f"{len(words)} words")
-    return bch.shared_scan(args.alphabet, args.backend, args.parallelism, degree, words)
+    _announce(degree, f"{args.alphabet}**{degree} words" if count is None else f"{count} words")
+    return bch.shared_scan(args.alphabet, args.backend, args.parallelism, degree, count)
 
 
 def _announce(degree: int, count: str) -> None:
@@ -252,7 +250,7 @@ def _announce(degree: int, count: str) -> None:
 def _degree_rows(verdict: str, args: argparse.Namespace) -> Iterator[tuple]:
     """theorem and minimal: one degree report per degree, judged by its field ``verdict``."""
     what, K, N = args.what, args.alphabet, args.max
-    with _scan(args, N, bch.report_words(N, K, args.backend)) as scan:
+    with _scan(args, N, bch._report_count(N, K, args.backend)) as scan:
         for n in range(1, N + 1):
             report = bch.degree_report(n, K, **scan)
             ok, fields = getattr(report, verdict), report.to_json_dict()
@@ -289,7 +287,7 @@ def _congruence_rows(args: argparse.Namespace) -> Iterator[tuple]:
 
 def _goldberg_rows(args: argparse.Namespace) -> Iterator[tuple]:
     N = args.max
-    with _scan(args, N, bch.report_words(N, args.alphabet, args.backend)) as scan:
+    with _scan(args, N, bch._report_count(N, args.alphabet, args.backend)) as scan:
         for n in range(4, N + 1):
             r = bch.goldberg_check(n, **scan)
             outcome = "divides" if r.passed else (

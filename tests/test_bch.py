@@ -109,6 +109,15 @@ def test_dp_report_budget_counts_class_words(monkeypatch):
         degree_coefficients(8, 3, "dp")  # every word, as for table
 
 
+def test_dp_report_refuses_before_listing_a_class(monkeypatch):
+    # p(71) classes are counted, not listed: the partitions the listing walks are never asked for
+    listed = []
+    monkeypatch.setattr(bch.numtheory, "partitions", lambda n: listed.append(n) or iter(()))
+    with pytest.raises(BudgetError, match="scan of 4697205 words of degree 71 exceeds"):
+        degree_report(71, 2, "dp")
+    assert listed == []
+
+
 @pytest.mark.parametrize("words", [None, bch.class_representatives(9)])
 def test_dp_shares_one_fraction_per_value_as_the_series_does(words):
     # serially, as on the series, a degree's objects are as many as its values

@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,28 @@ def test_verify_eq3_budget_exceeded(capsys, monkeypatch):
     assert out == ""
     assert err == (
         "budget exceeded: enumeration of the 4697205 partitions of 71 exceeds the scan budget 4194304\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, degree, classes",
+    [
+        (["--what", "minimal", "--max", "71"], 71, 4697205),
+        (["--what", "goldberg", "--max", "71"], 71, 4697205),
+        (["--what", "minimal", "--alphabet", "3", "--max", "62"], 62, 4627559),
+    ],
+    ids=["minimal", "goldberg", "minimal-three-letters"],
+)
+def test_dp_class_scan_budget_exceeded(capsys, monkeypatch, argv, degree, classes):
+    # the largest degree's classes are over the scan budget: counted without listing a single
+    # class (the listing walks the partitions, so that fails at once), and refused before the
+    # first degree runs
+    monkeypatch.setattr(cli.numtheory, "partitions", _never_enumerated(None))
+    code, out, err = run(capsys, "verify", *argv, "--backend", "dp")
+    assert code == 3 and out == ""
+    assert err == (
+        f"scanning degree {degree} ({classes} words)...\n"
+        f"budget exceeded: scan of {classes} words of degree {degree} exceeds the scan budget 4194304\n"
     )
 
 
@@ -354,8 +377,8 @@ def test_goldberg_prints_each_degree_as_it_finishes(monkeypatch):
 
 @pytest.mark.parametrize("what, N, first", [("minimal", 10, 1), ("goldberg", 12, 4)])
 def test_dp_run_lists_each_degree_once(capsys, monkeypatch, what, N, first):
-    # the largest degree is listed for the scan's budget and announcement, and its report reuses
-    # that list; stdout is the series backend's
+    # the largest degree's classes are counted for the scan's budget and announcement, and listed
+    # only by its report; stdout is the series backend's
     argv = ["verify", "--what", what, "--max", str(N)]
     _, expected, _ = run(capsys, *argv, "--backend", "series")
     listed = []
@@ -727,12 +750,18 @@ def _budget_at_degree_4(real):
     return degree_report
 
 
+def _disagreeing_at_degree_4(real):
+    # the per-word DP of every word, wrong at degree 4 only: "both" finds the series disagrees
+    return lambda word, K: Fraction(1, 7) if word.degree == 4 else real(word, K)
+
+
 def _halved(real):
     # too small for some coefficient: a word is found whose denominator does not divide it
     return lambda n: (real(n)[0] // 2, real(n)[1])
 
 
-# (argv before "--backend dp --parallelism 2", bch attribute to patch and its factory, exit code, pools opened)
+# (argv, with "--backend dp --parallelism 2" after its command, bch attribute to patch and its factory,
+# exit code, pools opened)
 POOL_PATHS = {
     "pass": (["verify", "--what", "minimal", "--max", "7"], None, 0, 1),
     "violation": (["verify", "--what", "cor2", "--max", "6"], None, 1, 1),
@@ -742,6 +771,12 @@ POOL_PATHS = {
     ),
     "usage": (["verify", "--what", "cor1", "--max", "1"], None, 2, 0),
     "non-divisor": (["verify", "--what", "cor1", "--max", "5"], ("common_denominator", _halved), 1, 1),
+    "disagreement": (
+        ["verify", "--what", "minimal", "--max", "6", "--backend", "both"],
+        ("bch_coeff_word", _disagreeing_at_degree_4),
+        1,
+        1,
+    ),
     "table": (["table", "--degree", "6"], None, 0, 1),
     "table-dedup": (["table", "--degree", "6", "--dedup"], None, 0, 1),
 }
@@ -756,7 +791,7 @@ def test_every_pool_a_verify_run_opens_is_exited(
     if patch is not None:
         attr, factory = patch
         monkeypatch.setattr(bch, attr, factory(getattr(bch, attr)))
-    code, out, err = run(capsys, *argv, "--backend", "dp", "--parallelism", "2")
+    code, out, err = run(capsys, argv[0], "--backend", "dp", "--parallelism", "2", *argv[1:])
     assert code == expected
     assert recording_pool.sizes == [2] * pools
     assert len(recording_pool.exits) == pools
@@ -884,6 +919,12 @@ EXIT_CASES = {
         ["verify", "--what", "minimal", "--max", "6", "--backend", "per-word-dp"], None, 2
     ),
     "minimal-budget": (["verify", "--what", "minimal", "--alphabet", "3", "--max", "14"], None, 3),
+    # the series and the DP disagree: a violation record, not a traceback
+    "minimal-backend-disagreement": (
+        ["verify", "--what", "minimal", "--max", "6", "--backend", "both"],
+        ("bch.bch_coeff_word", _disagreeing_at_degree_4),
+        1,
+    ),
     "minimal-dp-three-letters-14": (
         ["verify", "--what", "minimal", "--alphabet", "3", "--max", "14", "--backend", "dp"],
         None,

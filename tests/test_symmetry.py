@@ -25,6 +25,7 @@ from bchdenom import bch
 from bchdenom.bch import (
     DenominatorReport,
     GoldbergDegreeResult,
+    class_count,
     class_representatives,
     degree_coefficients,
     degree_report,
@@ -167,8 +168,17 @@ def test_class_representatives_count_partitions():
         assert len(class_representatives(n, 2)) == partition_count(n)
     # the K=2 scan of degrees 1..13 computes 372 words instead of 16,382
     assert sum(len(class_representatives(n, 2)) for n in range(1, 14)) == 372
-    with pytest.raises(ValueError):
-        class_representatives(0, 2)
+    # counted without listing, through the last degree within the scan budget
+    assert [class_count(n, 2) for n in range(1, 71)] == [partition_count(n) for n in range(1, 71)]
+    for reject in (class_representatives, class_count):
+        with pytest.raises(ValueError):
+            reject(0, 2)
+
+
+@pytest.mark.parametrize("K, N", [(2, 21), (3, 14), (4, 11), (5, 9), (6, 8), (7, 7)])
+def test_class_count_is_the_number_of_representatives(K, N):
+    for n in range(1, N + 1):
+        assert class_count(n, K) == len(class_representatives(n, K)), n
 
 
 def full_scan_report(n: int, K: int, backend: str = "dp") -> DenominatorReport:
