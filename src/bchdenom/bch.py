@@ -225,22 +225,27 @@ def _smallest_word(lengths: tuple[int, ...], asc: int, desc: int, alphabet_size:
     return packed
 
 
+def _orders(runs: int, alphabet_size: int) -> list[tuple[int, int]]:
+    """Each merged class order of ``runs`` runs that K letters allow, as (rises, falls) with rises >= falls.
+
+    Such an order starts at letter 0, and its falls cut its rises into falls + 1 stretches that each
+    climb at most K - 1: it has words exactly when rises <= (K - 1) * (falls + 1), or runs <= K * (falls + 1).
+    """
+    return [(runs - 1 - falls, falls) for falls in range((runs + 1) // 2) if runs <= alphabet_size * (falls + 1)]
+
+
 def class_count(n: int, alphabet_size: int = 2) -> int:
     """How many words ``class_representatives(n, K)`` lists, counted without listing them.
 
     ``parts[r][m]`` counts the partitions of r into exactly m parts: p(r, m) = p(r-1, m-1) + p(r-m, m).
-    Each has a word for each order of its m - 1 boundaries that K letters allow, which only the
-    numbers of rises and falls decide: the first test of ``_smallest_word``.
+    Each has a word for each of its ``_orders(m, K)``, the orders with rises <= (K - 1) * (falls + 1).
     """
     _check_degree(n)
     parts = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
     for r in range(1, n + 1):
         for m in range(1, r + 1):
             parts[r][m] = parts[r - 1][m - 1] + parts[r - m][m]
-    return sum(
-        parts[n][m] * sum(_smallest_word((), m - 1 - f, f, alphabet_size) is not None for f in range((m + 1) // 2))
-        for m in range(1, n + 1)
-    )
+    return sum(parts[n][m] * len(_orders(m, alphabet_size)) for m in range(1, n + 1))
 
 
 def class_representatives(n: int, alphabet_size: int = 2) -> list[int]:
@@ -253,19 +258,16 @@ def class_representatives(n: int, alphabet_size: int = 2) -> list[int]:
     other cannot start at letter 0, this one does.  Else both rise first,
     the other at least as high, and exactly as high only when both rise to
     1; then both fall back to 0 after the same shortest length, which
-    leaves the same comparison with one rise and one fall fewer.  Their
-    number (``class_count``) is held to the scan budget before any is listed.
+    leaves the same comparison with one rise and one fall fewer.  K letters allow
+    the order with more rises exactly when rises <= (K - 1) * (falls + 1) (``_orders``);
+    the count of these words (``class_count``) is held to the budget before any is listed.
     """
     _check_budget(n, alphabet_size, DP_BACKEND, class_count(n, alphabet_size))
-    reps = []
-    for lengths in numtheory.partitions(n):
-        boundaries = len(lengths) - 1
-        for falls in range(boundaries // 2 + 1):
-            # relabelling pairs the words of the two orders: both have words or neither has
-            word = _smallest_word(lengths, boundaries - falls, falls, alphabet_size)
-            if word is not None:
-                reps.append(word)
-    return sorted(reps)
+    return sorted(
+        _smallest_word(lengths, rises, falls, alphabet_size)
+        for lengths in numtheory.partitions(n)
+        for rises, falls in _orders(len(lengths), alphabet_size)
+    )
 
 
 def _dp_scan_chunk(task: tuple[int, int, Sequence[int], bool]) -> list[Fraction]:

@@ -27,7 +27,7 @@ EXIT_BROKEN_PIPE = 141
 
 PARALLELISM_ENV = "BCHDENOM_PARALLELISM"
 
-PROGRESS_DEGREE = 12  # scans at least this large announce themselves on stderr
+PROGRESS_WORDS = 2**12  # a scan whose largest degree has this many words or more announces itself on stderr
 
 
 def _validate(args: argparse.Namespace) -> None:
@@ -237,13 +237,13 @@ def _scan(args: argparse.Namespace, degree: int, count: int | None = None) -> Ab
     The largest ``degree`` is first announced (``_announce``) with the ``count`` of words
     computed there (None: every word).
     """
-    _announce(degree, f"{args.alphabet}**{degree} words" if count is None else f"{count} words")
+    _announce(degree, args.alphabet, f"{args.alphabet}**{degree} words" if count is None else f"{count} words")
     return bch.shared_scan(args.alphabet, args.backend, args.parallelism, degree, count)
 
 
-def _announce(degree: int, count: str) -> None:
-    """From degree ``PROGRESS_DEGREE`` on, name a run's largest degree on stderr, with its ``count``."""
-    if degree >= PROGRESS_DEGREE:
+def _announce(degree: int, alphabet_size: int, count: str) -> None:
+    """Name a run's largest degree on stderr with its ``count``, if it has ``PROGRESS_WORDS`` words or more."""
+    if alphabet_size**degree >= PROGRESS_WORDS:
         _warn(f"scanning degree {degree} ({count})...")
 
 
@@ -309,8 +309,8 @@ def _match_row(check: str, n: int, found: tuple[str, int], expected: tuple[str, 
 
 
 def _eq3_rows(args: argparse.Namespace) -> Iterator[tuple]:
-    # the largest degree has the most partitions
-    _announce(args.max, f"{numtheory.check_partition_budget(args.max)} partitions")
+    # the largest degree has the most partitions; announced from degree 12 on, as for two letters
+    _announce(args.max, 2, f"{numtheory.check_partition_budget(args.max)} partitions")
     for n in range(1, args.max + 1):
         oracle = numtheory.Dn_bruteforce(n)
         yield _match_row("eq3", n, ("oracle", oracle), ("closed_form", numtheory.common_denominator(n)[0]))

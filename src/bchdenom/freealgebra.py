@@ -219,7 +219,7 @@ def series_multiply(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     return out
 
 
-def series_log1p(y: TruncatedSeries, max_degree: int | None = None) -> TruncatedSeries:
+def series_log1p(y: TruncatedSeries) -> TruncatedSeries:
     """log(1 + Y) = sum_{k=1}^{N} (-1)^{k+1}/k * Y^k for constant-free Y.
 
     Stopping at k = N is exact, not an approximation: Y has no constant
@@ -228,11 +228,7 @@ def series_log1p(y: TruncatedSeries, max_degree: int | None = None) -> Truncated
     """
     if y.constant_term != 0:
         raise ValueError("series must have zero constant term")
-    N = y.max_degree if max_degree is None else max_degree
-    if N > y.max_degree:
-        raise ValueError("cannot extend a series beyond its truncation degree")
-    if N < y.max_degree:
-        y = TruncatedSeries(N, y.alphabet_size, [t for t in y.tables[: N + 1]])
+    N = y.max_degree
     if N == 0:
         return TruncatedSeries.zero(y.alphabet_size, 0)
     horner = TruncatedSeries.constant(Fraction((-1) ** (N + 1), N), y.alphabet_size, N)
@@ -337,7 +333,9 @@ def bch_coeff_word(word: Word, alphabet_size: int = 2) -> Fraction:
     Splits of the word into k nonempty staircase blocks are counted by a
     dynamic program over prefix lengths: f_k(i) sums, over all such splits
     of the length-i prefix, the product of the blocks' coefficients in the
-    exponential product.  Then coeff = sum_k (-1)^{k+1}/k * f_k(n).
+    exponential product.  Then coeff = sum_k (-1)^{k+1}/k * f_k(n).  The
+    loop runs to k = n: f_k(k) = 1, from the split into k one-letter
+    blocks, so no row k <= n is all zero.
     Agrees with extraction from ``bch_series`` (enforced by tests).
 
     The step cur[i] += f_k(j) * c skips the ``Fraction`` operations that
@@ -367,12 +365,10 @@ def bch_coeff_word(word: Word, alphabet_size: int = 2) -> Fraction:
     total = _ZERO
     for k in range(1, n + 1):
         cur = [_ZERO] * (n + 1)
-        alive = False
         for j in range(k - 1, n):
             fj = prev[j]
             if not fj:
                 continue
-            alive = True
             last = None
             for i, c in enumerate(rows[j], j + 1):
                 if c is not last:
@@ -380,8 +376,6 @@ def bch_coeff_word(word: Word, alphabet_size: int = 2) -> Fraction:
                     product = fj if c is _ONE else c if fj is _ONE else fj * c
                 held = cur[i]
                 cur[i] = product if held is _ZERO else held + product
-        if not alive:
-            break
         if cur[n]:
             term = cur[n] / k
             total = total + term if k % 2 else total - term
@@ -425,16 +419,12 @@ def _scaled_bch_coeff_word(word: Word) -> Fraction:
     total = 0
     for k in range(1, n + 1):
         cur = [0] * (n + 1)
-        alive = False
         for j in range(k - 1, n):
             fj = prev[j]
             if not fj:
                 continue
-            alive = True
             for i, weight in enumerate(steps[j], j + 1):
                 cur[i] += fj * weight
-        if not alive:
-            break
         if k % 2:
             total += scale // k * cur[n]
         else:

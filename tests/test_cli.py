@@ -89,7 +89,7 @@ def test_verify_eq3(capsys):
     code, out, err = run(capsys, "verify", "--what", "eq3", "--max", "10")
     assert code == 0
     assert out.count("PASS") == 10
-    assert err == ""  # degree 10 is below PROGRESS_DEGREE
+    assert err == ""  # 2**10 words are fewer than PROGRESS_WORDS
 
 
 def _never_enumerated(real):
@@ -314,7 +314,16 @@ def test_verify_dp_scan_byte_identical(capsys, monkeypatch, what):
 
 @pytest.mark.parametrize(
     "alphabet, degree, backend, count",
-    [("2", "13", "dp", "101"), ("3", "14", "dp", "253"), ("2", "13", "series", "2**13")],
+    [
+        ("2", "13", "dp", "101"),
+        ("3", "14", "dp", "253"),
+        ("2", "13", "series", "2**13"),
+        # the gate is the degree's 2**12 words, not the degree: 5**6 = 15,625 and 3**8 = 6,561
+        # announce, 3**7 = 2,187 does not
+        ("5", "6", "both", "5**6"),
+        ("3", "8", "dp", "34"),
+        ("3", "7", "dp", None),
+    ],
 )
 def test_verify_announces_the_words_it_computes(capsys, alphabet, degree, backend, count):
     # the class-reduced DP computes one word per run-length class (p(13) = 101
@@ -322,7 +331,7 @@ def test_verify_announces_the_words_it_computes(capsys, alphabet, degree, backen
     argv = ["verify", "--what", "minimal", "--max", degree, "--alphabet", alphabet, "--backend", backend]
     code, _, err = run(capsys, *argv)
     assert code == 0
-    assert err == f"scanning degree {degree} ({count} words)...\n"
+    assert err == ("" if count is None else f"scanning degree {degree} ({count} words)...\n")
 
 
 @pytest.mark.parametrize(
@@ -330,7 +339,7 @@ def test_verify_announces_the_words_it_computes(capsys, alphabet, degree, backen
     [
         ("cor1", "14", "scanning degree 13 (2**13 words)...\n"),  # 13 is the largest prime <= 14
         ("cor2", "13", "scanning degree 12 (2**12 words)...\n"),  # 11 + 1 is the largest p + 1 <= 13
-        ("cor1", "12", ""),  # its largest degree, 11, is below PROGRESS_DEGREE
+        ("cor1", "12", ""),  # its largest degree, 11, has fewer than PROGRESS_WORDS words
     ],
 )
 def test_verify_congruence_announces_the_largest_degree_it_scans(capsys, what, max_degree, announced):

@@ -221,6 +221,7 @@ def test_series_log1p_degree_two():
 def test_series_log1p_zero_and_errors():
     zero = TruncatedSeries.zero(2, 3)
     assert series_log1p(zero) == zero
+    assert series_log1p(TruncatedSeries.zero(2, 0)) == TruncatedSeries.zero(2, 0)  # degree 0: no Horner step
     with pytest.raises(ValueError):
         series_log1p(TruncatedSeries.constant(Fraction(1), 2, 3))
 

@@ -162,6 +162,21 @@ def test_smallest_word_is_the_least_word_of_its_run_structure(K):
                 assert bch._smallest_word(lengths, asc, desc, K) == expected, (lengths, asc, desc)
 
 
+@pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
+def test_orders_are_those_the_words_make(K):
+    # the (rises, falls) with rises >= falls of the words of 7 letters, by run count (7 letters reach
+    # every run count through 7, by a longer first run), are _orders' closed form
+    made: dict = {}
+    for letters in product(range(K), repeat=7):
+        steps = [(a, b) for a, b in zip(letters, letters[1:]) if a != b]
+        rises = sum(b > a for a, b in steps)
+        falls = len(steps) - rises
+        if rises >= falls:
+            made.setdefault(len(steps) + 1, set()).add((rises, falls))
+    for runs in range(1, 8):
+        assert sorted(made[runs]) == sorted(bch._orders(runs, K)), runs
+
+
 def test_class_representatives_count_partitions():
     # two letters: one class per partition of n, p(n) words
     for n in range(1, 26):
