@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from math import comb, factorial, lcm
+from itertools import groupby
+from math import comb, factorial, lcm, prod
 
 from ._records import Record
 from .errors import check_budget
@@ -174,10 +175,10 @@ def staircase_coeff(word: Word, alphabet_size: int = 2) -> Fraction:
     letters, where it is 1 / (p_0! p_1! ...).  The empty word gives 1.
     """
     word._check_alphabet(alphabet_size)
-    if not word.letters:
-        return _ONE
-    row = _staircase_rows(word.letters)[0]  # stops at the first descent
-    return row[-1] if len(row) == word.degree else _ZERO
+    letters = word.letters
+    if any(a > b for a, b in zip(letters, letters[1:])):
+        return _ZERO
+    return Fraction(1, prod(factorial(len(list(run))) for _, run in groupby(letters)))
 
 
 def series_exp_generator(generator: int, max_degree: int, alphabet_size: int) -> TruncatedSeries:
@@ -301,85 +302,64 @@ def bch_series(alphabet_size: int, max_degree: int) -> TruncatedSeries:
     return TruncatedSeries(N, K, tables)
 
 
-def _staircase_rows(letters: tuple[int, ...]) -> list[list[Fraction]]:
-    # rows[j] holds the product-series coefficients of the subwords
-    # w[j:j+1], w[j:j+2], ... for as long as the letters stay nondecreasing;
-    # beyond the first descent every longer subword has coefficient 0.
-    n = len(letters)
-    rows = []
-    for j in range(n):
-        row = []
-        coeff = _ONE
-        last = -1
-        run = 0
-        for i in range(j, n):
-            c = letters[i]
-            if c < last:
-                break
-            if c == last:
-                run += 1
-                coeff /= run
-            else:
-                last = c
-                run = 1
-            row.append(coeff)
-        rows.append(row)
-    return rows
-
-
 def bch_coeff_word(word: Word, alphabet_size: int = 2) -> Fraction:
     """Coefficient of one word in H, computed without materializing tables.
 
     Splits of the word into k nonempty staircase blocks are counted by a
     dynamic program over prefix lengths: f_k(i) sums, over all such splits
     of the length-i prefix, the product of the blocks' coefficients in the
-    exponential product.  Then coeff = sum_k (-1)^{k+1}/k * f_k(n).  The
-    loop runs to k = n: f_k(k) = 1, from the split into k one-letter
-    blocks, so no row k <= n is all zero.
-    Agrees with extraction from ``bch_series`` (enforced by tests).
+    exponential product.  Then coeff = sum_k (-1)^{k+1}/k * f_k(n).
+    Column i holds f_k(i) for every k: f_{k-1}(j) times the coefficient of
+    the last block w[j:i], summed for j from i-1 leftward while the block
+    is nondecreasing.  Each letter the block gains at its left end starts
+    a new run piece, or lengthens the first piece r_1 and divides the
+    coefficient 1/(r_1! r_2! ...) by r_1.  Tests hold it to ``bch_series``.
 
-    The step cur[i] += f_k(j) * c skips the ``Fraction`` operations that
-    cannot change a value, each exact by itself:
+    The step col[k] += f_{k-1}(j) * c skips the ``Fraction`` operations
+    that cannot change a value, each exact by itself:
 
     * a factor that is ``_ONE`` gives the other factor, since x * 1 = x:
-      c is ``_ONE`` for every block of distinct letters, and f_k(j) is
+      c is ``_ONE`` for every block of distinct letters, and f_{k-1}(j) is
       ``_ONE`` at the start and wherever it took such a c;
     * a cell still holding ``_ZERO`` takes the product, since 0 + x = x
       (a product of nonzero values is never zero, so a cell holds
-      ``_ZERO`` until its first term);
-    * consecutive entries of one row that are the same object share one
-      product: ``_staircase_rows`` keeps the object where the letter
-      changes, and f_k(j) is fixed along the row, so the product is too.
-      The shared product starts afresh at each row j.
+      ``_ZERO`` until its first term).
 
     The k-th term of the sum divides f_k(n) by the integer k instead of
     multiplying it by a new ``Fraction((-1)^{k+1}, k)``.
     """
     word._check_alphabet(alphabet_size)
-    n = word.degree
+    letters = word.letters
+    n = len(letters)
     if n == 0:
         raise ValueError("the empty word has no log coefficient")
-    rows = _staircase_rows(word.letters)
-    prev = [_ZERO] * (n + 1)
-    prev[0] = _ONE
-    total = _ZERO
-    for k in range(1, n + 1):
-        cur = [_ZERO] * (n + 1)
-        for j in range(k - 1, n):
-            fj = prev[j]
-            if not fj:
-                continue
-            last = None
-            for i, c in enumerate(rows[j], j + 1):
-                if c is not last:
-                    last = c
+    cols = [[_ONE]]  # cols[i][k] = f_k(i), k = 0..i
+    for i in range(1, n + 1):
+        col = [_ZERO] + cols[i - 1]  # the block w[i-1:i], coefficient 1
+        right = letters[i - 1]  # the block's first letter
+        piece = 1  # and how often it repeats there
+        c = _ONE
+        for j in range(i - 2, -1, -1):
+            letter = letters[j]
+            if letter > right:
+                break
+            if letter < right:
+                right = letter
+                piece = 1
+            else:
+                piece += 1
+                c = c / piece
+            for k, fj in enumerate(cols[j], 1):
+                if fj:
                     product = fj if c is _ONE else c if fj is _ONE else fj * c
-                held = cur[i]
-                cur[i] = product if held is _ZERO else held + product
-        if cur[n]:
-            term = cur[n] / k
+                    held = col[k]
+                    col[k] = product if held is _ZERO else held + product
+        cols.append(col)
+    total = _ZERO
+    for k, f in enumerate(cols[n][1:], 1):
+        if f:
+            term = f / k
             total = total + term if k % 2 else total - term
-        prev = cur
     return total
 
 
@@ -387,47 +367,37 @@ def _scaled_bch_coeff_word(word: Word) -> Fraction:
     """``bch_coeff_word`` on Python integers, for a nonempty word.
 
     The same dynamic program, carrying F_k(i) = i! * f_k(i).  A staircase
-    block w[j:i] whose runs have the pieces r_1, r_2, ... then moves
-    F_{k-1}(j) to F_k(i) with the integer weight comb(i, j) times the
-    multinomial (i-j)!/(r_1! r_2! ...), that is i!/(j! r_1! r_2! ...).
-    With L = lcm(1..n), the coefficient is
-    sum_k (-1)^{k+1} (L/k) F_k(n) / (L * n!): one ``Fraction`` per word.
-    The tests hold it to ``bch_coeff_word`` and ``bch_series``.
+    block w[j:i] whose runs have the pieces r_1, r_2, ... moves F_{k-1}(j)
+    to F_k(i) with the integer weight i!/(j! r_1! r_2! ...).  Column i
+    grows it leftward from 1: each letter w[j] the block gains multiplies
+    it by (j+1)/r_1, with r_1 the new length of the first piece.  The
+    coefficient is sum_k (-1)^{k+1} (L/k) F_k(n) / (L * n!), L = lcm(1..n):
+    one ``Fraction`` per word.  Tests hold it to both other routes.
     """
     letters = word.letters
     n = len(letters)
-    steps = []  # steps[j][i-j-1]: the weight from prefix j to prefix i
-    for j in range(n):
-        row = []
+    cols = [[1]]  # cols[i][k] = F_k(i), k = 0..i
+    for i in range(1, n + 1):
+        col = [0] * (i + 1)
+        right = letters[i - 1]  # the block's first letter
+        piece = 0  # and how often it repeats there
         weight = 1
-        last = -1
-        run = 0
-        for i in range(j, n):
-            c = letters[i]
-            if c < last:
+        for j in range(i - 1, -1, -1):
+            letter = letters[j]
+            if letter > right:
                 break
-            if c == last:
-                run += 1
+            if letter < right:
+                right = letter
+                piece = 1
             else:
-                last = c
-                run = 1
-            weight = weight * (i + 1) // run  # exact: the new weight is an integer
-            row.append(weight)
-        steps.append(row)
+                piece += 1
+            weight = weight * (j + 1) // piece  # exact: the new weight is an integer
+            for k, f in enumerate(cols[j], 1):
+                col[k] += f * weight
+        cols.append(col)
     scale = lcm(*range(1, n + 1))
-    prev = [1] + [0] * n
     total = 0
     for k in range(1, n + 1):
-        cur = [0] * (n + 1)
-        for j in range(k - 1, n):
-            fj = prev[j]
-            if not fj:
-                continue
-            for i, weight in enumerate(steps[j], j + 1):
-                cur[i] += fj * weight
-        if k % 2:
-            total += scale // k * cur[n]
-        else:
-            total -= scale // k * cur[n]
-        prev = cur
+        term = scale // k * cols[n][k]
+        total += term if k % 2 else -term
     return Fraction(total, scale * factorial(n))

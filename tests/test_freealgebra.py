@@ -28,6 +28,7 @@ from bchdenom.freealgebra import (
     series_multiply,
     staircase_coeff,
 )
+from bchdenom.numtheory import bernoulli_numbers
 
 
 def W(text, alphabet_size=2):
@@ -337,13 +338,25 @@ def test_bch_coeff_word_rejects_empty():
 
 
 def test_backends_agree_small():
-    # four and five letters give rows of three or more runs, where one product serves several
-    # letter changes
+    # four and five letters give blocks of three or more runs, so a block grown leftward
+    # starts new run pieces as well as lengthening its first one
     for K, N in [(2, 5), (3, 3), (4, 5), (5, 4)]:
         series = bch_series(K, N)
         for degree in range(1, N + 1):
             for word in all_words(degree, K):
                 assert bch_coeff_word(word, K) == series.coefficient(word)
+
+
+@pytest.mark.parametrize("kernel", [bch_coeff_word, _scaled_bch_coeff_word])
+def test_one_descent_words_are_bernoulli_numbers(kernel):
+    # coeff(A B^m) = (-1)^m B_m/m! and coeff(B^m A) = B_m/m!, with B_1 = -1/2: words up to
+    # degree 31, past the series backend's reach, whose long blocks meet a formula neither
+    # backend uses
+    bernoulli = bernoulli_numbers(31)
+    for m in range(1, 31):
+        expected = bernoulli[m] / factorial(m)
+        assert kernel(Word((0,) + (1,) * m)) == (-1) ** m * expected, m
+        assert kernel(Word((1,) * m + (0,))) == expected, m
 
 
 @given(st.data())
