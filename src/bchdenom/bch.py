@@ -64,7 +64,7 @@ from typing import TYPE_CHECKING
 
 from . import numtheory
 from ._records import Record
-from .errors import check_budget
+from .errors import check_budget, probed_count
 from .freealgebra import (
     TruncatedSeries,
     Word,
@@ -260,9 +260,9 @@ def class_representatives(n: int, alphabet_size: int = 2) -> list[int]:
     1; then both fall back to 0 after the same shortest length, which
     leaves the same comparison with one rise and one fall fewer.  K letters allow
     the order with more rises exactly when rises <= (K - 1) * (falls + 1) (``_orders``);
-    the count of these words (``class_count``) is held to the budget before any is listed.
+    the count of these words (``_report_count``) is held to the budget before any is listed.
     """
-    _check_budget(n, alphabet_size, DP_BACKEND, class_count(n, alphabet_size))
+    _check_budget(n, alphabet_size, DP_BACKEND, _report_count(n, alphabet_size, DP_BACKEND))
     return sorted(
         _smallest_word(lengths, rises, falls, alphabet_size)
         for lengths in numtheory.partitions(n)
@@ -434,9 +434,17 @@ def _report_count(n: int, alphabet_size: int, backend: str) -> int | None:
     denominator, so the lcm is unchanged, and the first word of maximal
     denominator, or of a failing one, is the smallest word of its class.
     The series backend and "both" (the unreduced cross-check) compute every
-    word.
+    word.  The classes of the degrees below n are probed first
+    (``probed_count``), so that a degree far past the scan budget is refused
+    before its own count, an (n+1)^2 table of integers, is built.
     """
-    return class_count(n, alphabet_size) if backend == DP_BACKEND else None
+    if backend != DP_BACKEND:
+        return None
+    return probed_count(
+        lambda m: class_count(m, alphabet_size),
+        n,
+        lambda count, m: f"scan of degree {n}, at least the {count} words of degree {m},",
+    )
 
 
 def _first_words(
@@ -467,13 +475,12 @@ def _first_words(
 def _report_values(n: int, alphabet_size: int, backend: str, scan: dict) -> dict[Fraction, int]:
     """Each distinct coefficient value of the words a report computes at degree n, with its first word.
 
-    The words (``_report_count`` counts them; None: every word) are listed
-    here, once per degree, after the scan budget has counted them, and
-    computed through ``degree_coefficients`` with the other backend
+    The words (one per class on the per-word DP, else every word) are
+    listed here, once per degree, after the scan budget has counted them,
+    and computed through ``degree_coefficients`` with the other backend
     keywords ``scan``.  The values come from ``_first_words``.
     """
-    counted = _report_count(n, alphabet_size, backend)  # this or degree_coefficients checks n
-    words = None if counted is None else class_representatives(n, alphabet_size)
+    words = class_representatives(n, alphabet_size) if backend == DP_BACKEND else None
     firsts, _ = _first_words(degree_coefficients(n, alphabet_size, backend, words=words, **scan), words)
     return firsts
 
@@ -506,18 +513,14 @@ def degree_report(
     )
 
 
-def numerator_over_common(
-    word: Word, alphabet_size: int = 2, *, coefficient: Fraction | None = None
-) -> int:
-    """a_w: the coefficient of ``word`` written over the common denominator n! * d_n.
+def numerator_over_common(word: Word, alphabet_size: int = 2, *, coefficient: Fraction) -> int:
+    """a_w: ``coefficient``, that of ``word``, written over the common denominator n! * d_n.
 
     Always an integer for genuine coefficients; a non-integer result is
     raised as ``CommonDenominatorError`` (it would disprove the
     divisibility theorem, not signal bad input).
     """
     _check_degree(word.degree)
-    if coefficient is None:
-        coefficient = bch_coeff_word(word, alphabet_size)
     common, _ = common_denominator(word.degree)
     quotient, remainder = divmod(common, coefficient.denominator)
     if remainder:

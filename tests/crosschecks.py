@@ -1,0 +1,105 @@
+"""The slow checks beyond tier-1, as one table of CLI runs: ``python3 tests/crosschecks.py``.
+
+Each entry runs ``python -m bchdenom.cli`` in a fresh interpreter, ``src`` on PYTHONPATH, without
+BCHDENOM_PARALLELISM or COLUMNS.  ``same``: two command lines exit with a given code and print one stdout;
+``digest``: one exits with a given code and stdout SHA-256; ``refused``: one exits 3 with no stdout in time.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import runpy
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))  # by path: sys.path stays as it was
+
+ENV = {k: v for k, v in os.environ.items() if k not in ("BCHDENOM_PARALLELISM", "COLUMNS")}
+ENV["PYTHONPATH"] = str(ROOT / "src")
+V, DP, SERIES = "verify --what ", "--backend dp --parallelism 2", "--backend series"
+
+
+def same(command: str, one: str, other: str, code: int = 0) -> tuple:
+    """``command`` with the flags ``one`` against it with ``other``, both to exit with ``code``."""
+    return ("same", f"{command} {one}", f"{command} {other}", code)
+
+
+ENTRIES = [
+    # every word on both backends, a disagreement being a violation (exit 1), against the series alone
+    *[same(f"{V}minimal --alphabet {k} --max {n}", "--backend both", SERIES)
+      for k, n in ((2, 12), (3, 9), (4, 7), (5, 6))],
+    *[same(f"{V}{check}", "--backend both", SERIES) for check in ("cor1 --max 11", "goldberg --max 12")],
+    # one word per class on dp, whose least letters scale with K - 1; the JSON records carry the witnesses
+    *[same(f"{V}minimal --alphabet {k} --max {n} --format json", DP, SERIES)
+      for k, n in ((2, 20), (3, 12), (5, 9), (6, 8))],
+    # the paper's claim, minimality through degree 30, at either parallelism
+    *[("digest", f"{V}minimal --max 30 --backend dp --parallelism {p}", 0,
+       "7c96a22203f963681dbef21bca2c14cece8cb011172c2f8cdd371cc23afa6d27") for p in (2, 1)],
+    # the partition oracle through degree 30; p(30) = 5604 is far within the scan budget
+    ("digest", f"{V}eq3 --max 30", 0, "ace22d4eb805f5752083528b737027a5d887edee1e1f966d276eea1f8209b55e"),
+    # cor1 and cor2 read every word on both backends, goldberg one word per class on dp; cor2 exits 1 (refuted)
+    *[same(f"{V}{check} --format {fmt}", DP, SERIES, code)
+      for check, code in (("cor1 --max 11", 0), ("cor2 --max 12", 1), ("goldberg --max 14", 0))
+      for fmt in ("plain", "json")],
+    # --max 22 scans the primes through 19, as --max 19 does, and builds no larger series
+    same(f"{V}cor1", f"--max 22 {SERIES}", f"--max 19 {SERIES}"),
+    # every word on the Fraction DP (degree 13 is the dp-table13 workload's), and one priced row per value
+    *[same(f"table --degree {table} --format json", DP, SERIES) for table in ("13", "12 --dedup")],
+    # over the scan budget: refused before a table is built or a word, class or partition listed
+    ("refused", f"{V}cor1 --max 23 --backend dp", 30),
+    *[("refused", f"{V}{run} --backend dp", 10)
+      for run in ("minimal --max 71", "goldberg --max 71", "minimal --alphabet 3 --max 62")],
+    *[("refused", f"{V}{run}", 5) for run in ("minimal --max 5000 --backend dp", "eq3 --max 100000")],
+    # the benchmark's command lines and --help print the stdout it gates on
+    ("digest", " ".join(BENCH["HELP_ARGV"]), 0, BENCH["HELP_SHA256"]),
+    *[("digest", " ".join(w.argv), w.exit_code, w.stdout_sha256) for w in BENCH["WORKLOADS"].values()],
+]
+
+
+def run(command: str, timeout: float | None = None) -> tuple[int, bytes]:
+    """The exit code and stdout of ``bchdenom.cli`` on ``command``, split at spaces."""
+    argv = [sys.executable, "-m", "bchdenom.cli", *command.split()]
+    done = subprocess.run(argv, capture_output=True, env=ENV, timeout=timeout)
+    return done.returncode, done.stdout
+
+
+def check(entry: tuple) -> str | None:
+    """Why ``entry`` fails, or None when it holds."""
+    kind, command, *expected = entry
+    if kind == "same":
+        (code, out), (other_code, other_out) = run(command), run(expected[0])
+        if not code == other_code == expected[1]:
+            return f"exit {code} and {other_code}, not {expected[1]}"
+        common = os.path.commonprefix([out.splitlines(True), other_out.splitlines(True)])  # a list of lines
+        return None if out == other_out else f"stdout differs from line {len(common) + 1}"
+    if kind == "digest":
+        code, out = run(command)
+        digest = hashlib.sha256(out).hexdigest()
+        return None if [code, digest] == expected else f"exit {code}, stdout SHA-256 {digest}"
+    try:
+        code, out = run(command, timeout=expected[0])
+    except subprocess.TimeoutExpired:
+        return f"no exit within {expected[0]} s"
+    return None if code == 3 and not out else f"exit {code} with {len(out)} bytes of stdout"
+
+
+def main() -> int:
+    failed = []
+    for entry in ENTRIES:
+        start, name = time.perf_counter(), f"{entry[0]} {entry[1]}"
+        why = check(entry)
+        took = time.perf_counter() - start
+        print(f"{'FAILED' if why else 'ok':<6} {name} ({took:.1f} s)" + (f": {why}" if why else ""), flush=True)
+        if why:
+            failed.append(name)
+    if failed:
+        print(f"{len(failed)} of {len(ENTRIES)} entries failed:", *failed, sep="\n  ")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

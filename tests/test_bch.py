@@ -167,10 +167,15 @@ def test_report_json_contract(series2_6):
 # numerators over the common denominator
 
 
+def numerator(text):
+    """The numerator over n! * d_n of the coefficient of the two-letter word ``text``."""
+    return numerator_over_common(W(text), coefficient=bch_coeff_word(W(text)))
+
+
 def test_numerator_over_common_examples():
-    assert numerator_over_common(W("AB")) == 1
-    assert numerator_over_common(W("AAAAAAAABBB")) == 192
-    assert numerator_over_common(W("AAAA")) == 0
+    assert numerator("AB") == 1
+    assert numerator("AAAAAAAABBB") == 192
+    assert numerator("AAAA") == 0
 
 
 def test_numerator_over_common_fatal_on_non_divisor():
@@ -201,8 +206,8 @@ def test_corollary_prime_two():
     report = check_corollary_prime(2)
     assert report.expected_residue == 1
     assert report.passed
-    assert numerator_over_common(W("AB")) % 2 == 1
-    assert numerator_over_common(W("BA")) % 2 == 1
+    assert numerator("AB") % 2 == 1
+    assert numerator("BA") % 2 == 1
 
 
 def on_every_backend(*cases):

@@ -135,6 +135,40 @@ def test_dp_class_scan_budget_exceeded(capsys, monkeypatch, argv, degree, classe
     )
 
 
+def _counted_below(real, bound=200):
+    """A spy on a count nondecreasing in the degree: it raises, rather than counts, past ``bound``."""
+
+    def spy(n, *rest):
+        if n > bound:
+            raise AssertionError(f"degree {n} was counted")
+        return real(n, *rest)
+
+    return spy
+
+
+FAR_CLASSES = "scan of degree 100000, at least the {} words of degree {}"
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["minimal", "--backend", "dp"], FAR_CLASSES.format(bch.class_count(128), 128)),
+        (["goldberg", "--backend", "dp"], FAR_CLASSES.format(bch.class_count(128), 128)),
+        (["theorem", "--alphabet", "3", "--backend", "dp"], FAR_CLASSES.format(bch.class_count(64, 3), 64)),
+        (["eq3"], f"enumeration of the partitions of 100000, at least the {cli.numtheory.partition_count(128)} of 128"),
+    ],
+    ids=["minimal", "goldberg", "theorem-three-letters", "eq3"],
+)
+def test_refusal_far_past_the_budget_counts_only_low_degrees(capsys, monkeypatch, argv, what):
+    # each count takes O(n^2) work, so the degrees 1, 2, 4, ... below n are probed first: the first
+    # one over the budget refuses n, and stderr names that degree's count, not a count of n's own
+    monkeypatch.setattr(bch, "class_count", _counted_below(bch.class_count))
+    monkeypatch.setattr(cli.numtheory, "partition_count", _counted_below(cli.numtheory.partition_count))
+    code, out, err = run(capsys, "verify", "--what", argv[0], "--max", "100000", *argv[1:])
+    assert code == 3 and out == ""
+    assert err == f"budget exceeded: {what}, exceeds the scan budget {errors.SCAN_BUDGET}\n"
+
+
 def test_verify_eq3_budget_is_the_scan_budget(capsys, monkeypatch):
     # the largest degree's partitions are held to the one scan budget, whose value is all that moves it
     monkeypatch.setattr(errors, "SCAN_BUDGET", 627)  # p(20)
