@@ -64,7 +64,7 @@ from typing import TYPE_CHECKING
 
 from . import numtheory
 from ._records import Record
-from .errors import check_budget, probed_count
+from .errors import check_budget
 from .freealgebra import (
     TruncatedSeries,
     Word,
@@ -260,9 +260,9 @@ def class_representatives(n: int, alphabet_size: int = 2) -> list[int]:
     1; then both fall back to 0 after the same shortest length, which
     leaves the same comparison with one rise and one fall fewer.  K letters allow
     the order with more rises exactly when rises <= (K - 1) * (falls + 1) (``_orders``);
-    the count of these words (``_report_count``) is held to the budget before any is listed.
+    the count of these words (``scan_count``) is held to the budget before any is listed.
     """
-    _check_budget(n, alphabet_size, DP_BACKEND, _report_count(n, alphabet_size, DP_BACKEND))
+    scan_count(n, alphabet_size, per_class=True)
     return sorted(
         _smallest_word(lengths, rises, falls, alphabet_size)
         for lengths in numtheory.partitions(n)
@@ -294,16 +294,19 @@ def _check_degree(n: int) -> None:
         raise ValueError("degree must be >= 1")
 
 
-def _check_budget(n: int, alphabet_size: int, backend: str, count: int | None = None) -> None:
-    """Refuse a degree-n scan of more words than the scan budget.
+def scan_count(n: int, alphabet_size: int, per_class: bool = False) -> int:
+    """How many words a scan of degree n computes, once the gate (``check_budget``) has passed them.
 
-    The scan computes ``count`` given words on the per-word DP, else all K^n
-    (the series holds every word of a degree in its table).
+    A class-reduced scan (``per_class``) computes one word per run-length class, whose words
+    share a denominator (``class_representatives``, counted by ``class_count``; p(n) words for
+    two letters), and any other scan all K^n words.  Neither count falls as n grows.
     """
-    if count is not None and backend == DP_BACKEND:
-        check_budget(count, f"scan of {count} words of degree {n}")
-    else:
-        check_budget(alphabet_size**n, f"scan of {alphabet_size}^{n} words")
+    if per_class:
+        return check_budget(lambda m: class_count(m, alphabet_size), n, lambda count, m: (
+            f"scan of {count} words of degree {n}" if m == n
+            else f"scan of degree {n}, at least the {count} words of degree {m},"
+        ))
+    return check_budget(lambda m: alphabet_size**m, n, lambda count, m: f"scan of {alphabet_size}^{n} words")
 
 
 def degree_coefficients(
@@ -333,15 +336,16 @@ def degree_coefficients(
     per-word DP runs on ``pool`` (an open pool from ``worker_pool``, such
     as the one ``shared_scan`` shares across a run), or on a pool opened
     for this call.  The scan budget bounds the words the scan computes
-    (``_check_budget``).  ``scan_limit`` is accepted and ignored, because
-    ``perfbench/traced_cli.py`` still passes it.
+    (``scan_count``): given ``words`` on the per-word DP by the degree's
+    class count, else all K^n.  ``scan_limit`` is accepted and ignored,
+    because ``perfbench/traced_cli.py`` still passes it.
     """
     _check_degree(n)
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    _check_budget(n, alphabet_size, backend, None if words is None else len(words))
+    scan_count(n, alphabet_size, per_class=words is not None and backend == DP_BACKEND)
     total = alphabet_size**n
     if words is not None and not all(0 <= packed < total for packed in words):
         raise ValueError(f"packed word out of range for degree {n}")
@@ -396,17 +400,13 @@ def worker_pool(backend: str, parallelism: int) -> AbstractContextManager[Pool |
 
 
 @contextmanager
-def shared_scan(
-    alphabet_size: int, backend: str, parallelism: int, degree: int, count: int | None = None
-) -> Iterator[dict]:
+def shared_scan(alphabet_size: int, backend: str, parallelism: int, degree: int) -> Iterator[dict]:
     """The backend keywords of a run's degree scans, as a context: one series and one worker pool.
 
-    The run's largest scan, of ``count`` words at ``degree`` (None: every word; a degree report's
-    count is ``_report_count``), is held to the scan budget first, before any word is listed;
-    then the series is built through ``degree`` for the backends that read one, and the worker
-    pool opens.
+    The series is built through ``degree`` for the backends that read one (``bch_series`` holds
+    it to the scan budget), and the worker pool opens.  A caller that must refuse before it
+    prints holds its largest scan to the budget first (``scan_count``).
     """
-    _check_budget(degree, alphabet_size, backend, count)
     series = None if backend == DP_BACKEND else bch_series(alphabet_size, degree)
     with worker_pool(backend, parallelism) as pool:
         yield {"backend": backend, "series": series, "parallelism": parallelism, "pool": pool}
@@ -423,28 +423,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on macOS or Windows
         return os.cpu_count() or 1
-
-
-def _report_count(n: int, alphabet_size: int, backend: str) -> int | None:
-    """How many words ``degree_report`` or ``goldberg_check`` computes at degree n; None: all.
-
-    The per-word DP computes one word per run-length class
-    (``class_representatives``, counted by ``class_count``; p(n) words for
-    two letters, after Goldberg 1956): the words of a class share a
-    denominator, so the lcm is unchanged, and the first word of maximal
-    denominator, or of a failing one, is the smallest word of its class.
-    The series backend and "both" (the unreduced cross-check) compute every
-    word.  The classes of the degrees below n are probed first
-    (``probed_count``), so that a degree far past the scan budget is refused
-    before its own count, an (n+1)^2 table of integers, is built.
-    """
-    if backend != DP_BACKEND:
-        return None
-    return probed_count(
-        lambda m: class_count(m, alphabet_size),
-        n,
-        lambda count, m: f"scan of degree {n}, at least the {count} words of degree {m},",
-    )
 
 
 def _first_words(
@@ -476,7 +454,8 @@ def _report_values(n: int, alphabet_size: int, backend: str, scan: dict) -> dict
     """Each distinct coefficient value of the words a report computes at degree n, with its first word.
 
     The words (one per class on the per-word DP, else every word) are
-    listed here, once per degree, after the scan budget has counted them,
+    listed here, once per degree, after the scan budget has counted them
+    (``scan_count``),
     and computed through ``degree_coefficients`` with the other backend
     keywords ``scan``.  The values come from ``_first_words``.
     """
@@ -547,16 +526,14 @@ def _value_entries(
 
 
 def _congruence_scan(
-    p: int, n: int, expected: int, zero: Callable[[int], bool], **scan
+    p: int, n: int, coeffs: Sequence[Fraction], expected: int, zero: Callable[[int], bool]
 ) -> CongruenceReport:
-    """Check a_w = ``expected`` (mod p) over the two-letter words of degree n.
+    """Check a_w = ``expected`` (mod p) over ``coeffs``, those of every two-letter word of degree n.
 
     The packed words for which ``zero`` is true must have coefficient 0
-    instead.  Every word is computed, through ``degree_coefficients`` with
-    the backend keywords ``scan``, but each value's residue once: the pass
-    over the words only picks out, as ``Word``s, those that fail.
+    instead.  Each value's residue is worked out once: the pass over the
+    words only picks out, as ``Word``s, those that fail.
     """
-    coeffs = degree_coefficients(n, 2, **scan)
     entries, positions = _value_entries(n, 2, coeffs)
     residues = [entry.numerator % p for entry in entries]
     violations = []
@@ -582,13 +559,14 @@ def check_corollary_prime(p: int, **scan) -> CongruenceReport:
 
     Those two have coefficient 0 (the terms in A alone sum to log e^A = A),
     and the scan checks that as well.  ``scan`` holds the backend keywords
-    of ``degree_coefficients``.
+    of ``degree_coefficients``, called first: it holds the scan to the budget.
     """
     if not numtheory.is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
+    coeffs = degree_coefficients(p, 2, **scan)
     d_p, _ = compute_dn(p)
     powers = (0, 2**p - 1)  # A^p and B^p
-    return _congruence_scan(p, p, (-d_p) % p, lambda packed: packed in powers, **scan)
+    return _congruence_scan(p, p, coeffs, (-d_p) % p, lambda packed: packed in powers)
 
 
 def check_corollary_prime_plus_one(p: int, **scan) -> CongruenceReport:
@@ -604,16 +582,16 @@ def check_corollary_prime_plus_one(p: int, **scan) -> CongruenceReport:
     the residue (p-1)/2 * d_{p+1} is nonzero mod p.  The reported
     violations are therefore exactly the words B...A outside the zero
     set, each with the negated residue.  ``scan`` holds the backend
-    keywords of ``degree_coefficients``.
+    keywords of ``degree_coefficients``, called first, as for degree p.
     """
     if p == 2 or not numtheory.is_prime(p):
         raise ValueError(f"expected an odd prime, got {p}")
+    coeffs = degree_coefficients(p + 1, 2, **scan)
     d_n, _ = compute_dn(p + 1)
     boundary = {2**p - 1, (2**p - 1) * 2, 1, 2**p}  # AB^p, B^pA, A^pB, BA^p
     return _congruence_scan(
-        p, p + 1, (p - 1) // 2 * d_n % p,
+        p, p + 1, coeffs, (p - 1) // 2 * d_n % p,
         lambda packed: (packed >> p) == (packed & 1) or packed in boundary,  # same first and last letter
-        **scan,
     )
 
 
@@ -629,8 +607,8 @@ def goldberg_check(n: int, backend: str = SERIES_BACKEND, **scan) -> GoldbergDeg
     """
     if n < 4:
         raise ValueError("degree must be >= 4")
+    firsts = _report_values(n, 2, backend, scan)  # held to the scan budget before the Bernoulli numbers
     candidate = numtheory.goldberg_denominator(n)
-    firsts = _report_values(n, 2, backend, scan)
     failing = next((h for h in firsts if candidate % h.denominator), None)
     if failing is None:
         return GoldbergDegreeResult(n, candidate, True, None, None, None)

@@ -16,7 +16,7 @@ from contextlib import AbstractContextManager, closing
 from functools import partial
 
 from . import bch, numtheory
-from .errors import BudgetError
+from .errors import BudgetError, check_budget
 from .freealgebra import Word, bch_coeff_word
 
 EXIT_OK = 0
@@ -231,14 +231,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return _report(_CheckEmitter(args.format), _CHECKS[args.what][0](args))
 
 
-def _scan(args: argparse.Namespace, degree: int, count: int | None = None) -> AbstractContextManager[dict]:
+def _scan(args: argparse.Namespace, degree: int, per_class: bool = False) -> AbstractContextManager[dict]:
     """The backend keywords of a scanning command's run, from ``bch.shared_scan``.
 
-    The largest ``degree`` is first announced (``_announce``) with the ``count`` of words
-    computed there (None: every word).
+    The largest ``degree`` is first held to the scan budget (``bch.scan_count``: one word per
+    class on the per-word DP where ``per_class``, else every word), so a refused run prints
+    nothing but the refusal; then it is announced (``_announce``) with the words computed there.
+    The series is built and the pool opened when the context is entered.
     """
-    _announce(degree, args.alphabet, f"{args.alphabet}**{degree} words" if count is None else f"{count} words")
-    return bch.shared_scan(args.alphabet, args.backend, args.parallelism, degree, count)
+    per_class = per_class and args.backend == bch.DP_BACKEND
+    count = bch.scan_count(degree, args.alphabet, per_class)
+    _announce(degree, args.alphabet, f"{count} words" if per_class else f"{args.alphabet}**{degree} words")
+    return bch.shared_scan(args.alphabet, args.backend, args.parallelism, degree)
 
 
 def _announce(degree: int, alphabet_size: int, count: str) -> None:
@@ -250,7 +254,7 @@ def _announce(degree: int, alphabet_size: int, count: str) -> None:
 def _degree_rows(verdict: str, args: argparse.Namespace) -> Iterator[tuple]:
     """theorem and minimal: one degree report per degree, judged by its field ``verdict``."""
     what, K, N = args.what, args.alphabet, args.max
-    with _scan(args, N, bch._report_count(N, K, args.backend)) as scan:
+    with _scan(args, N, per_class=True) as scan:
         for n in range(1, N + 1):
             report = bch.degree_report(n, K, **scan)
             ok, fields = getattr(report, verdict), report.to_json_dict()
@@ -287,7 +291,7 @@ def _congruence_rows(args: argparse.Namespace) -> Iterator[tuple]:
 
 def _goldberg_rows(args: argparse.Namespace) -> Iterator[tuple]:
     N = args.max
-    with _scan(args, N, bch._report_count(N, args.alphabet, args.backend)) as scan:
+    with _scan(args, N, per_class=True) as scan:
         for n in range(4, N + 1):
             r = bch.goldberg_check(n, **scan)
             outcome = "divides" if r.passed else (
@@ -356,6 +360,15 @@ def _cmd_dn(args: argparse.Namespace) -> int:
 
 
 def _dn_rows(n_max: int) -> Iterator[tuple]:
+    """The rows of degrees 1..n_max, refused first where n! * d_n has more digits than ``str`` may print.
+
+    n! * d_n divides (n+1)! * d_{n+1}, so it never falls as n grows, as the gate requires.
+    """
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (nor the function before 3.10.7)
+    if digits:
+        limit = (10**digits - 1, f"the limit of {digits} digits for integer string conversion")
+        what = f"n!*d_n of degree {n_max}"
+        check_budget(lambda n: numtheory.common_denominator(n)[0], n_max, lambda common, m: what, limit)
     for n in range(1, n_max + 1):
         d_n, d_fact = numtheory.compute_dn(n)
         kernel = numtheory.squarefree_kernel(n)
@@ -398,6 +411,7 @@ def _coeff_rows(args: argparse.Namespace) -> Iterator[tuple]:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    bch.scan_count(args.degree, args.alphabet)  # n! * d_n only once the degree has passed the budget
     common, _ = numtheory.common_denominator(args.degree)
     header = f"degree {args.degree}, alphabet {args.alphabet}, common denominator {common}"
     return _report(_CheckEmitter(args.format, fields=_WORD_FIELDS, header=header), _table_rows(args))

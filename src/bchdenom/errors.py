@@ -1,4 +1,4 @@
-"""Shared exception types, and the one scan budget."""
+"""Shared exception types, and the one gate every run's size passes."""
 
 from __future__ import annotations
 
@@ -10,30 +10,31 @@ SCAN_BUDGET = 1 << 22
 
 
 class BudgetError(RuntimeError):
-    """A requested scan is larger than the scan budget.
+    """A requested run is larger than its limit, by default the scan budget.
 
-    Raised by ``check_budget`` before any enumeration or table allocation
-    starts.
+    Raised by ``check_budget`` before any enumeration, table allocation or
+    output starts.
     """
 
 
-def check_budget(size: int, what: str) -> None:
-    """Refuse a scan of ``size`` items, ``what`` names them, beyond ``SCAN_BUDGET``."""
-    if size > SCAN_BUDGET:
-        raise BudgetError(f"{what} exceeds the scan budget {SCAN_BUDGET}")
+def check_budget(
+    size: Callable[[int], int], n: int, what: Callable[[int, int], str], limit: tuple[int, str] | None = None
+) -> int:
+    """``size(n)``, for a size that never falls as n grows, once it is within ``limit``.
 
-
-def probed_count(count: Callable[[int], int], n: int, what: Callable[[int, int], str]) -> int:
-    """``count(n)``, for a count that never falls as n grows, once no lower degree refuses n.
-
-    The degrees m = 1, 2, 4, ... below n are counted first, each held to the budget and named
-    by ``what(count(m), m)``.  So a refusal costs what counting about twice the budget's own
-    degree costs, however large n is, and n's own count is computed only when none refuses.
-    It is returned unchecked.
+    ``limit`` is the largest size allowed and the text that names it, by default ``SCAN_BUDGET``.
+    The degrees m = 1, 2, 4, ... below n are sized first, then n itself; the first over the limit
+    refuses n, with a ``BudgetError`` that names it as ``what(size(m), m)``.  So a refusal costs what
+    sizing about twice the limit's own degree costs, however large n is, and n is sized only when
+    no lower degree refuses it.
     """
+    largest, name = (SCAN_BUDGET, f"the scan budget {SCAN_BUDGET}") if limit is None else limit
     m = 1
-    while m < n:
-        size = count(m)
-        check_budget(size, what(size, m))
+    while True:
+        m = min(m, n)
+        value = size(m)
+        if value > largest:
+            raise BudgetError(f"{what(value, m)} exceeds {name}")
+        if m == n:
+            return value
         m *= 2
-    return count(n)

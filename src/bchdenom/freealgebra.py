@@ -263,8 +263,8 @@ def bch_series(alphabet_size: int, max_degree: int) -> TruncatedSeries:
         raise ValueError("alphabet size must be >= 2")
     if max_degree < 1:
         raise ValueError("max degree must be >= 1")
-    check_budget(alphabet_size**max_degree, f"degree table of {alphabet_size}^{max_degree} entries")
     K = alphabet_size
+    check_budget(lambda m: K**m, max_degree, lambda size, m: f"degree table of {K}^{max_degree} entries")
     N = max_degree
     scale = lcm(*range(1, N + 1))
     horner = [[(-1) ** (N + 1) * scale // N]]

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from ._records import Record
-from .errors import check_budget, probed_count
+from .errors import check_budget
 
 
 def is_prime(p: int) -> bool:
@@ -354,14 +354,13 @@ def partition_count(n: int) -> int:
 def check_partition_budget(n: int) -> int:
     """p(n); but refuse, before it starts, an enumeration of the partitions of n beyond the scan budget.
 
-    The counts of the degrees below n are probed first (``probed_count``), so that a degree far
-    past the budget is refused before its own O(n^2) count runs.
+    The gate (``check_budget``) counts the degrees below n first, so that a degree far past the
+    budget is refused before its own O(n^2) count runs.
     """
-    count = probed_count(
-        partition_count, n, lambda count, m: f"enumeration of the partitions of {n}, at least the {count} of {m},"
-    )
-    check_budget(count, f"enumeration of the {count} partitions of {n}")
-    return count
+    return check_budget(partition_count, n, lambda count, m: (
+        f"enumeration of the {count} partitions of {n}" if m == n
+        else f"enumeration of the partitions of {n}, at least the {count} of {m},"
+    ))
 
 
 def Dn_bruteforce(n: int) -> int:

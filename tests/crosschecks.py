@@ -3,6 +3,7 @@
 Each entry runs ``python -m bchdenom.cli`` in a fresh interpreter, ``src`` on PYTHONPATH, without
 BCHDENOM_PARALLELISM or COLUMNS.  ``same``: two command lines exit with a given code and print one stdout;
 ``digest``: one exits with a given code and stdout SHA-256; ``refused``: one exits 3 with no stdout in time.
+A ``same`` or ``digest`` run that has not exited after ``TIMEOUT_S`` fails its entry.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ BENCH = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))  # by path: sys
 ENV = {k: v for k, v in os.environ.items() if k not in ("BCHDENOM_PARALLELISM", "COLUMNS")}
 ENV["PYTHONPATH"] = str(ROOT / "src")
 V, DP, SERIES = "verify --what ", "--backend dp --parallelism 2", "--backend series"
+TIMEOUT_S = 300  # for each run of a same or digest entry; the slowest takes about 10 s here
 
 
 def same(command: str, one: str, other: str, code: int = 0) -> tuple:
@@ -54,6 +56,11 @@ ENTRIES = [
     *[("refused", f"{V}{run} --backend dp", 10)
       for run in ("minimal --max 71", "goldberg --max 71", "minimal --alphabet 3 --max 62")],
     *[("refused", f"{V}{run}", 5) for run in ("minimal --max 5000 --backend dp", "eq3 --max 100000")],
+    # far past the budget, or past the digits str may print (n! * d_n): refused by sizing low degrees only
+    *[("refused", run, 5) for run in (
+        f"{V}minimal --alphabet 3 --max 10000000", "table --degree 1000000", "table --degree 1553 --format json",
+        "dn --max 100000",
+    )],
     # the benchmark's command lines and --help print the stdout it gates on
     ("digest", " ".join(BENCH["HELP_ARGV"]), 0, BENCH["HELP_SHA256"]),
     *[("digest", " ".join(w.argv), w.exit_code, w.stdout_sha256) for w in BENCH["WORKLOADS"].values()],
@@ -70,20 +77,20 @@ def run(command: str, timeout: float | None = None) -> tuple[int, bytes]:
 def check(entry: tuple) -> str | None:
     """Why ``entry`` fails, or None when it holds."""
     kind, command, *expected = entry
-    if kind == "same":
-        (code, out), (other_code, other_out) = run(command), run(expected[0])
-        if not code == other_code == expected[1]:
-            return f"exit {code} and {other_code}, not {expected[1]}"
-        common = os.path.commonprefix([out.splitlines(True), other_out.splitlines(True)])  # a list of lines
-        return None if out == other_out else f"stdout differs from line {len(common) + 1}"
+    timeout = expected[0] if kind == "refused" else TIMEOUT_S
+    try:
+        if kind == "same":
+            (code, out), (other_code, other_out) = run(command, timeout), run(expected[0], timeout)
+            if not code == other_code == expected[1]:
+                return f"exit {code} and {other_code}, not {expected[1]}"
+            common = os.path.commonprefix([out.splitlines(True), other_out.splitlines(True)])  # a list of lines
+            return None if out == other_out else f"stdout differs from line {len(common) + 1}"
+        code, out = run(command, timeout)
+    except subprocess.TimeoutExpired:
+        return f"no exit within {timeout} s"
     if kind == "digest":
-        code, out = run(command)
         digest = hashlib.sha256(out).hexdigest()
         return None if [code, digest] == expected else f"exit {code}, stdout SHA-256 {digest}"
-    try:
-        code, out = run(command, timeout=expected[0])
-    except subprocess.TimeoutExpired:
-        return f"no exit within {expected[0]} s"
     return None if code == 3 and not out else f"exit {code} with {len(out)} bytes of stdout"
 
 

@@ -128,6 +128,31 @@ MUTANTS = [
         "if runs <= alphabet_size * falls]",
         ("tests/test_symmetry.py::test_orders_are_those_the_words_make",),
     ),
+    # the one gate every run's size passes, and the CLI's order: check, then announce
+    Mutant(
+        "gate-refuses-a-size-equal-to-the-budget",
+        "src/bchdenom/errors.py",
+        "if value > largest:",
+        "if value >= largest:",
+        ("tests/test_cli.py::test_verify_eq3_budget_is_the_scan_budget",),
+    ),
+    Mutant(
+        "gate-sizes-n-without-the-lower-degrees",
+        "src/bchdenom/errors.py",
+        "m = 1\n    while True:",
+        "m = n\n    while True:",
+        ("tests/test_cli.py::test_refusal_far_past_the_budget_counts_only_low_degrees",),
+    ),
+    Mutant(
+        "announce-before-the-check",
+        "src/bchdenom/cli.py",
+        "    count = bch.scan_count(degree, args.alphabet, per_class)\n"
+        "    _announce(degree, args.alphabet, f\"{count} words\" if per_class else f\"{args.alphabet}**{degree} words\")\n",
+        "    count = bch.class_count(degree, args.alphabet) if per_class else None\n"
+        "    _announce(degree, args.alphabet, f\"{count} words\" if per_class else f\"{args.alphabet}**{degree} words\")\n"
+        "    bch.scan_count(degree, args.alphabet, per_class)\n",
+        ("tests/test_cli.py::test_dp_class_scan_budget_exceeded",),
+    ),
     # acceptance criterion 08: the uniform prime-plus-one residue is refuted, by sign
     Mutant(
         "cor2-accepts-both-signs",

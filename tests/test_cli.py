@@ -63,6 +63,42 @@ def test_dn_single_row(capsys):
     assert rows[1] == ["1", "1", "1", "1", "1", "1"]
 
 
+@pytest.fixture
+def str_digits():
+    """Sets CPython's limit on the digits of an int printed in decimal; restored after."""
+    limit = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("output_format", ["plain", "json", "csv"])
+def test_dn_refuses_what_it_cannot_print(capsys, str_digits, output_format):
+    # 306! * d_306 has 636 digits and 307! * d_307 more than 640: under that limit dn prints the
+    # whole table through 306, and refuses 307 before its first row (it exited 2 part way through)
+    str_digits(640)
+    code, out, err = run(capsys, "dn", "--max", "306", "--format", output_format)
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 306 + (output_format != "json")  # and a header
+    code, out, err = run(capsys, "dn", "--max", "307", "--format", output_format)
+    assert code == 3 and out == ""
+    assert err == "budget exceeded: n!*d_n of degree 307 exceeds the limit of 640 digits for integer string conversion\n"
+
+
+def test_dn_far_past_the_digit_limit_sizes_only_low_degrees(capsys, monkeypatch, str_digits):
+    # n! * d_n never falls as n grows, so the gate sizes it at 1, 2, 4, ..., 512 and refuses there
+    str_digits(640)
+    monkeypatch.setattr(cli.numtheory, "common_denominator", _counted_below(cli.numtheory.common_denominator, 512))
+    code, out, err = run(capsys, "dn", "--max", "1000000")
+    assert code == 3 and out == ""
+    assert err == "budget exceeded: n!*d_n of degree 1000000 exceeds the limit of 640 digits for integer string conversion\n"
+
+
+def test_dn_without_a_digit_limit_refuses_nothing(capsys, str_digits):
+    str_digits(0)  # no limit
+    code, out, err = run(capsys, "dn", "--max", "400", "--format", "json")
+    assert code == 0 and err == "" and len(out.splitlines()) == 400
+
+
 def test_dn_rejects_bad_max(capsys):
     code, _, err = run(capsys, "dn", "--max", "0")
     assert code == 2
@@ -125,14 +161,11 @@ def test_verify_eq3_budget_exceeded(capsys, monkeypatch):
 def test_dp_class_scan_budget_exceeded(capsys, monkeypatch, argv, degree, classes):
     # the largest degree's classes are over the scan budget: counted without listing a single
     # class (the listing walks the partitions, so that fails at once), and refused before the
-    # first degree runs
+    # first degree runs, and before the degree is announced: the refusal is the one line of stderr
     monkeypatch.setattr(cli.numtheory, "partitions", _never_enumerated(None))
     code, out, err = run(capsys, "verify", *argv, "--backend", "dp")
     assert code == 3 and out == ""
-    assert err == (
-        f"scanning degree {degree} ({classes} words)...\n"
-        f"budget exceeded: scan of {classes} words of degree {degree} exceeds the scan budget 4194304\n"
-    )
+    assert err == f"budget exceeded: scan of {classes} words of degree {degree} exceeds the scan budget 4194304\n"
 
 
 def _counted_below(real, bound=200):
@@ -167,6 +200,33 @@ def test_refusal_far_past_the_budget_counts_only_low_degrees(capsys, monkeypatch
     code, out, err = run(capsys, "verify", "--what", argv[0], "--max", "100000", *argv[1:])
     assert code == 3 and out == ""
     assert err == f"budget exceeded: {what}, exceeds the scan budget {errors.SCAN_BUDGET}\n"
+
+
+def test_far_refusal_is_quick_in_a_fresh_interpreter():
+    # three letters at degree 10^7: the gate sizes 3^m at m = 1, 2, 4, 8, 16 and refuses at 16, where
+    # working out 3^10000000, for the budget and again for the announcement, took seconds
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**{k: v for k, v in os.environ.items() if k != cli.PARALLELISM_ENV}, "PYTHONPATH": src}
+    argv = ["verify", "--what", "minimal", "--alphabet", "3", "--max", "10000000"]
+    done = subprocess.run(
+        [sys.executable, "-m", "bchdenom.cli", *argv], capture_output=True, text=True, env=env, timeout=5
+    )
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == "budget exceeded: scan of 3^10000000 words exceeds the scan budget 4194304\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["1553"], ["1553", "--format", "json"], ["1553", "--format", "csv"], ["1000000"], ["1000000", "--dedup"]],
+    ids=["plain", "json", "csv", "far", "far-dedup"],
+)
+def test_table_is_refused_before_its_header(capsys, monkeypatch, argv):
+    # the header's n! * d_n is worked out only once the degree has passed the budget: at 1553 it
+    # had more digits than str may print (exit 2), and at 10^6 it ran for minutes
+    monkeypatch.setattr(cli.numtheory, "common_denominator", _counted_below(None, 0))
+    code, out, err = run(capsys, "table", "--degree", *argv)
+    assert code == 3 and out == ""
+    assert err == f"budget exceeded: scan of 2^{argv[0]} words exceeds the scan budget 4194304\n"
 
 
 def test_verify_eq3_budget_is_the_scan_budget(capsys, monkeypatch):

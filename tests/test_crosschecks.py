@@ -44,6 +44,13 @@ def test_refused_fails_on_a_command_that_exits_0_and_on_its_timeout():
     assert crosschecks.check(("refused", "table --degree 25", 0.001)) == "no exit within 0.001 s"
 
 
+def test_same_and_digest_fail_on_their_timeout(monkeypatch):
+    # a run that hangs fails its entry, as a refusal too slow does, rather than stalling the runner
+    monkeypatch.setattr(crosschecks, "TIMEOUT_S", 0.001)
+    assert crosschecks.check(("same", "dn --max 3", "dn --max 3", 0)) == "no exit within 0.001 s"
+    assert crosschecks.check(("digest", "dn --max 3", 0, "0" * 64)) == "no exit within 0.001 s"
+
+
 def test_every_entry_parses(capsys):
     # a command line the CLI no longer takes fails here, not only in the slow run
     for kind, *commands in crosschecks.ENTRIES:

@@ -209,6 +209,12 @@ def test_common_denominator_trivial():
     assert nt.common_denominator(1) == (1, nt.PrimeFactorization(()))
 
 
+def test_common_denominator_never_falls():
+    # n! * d_n divides (n+1)! * d_{n+1}, so the gate may size dn's largest value at degrees 1, 2, 4, ...
+    values = [nt.common_denominator(n)[0] for n in range(1, 601)]
+    assert all(later % value == 0 for value, later in zip(values, values[1:]))
+
+
 # ---------------------------------------------------------------------------
 # compositions and the lcm oracle
 
