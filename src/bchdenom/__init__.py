@@ -36,7 +36,6 @@ from .freealgebra import (
     series_exp_generator,
     series_log1p,
     series_multiply,
-    staircase_coeff,
 )
 from .numtheory import (
     PadicExpansion,
@@ -46,7 +45,6 @@ from .numtheory import (
     bernoulli_poly_denominator,
     common_denominator,
     compositions,
-    compositions_into,
     compute_dn,
     constructive_partition,
     digit_sum,

@@ -321,6 +321,7 @@ def _eq3_rows(args: argparse.Namespace) -> Iterator[tuple]:
 
 
 def _bernoulli_rows(args: argparse.Namespace) -> Iterator[tuple]:
+    numtheory.bernoulli_numbers(args.max)  # the whole table, held to the budget, before the first row
     for n in range(1, args.max + 1):
         poly = numtheory.bernoulli_poly_denominator(n)
         kernel = numtheory.squarefree_kernel(n)
@@ -396,6 +397,11 @@ def _coeff_rows(args: argparse.Namespace) -> Iterator[tuple]:
     word = Word.from_string(args.word, args.alphabet)
     if word.degree < 1:
         raise ValueError("the word must be nonempty")
+    # the DP's cell updates grow as n^3 (about n^3/6 for a word whose letters never fall)
+    check_budget(lambda m: m**3, word.degree, lambda updates, m: (
+        f"per-word DP of {updates} steps for {m} letters" if m == word.degree
+        else f"per-word DP of {word.degree} letters, at least the {updates} steps for {m},"
+    ))
     entry = bch.TableEntry.of(word, bch_coeff_word(word, args.alphabet), args.alphabet)
     common, _ = numtheory.common_denominator(word.degree)
     record = _word_record(entry, args.alphabet)

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from itertools import groupby
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, lcm
 
 from ._records import Record
 from .errors import check_budget
@@ -166,19 +165,6 @@ class TruncatedSeries(Record):
         if word.degree > self.max_degree:
             raise ValueError("word degree exceeds truncation degree")
         return self.tables[word.degree].coefficient(word)
-
-
-def staircase_coeff(word: Word, alphabet_size: int = 2) -> Fraction:
-    """Coefficient of ``word`` in e^{A_0} ... e^{A_{K-1}}.
-
-    Nonzero exactly for words A_0^{p_0} A_1^{p_1} ... with nondecreasing
-    letters, where it is 1 / (p_0! p_1! ...).  The empty word gives 1.
-    """
-    word._check_alphabet(alphabet_size)
-    letters = word.letters
-    if any(a > b for a, b in zip(letters, letters[1:])):
-        return _ZERO
-    return Fraction(1, prod(factorial(len(list(run))) for _, run in groupby(letters)))
 
 
 def series_exp_generator(generator: int, max_degree: int, alphabet_size: int) -> TruncatedSeries:

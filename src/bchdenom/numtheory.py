@@ -21,8 +21,8 @@ rationals are ``fractions.Fraction``.  The two central quantities are
 The remaining operations (Legendre's formula, multinomial valuations,
 minimal digit-sum excess over k-part compositions, the explicit digit
 -peeling partition, and the Bernoulli-polynomial denominators) feed the
-property and acceptance suites.  ``compositions`` and ``compositions_into``
-stay as the reference enumerations the tests compare the partitions with.
+property and acceptance suites.  ``compositions`` stays as the reference
+enumeration the tests hold ``partitions`` and ``Dn_bruteforce`` to.
 """
 
 from __future__ import annotations
@@ -305,19 +305,6 @@ def compositions(n: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def compositions_into(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of exactly k positive integers summing to n, lexicographic."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k == 1:
-        if n >= 1:
-            yield (n,)
-        return
-    for first in range(1, n - k + 2):
-        for rest in compositions_into(n - first, k - 1):
-            yield (first, *rest)
-
-
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
     """Every partition of n once: non-increasing tuples of positive integers summing to n.
 
@@ -467,23 +454,29 @@ def constructive_partition(n: int, p: int, k: int) -> list[int]:
     return parts
 
 
-def bernoulli_numbers(count: int) -> list[Fraction]:
-    """B_0, ..., B_{count-1} as exact fractions, convention B_1 = -1/2.
+#: B_0, B_1, ...: grown by ``bernoulli_numbers``, never changed; each index is computed once per process.
+_BERNOULLI = [Fraction(1)]
 
-    Straight binomial recurrence sum_{k<=m} C(m+1, k) B_k = 0; fine at the
-    small indices needed here.
+
+def bernoulli_numbers(count: int) -> list[Fraction]:
+    """B_0, ..., B_{count-1} as exact fractions, convention B_1 = -1/2: a copy of ``_BERNOULLI``'s first entries.
+
+    The table grows by the binomial recurrence sum_{k<=m} C(m+1, k) B_k = 0.  count^2, the terms
+    that recurrence and ``bernoulli_poly_denominator``'s lcms sum through count, is first held to
+    the scan budget.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    out: list[Fraction] = []
-    if count >= 1:
-        out.append(Fraction(1))
-    for m in range(1, count):
+    check_budget(lambda m: m * m, count, lambda terms, m: (
+        f"Bernoulli recurrence of {terms} terms through B_{m - 1}" if m == count
+        else f"Bernoulli recurrence through B_{count - 1}, at least the {terms} terms through B_{m - 1},"
+    ))
+    for m in range(len(_BERNOULLI), count):
         acc = Fraction(0)
         for j in range(m):
-            acc += math.comb(m + 1, j) * out[j]
-        out.append(-acc / (m + 1))
-    return out
+            acc += math.comb(m + 1, j) * _BERNOULLI[j]
+        _BERNOULLI.append(-acc / (m + 1))
+    return _BERNOULLI[:count]
 
 
 def bernoulli_poly_denominator(n: int) -> int:

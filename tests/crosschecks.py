@@ -43,6 +43,8 @@ ENTRIES = [
        "7c96a22203f963681dbef21bca2c14cece8cb011172c2f8cdd371cc23afa6d27") for p in (2, 1)],
     # the partition oracle through degree 30; p(30) = 5604 is far within the scan budget
     ("digest", f"{V}eq3 --max 30", 0, "ace22d4eb805f5752083528b737027a5d887edee1e1f966d276eea1f8209b55e"),
+    # the Bernoulli-polynomial denominators through degree 500, from one table of B_0..B_499
+    ("digest", f"{V}bernoulli --max 500", 0, "273d28a47aa939f6e648ca4f0a1737c6971b548e4bc9b7acfd9491f0d7899ede"),
     # cor1 and cor2 read every word on both backends, goldberg one word per class on dp; cor2 exits 1 (refuted)
     *[same(f"{V}{check} --format {fmt}", DP, SERIES, code)
       for check, code in (("cor1 --max 11", 0), ("cor2 --max 12", 1), ("goldberg --max 14", 0))
@@ -55,7 +57,9 @@ ENTRIES = [
     ("refused", f"{V}cor1 --max 23 --backend dp", 30),
     *[("refused", f"{V}{run} --backend dp", 10)
       for run in ("minimal --max 71", "goldberg --max 71", "minimal --alphabet 3 --max 62")],
-    *[("refused", f"{V}{run}", 5) for run in ("minimal --max 5000 --backend dp", "eq3 --max 100000")],
+    *[("refused", f"{V}{run}", 5)
+      for run in ("minimal --max 5000 --backend dp", "eq3 --max 100000", "bernoulli --max 100000")],
+    ("refused", "coeff " + "A" * 162, 5),  # 162^3 DP steps; a 161-letter word runs
     # far past the budget, or past the digits str may print (n! * d_n): refused by sizing low degrees only
     *[("refused", run, 5) for run in (
         f"{V}minimal --alphabet 3 --max 10000000", "table --degree 1000000", "table --degree 1553 --format json",

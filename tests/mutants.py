@@ -106,13 +106,6 @@ MUTANTS = [
         "weight = weight * (j + 1)",
         KERNEL_TESTS,
     ),
-    Mutant(
-        "staircase-descent-admits-equal-letters",
-        FREEALGEBRA,
-        "if any(a > b for a, b in zip(letters, letters[1:])):",
-        "if any(a >= b for a, b in zip(letters, letters[1:])):",
-        ("tests/test_freealgebra.py::test_staircase_examples", "tests/test_freealgebra.py::test_staircase_matches_oracle"),
-    ),
     # the class orders K letters allow
     Mutant(
         "orders-bound-strict",
@@ -152,6 +145,28 @@ MUTANTS = [
         "    _announce(degree, args.alphabet, f\"{count} words\" if per_class else f\"{args.alphabet}**{degree} words\")\n"
         "    bch.scan_count(degree, args.alphabet, per_class)\n",
         ("tests/test_cli.py::test_dp_class_scan_budget_exceeded",),
+    ),
+    # the Bernoulli table every call shares, and the gates of bernoulli and coeff
+    Mutant(
+        "bernoulli-returns-the-live-table",
+        "src/bchdenom/numtheory.py",
+        "return _BERNOULLI[:count]",
+        "return _BERNOULLI",
+        ("tests/test_numtheory.py::test_bernoulli_table_grows_once_and_answers_copies",),
+    ),
+    Mutant(
+        "bernoulli-gate-sizes-count-not-its-square",
+        "src/bchdenom/numtheory.py",
+        "check_budget(lambda m: m * m, count,",
+        "check_budget(lambda m: m, count,",
+        ("tests/test_cli.py::test_verify_bernoulli_refuses_what_it_cannot_finish",),
+    ),
+    Mutant(
+        "coeff-gate-sizes-n-squared",
+        "src/bchdenom/cli.py",
+        "check_budget(lambda m: m**3, word.degree,",
+        "check_budget(lambda m: m**2, word.degree,",
+        ("tests/test_cli.py::test_coeff_refuses_a_word_whose_dp_it_cannot_finish",),
     ),
     # acceptance criterion 08: the uniform prime-plus-one residue is refuted, by sign
     Mutant(

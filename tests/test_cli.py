@@ -266,6 +266,16 @@ def test_verify_bernoulli(capsys):
     assert out.count("PASS") == 25
 
 
+def test_verify_bernoulli_refuses_what_it_cannot_finish(capsys, monkeypatch):
+    # the table is built through --max before the first row, so a refusal prints no row
+    monkeypatch.setattr(errors, "SCAN_BUDGET", 100)
+    code, out, err = run(capsys, "verify", "--what", "bernoulli", "--max", "10")
+    assert code == 0 and out.count("PASS") == 10 and err == ""
+    code, out, err = run(capsys, "verify", "--what", "bernoulli", "--max", "11")
+    assert code == 3 and out == ""
+    assert err == "budget exceeded: Bernoulli recurrence of 121 terms through B_10 exceeds the scan budget 100\n"
+
+
 def test_verify_theorem_and_minimal(capsys):
     code, out, _ = run(capsys, "verify", "--what", "theorem", "--max", "6", "--format", "json")
     assert code == 0
@@ -570,6 +580,29 @@ def test_coeff_large_alphabet_indices(capsys):
     assert data["word"] == "0,1"
 
 
+def test_coeff_refuses_a_word_whose_dp_it_cannot_finish(capsys, monkeypatch):
+    # n^3 bounds the per-word DP's cell updates, and is held to the budget before any is made
+    monkeypatch.setattr(errors, "SCAN_BUDGET", 1000)
+    code, out, err = run(capsys, "coeff", "ABABABABAB")
+    assert code == 0 and "numerator over it" in out and err == ""
+
+    def no_dp(word, alphabet_size):
+        raise AssertionError(f"the DP ran on a word of {word.degree} letters")
+
+    monkeypatch.setattr(cli, "bch_coeff_word", no_dp)
+    code, out, err = run(capsys, "coeff", "ABABABABABA", "--format", "json")
+    assert code == 3 and out == ""
+    assert err == "budget exceeded: per-word DP of 1331 steps for 11 letters exceeds the scan budget 1000\n"
+    monkeypatch.setattr(errors, "SCAN_BUDGET", 1 << 22)
+    for word, what in (
+        ("A" * 162, "per-word DP of 4251528 steps for 162 letters"),  # 161 letters pass (161^3 = 4173281)
+        ("AB" * 1500 + "A", "per-word DP of 3001 letters, at least the 16777216 steps for 256,"),
+    ):
+        code, out, err = run(capsys, "coeff", word)
+        assert code == 3 and out == ""
+        assert err == f"budget exceeded: {what} exceeds the scan budget 4194304\n"
+
+
 def test_coeff_malformed_word(capsys):
     code, _, err = run(capsys, "coeff", "AXB")
     assert code == 2
@@ -679,25 +712,34 @@ def test_table_byte_identical_across_backends_and_parallelism(capsys):
 
 
 def test_table_dedup_honours_backend_and_parallelism(capsys, monkeypatch):
-    outputs = set()
-    for backend in ("series", "dp", "both"):
-        for parallelism in ("1", "2"):
-            code, out, _ = run(
-                capsys,
-                "table", "--degree", "9", "--dedup", "--format", "csv",
-                "--backend", backend, "--parallelism", parallelism,
-            )
-            assert code == 0
-            outputs.add(out)
-    assert len(outputs) == 1
-
     def no_series(*_args, **_kwargs):
         raise AssertionError("a per-word table must not build the dense series")
 
-    monkeypatch.setattr(cli.bch, "bch_series", no_series)
-    code, out, _ = run(capsys, "table", "--degree", "9", "--dedup", "--format", "csv", "--backend", "dp")
-    assert code == 0
-    assert {out} == outputs
+    # at the even degree a word and its reversal have opposite values, so a class's two orders differ
+    for degree in ("9", "10"):
+        outputs = set()
+        for backend in ("series", "dp", "both"):
+            for parallelism in ("1", "2"):
+                code, out, _ = run(
+                    capsys,
+                    "table", "--degree", degree, "--dedup", "--format", "csv",
+                    "--backend", backend, "--parallelism", parallelism,
+                )
+                assert code == 0
+                outputs.add(out)
+        assert len(outputs) == 1
+        rows = list(csv.DictReader(io.StringIO(next(iter(outputs)))))
+        words = (Word.unpack(packed, int(degree), 2) for packed in range(2 ** int(degree)))
+        assert len(rows) == len({(row["h_num"], row["h_den"]) for row in rows})
+        assert {Fraction(int(row["h_num"]), int(row["h_den"])) for row in rows} == {
+            bch_coeff_word(word, 2) for word in words
+        } - {0}
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.bch, "bch_series", no_series)
+            code, out, _ = run(capsys, "table", "--degree", degree, "--dedup", "--format", "csv", "--backend", "dp")
+        assert code == 0
+        assert {out} == outputs
 
 
 def test_table_computes_common_denominator_once(capsys):

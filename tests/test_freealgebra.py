@@ -6,7 +6,6 @@ import copy
 import pickle
 import random
 from fractions import Fraction
-from itertools import groupby
 from math import factorial
 
 import pytest
@@ -26,7 +25,6 @@ from bchdenom.freealgebra import (
     series_exp_generator,
     series_log1p,
     series_multiply,
-    staircase_coeff,
 )
 from bchdenom.numtheory import bernoulli_numbers
 
@@ -115,36 +113,6 @@ def test_word_string_rejects_bad_input():
 def test_degree_table_size_checked():
     with pytest.raises(ValueError):
         DegreeTable(2, 2, [Fraction(0)] * 3)
-
-
-# ---------------------------------------------------------------------------
-# staircase coefficients
-
-
-def staircase_oracle(word, alphabet_size):
-    """Independent route: group into runs, require strictly increasing letters."""
-    runs = [(letter, len(list(group))) for letter, group in groupby(word.letters)]
-    letters = [letter for letter, _ in runs]
-    if letters != sorted(set(letters)):
-        return Fraction(0)
-    value = Fraction(1)
-    for _, length in runs:
-        value /= factorial(length)
-    return value
-
-
-def test_staircase_examples():
-    assert staircase_coeff(W("AAB")) == Fraction(1, 2)
-    assert staircase_coeff(W("BA")) == 0
-    assert staircase_coeff(W("")) == 1
-    assert staircase_coeff(W("AACC", 3), 3) == Fraction(1, 4)
-
-
-def test_staircase_matches_oracle():
-    for K, max_degree in ((2, 6), (3, 4)):
-        for degree in range(max_degree + 1):
-            for word in all_words(degree, K):
-                assert staircase_coeff(word, K) == staircase_oracle(word, K)
 
 
 # ---------------------------------------------------------------------------

@@ -240,15 +240,6 @@ def test_compositions_counts_and_contents():
         assert set(found) == set(stars_and_bars(n))
 
 
-def test_compositions_into_matches_oracle():
-    for n in range(1, 9):
-        for k in range(1, n + 1):
-            found = list(nt.compositions_into(n, k))
-            assert len(found) == math.comb(n - 1, k - 1)
-            assert set(found) == set(kpart_compositions(n, k))
-            assert found == sorted(found)
-
-
 # p(0), ..., p(20): the partition numbers (OEIS A000041)
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297, 385, 490, 627]
 
@@ -420,6 +411,40 @@ def test_bernoulli_numbers_first_values():
         Fraction(5, 66),
     ]
     assert nt.bernoulli_numbers(11) == expected
+
+
+def fresh_bernoulli(count):
+    """B_0, ..., B_{count-1} by the binomial recurrence, run from B_0 on every call."""
+    out = [Fraction(1)][:count]
+    for m in range(1, count):
+        out.append(-sum(math.comb(m + 1, j) * out[j] for j in range(m)) / (m + 1))
+    return out
+
+
+def test_bernoulli_table_grows_once_and_answers_copies(monkeypatch):
+    table = [Fraction(1)]  # as in a process that has asked for none yet
+    monkeypatch.setattr(nt, "_BERNOULLI", table)
+    answers = {}
+    for count in (30, 11, 40):
+        before = list(table)
+        answers[count] = nt.bernoulli_numbers(count)
+        # the table only grows: every earlier entry is still the very object it was
+        assert len(table) == max(len(before), count) and all(x is y for x, y in zip(before, table))
+    for count, answer in answers.items():
+        assert answer == fresh_bernoulli(count)
+    answers[11].append(Fraction(7))  # a caller's list is its own
+    answers[30][0] = Fraction(5)
+    assert nt.bernoulli_numbers(12) == fresh_bernoulli(12) and nt.bernoulli_numbers(0) == []
+
+
+def test_bernoulli_numbers_are_held_to_the_scan_budget(monkeypatch):
+    # count^2 terms: the recurrence's, and the polynomial denominators' lcms through count
+    monkeypatch.setattr(errors, "SCAN_BUDGET", 100)
+    assert len(nt.bernoulli_numbers(10)) == 10
+    with pytest.raises(BudgetError, match="^Bernoulli recurrence of 121 terms through B_10 exceeds the scan budget"):
+        nt.bernoulli_numbers(11)
+    with pytest.raises(BudgetError, match="through B_99999, at least the 256 terms through B_15,"):
+        nt.bernoulli_numbers(100000)
 
 
 def test_bernoulli_poly_denominator_examples():
