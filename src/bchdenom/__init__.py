@@ -27,7 +27,6 @@ from .bch import (
 )
 from .errors import BudgetError
 from .freealgebra import (
-    DegreeTable,
     TruncatedSeries,
     Word,
     all_words,
@@ -38,7 +37,6 @@ from .freealgebra import (
     series_multiply,
 )
 from .numtheory import (
-    PadicExpansion,
     PrimeFactorization,
     Dn_bruteforce,
     bernoulli_numbers,

@@ -371,7 +371,7 @@ def degree_coefficients(
             raise ValueError("precomputed series has the wrong alphabet size")
         if series.max_degree < n:
             raise ValueError("precomputed series does not reach the requested degree")
-        table = series.tables[n].coefficients
+        table = series.tables[n]
         return table if words is None else [table[packed] for packed in words]
 
     every_word = words is None

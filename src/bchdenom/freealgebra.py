@@ -3,7 +3,7 @@
 Words over the K-letter alphabet are packed as base-K integers (first
 letter most significant), so the packed order of a fixed degree is the
 lexicographic order of the words.  A homogeneous component of a series is
-a dense table of K^n ``fractions.Fraction`` values indexed by packed word.
+a plain list of K^n ``fractions.Fraction`` values indexed by packed word.
 
 Two independent backends compute the same coefficients:
 
@@ -112,59 +112,33 @@ def all_words(degree: int, alphabet_size: int):
         yield Word.unpack(packed, degree, alphabet_size)
 
 
-class DegreeTable(Record):
-    """One homogeneous component: K^degree coefficients indexed by packed word."""
-
-    __slots__ = ("degree", "alphabet_size", "coefficients")
-
-    def _check(self) -> None:
-        if len(self.coefficients) != self.alphabet_size**self.degree:
-            raise ValueError("coefficient table has wrong size")
-
-    @classmethod
-    def zeros(cls, degree: int, alphabet_size: int) -> "DegreeTable":
-        return cls(degree, alphabet_size, [_ZERO] * alphabet_size**degree)
-
-    def coefficient(self, word: Word) -> Fraction:
-        if word.degree != self.degree:
-            raise ValueError("word degree does not match table degree")
-        return self.coefficients[word.pack(self.alphabet_size)]
-
-    def nonzero_items(self):
-        return ((packed, c) for packed, c in enumerate(self.coefficients) if c)
-
-
 class TruncatedSeries(Record):
-    """A series truncated beyond ``max_degree``: one DegreeTable per degree 0..N."""
+    """A series truncated beyond ``max_degree``: ``tables[n]`` lists the K^n coefficients of degree n by packed word."""
 
     __slots__ = ("max_degree", "alphabet_size", "tables")
 
     def _check(self) -> None:
-        if len(self.tables) != self.max_degree + 1:
-            raise ValueError("need one table per degree 0..max_degree")
-        for degree, table in enumerate(self.tables):
-            if table.degree != degree or table.alphabet_size != self.alphabet_size:
-                raise ValueError("table degrees or alphabets are inconsistent")
+        if [len(table) for table in self.tables] != [self.alphabet_size**n for n in range(self.max_degree + 1)]:
+            raise ValueError("need one table of K^n coefficients per degree n = 0..max_degree")
 
     @classmethod
     def zero(cls, alphabet_size: int, max_degree: int) -> "TruncatedSeries":
-        tables = [DegreeTable.zeros(n, alphabet_size) for n in range(max_degree + 1)]
-        return cls(max_degree, alphabet_size, tables)
+        return cls(max_degree, alphabet_size, [[_ZERO] * alphabet_size**n for n in range(max_degree + 1)])
 
     @classmethod
     def constant(cls, value: Fraction, alphabet_size: int, max_degree: int) -> "TruncatedSeries":
         series = cls.zero(alphabet_size, max_degree)
-        series.tables[0].coefficients[0] = Fraction(value)
+        series.tables[0][0] = Fraction(value)
         return series
 
     @property
     def constant_term(self) -> Fraction:
-        return self.tables[0].coefficients[0]
+        return self.tables[0][0]
 
     def coefficient(self, word: Word) -> Fraction:
         if word.degree > self.max_degree:
             raise ValueError("word degree exceeds truncation degree")
-        return self.tables[word.degree].coefficient(word)
+        return self.tables[word.degree][word.pack(self.alphabet_size)]
 
 
 def series_exp_generator(generator: int, max_degree: int, alphabet_size: int) -> TruncatedSeries:
@@ -174,7 +148,7 @@ def series_exp_generator(generator: int, max_degree: int, alphabet_size: int) ->
     series = TruncatedSeries.zero(alphabet_size, max_degree)
     packed = 0  # A_i^n: the base-K number with n digits i
     for n, table in enumerate(series.tables):
-        table.coefficients[packed] = Fraction(1, factorial(n))
+        table[packed] = Fraction(1, factorial(n))
         packed = packed * alphabet_size + generator
     return series
 
@@ -193,12 +167,12 @@ def series_multiply(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     K = x.alphabet_size
     top = x.max_degree
     out = TruncatedSeries.zero(K, top)
-    nz_y = [list(t.nonzero_items()) for t in y.tables]
+    nz_y = [[(py, c) for py, c in enumerate(t) if c] for t in y.tables]
     for dx, table in enumerate(x.tables):
-        xs = list(table.nonzero_items())
+        xs = [(px, c) for px, c in enumerate(table) if c]
         for dy, pairs in enumerate(nz_y[: top + 1 - dx]):
             shift = K**dy
-            tab = out.tables[dx + dy].coefficients
+            tab = out.tables[dx + dy]
             for px, cx in xs:
                 base = px * shift
                 for py, cy in pairs:
@@ -221,7 +195,7 @@ def series_log1p(y: TruncatedSeries) -> TruncatedSeries:
     horner = TruncatedSeries.constant(Fraction((-1) ** (N + 1), N), y.alphabet_size, N)
     for k in range(N - 1, 0, -1):
         horner = series_multiply(y, horner)
-        horner.tables[0].coefficients[0] += Fraction((-1) ** (k + 1), k)
+        horner.tables[0][0] += Fraction((-1) ** (k + 1), k)
     return series_multiply(y, horner)
 
 
@@ -284,7 +258,7 @@ def bch_series(alphabet_size: int, max_degree: int) -> TruncatedSeries:
         # degree holds few distinct values: reduce each once, share it
         values = {c: Fraction(c, den) for c in set(tab)}
         values[0] = _ZERO
-        tables.append(DegreeTable(d, K, list(map(values.__getitem__, tab))))
+        tables.append(list(map(values.__getitem__, tab)))
     return TruncatedSeries(N, K, tables)
 
 

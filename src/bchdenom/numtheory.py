@@ -19,10 +19,10 @@ rationals are ``fractions.Fraction``.  The two central quantities are
   to the one scan budget of ``errors`` (through n = 70).
 
 The remaining operations (Legendre's formula, multinomial valuations,
-minimal digit-sum excess over k-part compositions, the explicit digit
--peeling partition, and the Bernoulli-polynomial denominators) feed the
-property and acceptance suites.  ``compositions`` stays as the reference
-enumeration the tests hold ``partitions`` and ``Dn_bruteforce`` to.
+minimal digit-sum excess over k-part compositions, the base-p digits and
+the digit-peeling partition built on them, the Bernoulli-polynomial
+denominators) feed the property and acceptance suites; ``compositions``
+is the reference the tests hold ``partitions`` and ``Dn_bruteforce`` to.
 """
 
 from __future__ import annotations
@@ -71,29 +71,8 @@ def primes_below(n: int) -> list[int]:
     return [i for i in range(n) if sieve[i]]
 
 
-class PadicExpansion(Record):
-    """Base-p digits of n, least significant first, without trailing zeros."""
-
-    __slots__ = ("n", "p", "digits")
-
-    def _check(self) -> None:
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
-        _require_prime(self.p)
-        if any(not 0 <= a < self.p for a in self.digits):
-            raise ValueError("digits out of range")
-        if self.digits and self.digits[-1] == 0:
-            raise ValueError("trailing zero digit")
-        if sum(a * self.p**i for i, a in enumerate(self.digits)) != self.n:
-            raise ValueError("digits do not reconstruct n")
-
-    @property
-    def digit_sum(self) -> int:
-        return sum(self.digits)
-
-
-def padic_expansion(n: int, p: int) -> PadicExpansion:
-    """Expand n >= 0 in base p (p prime)."""
+def padic_expansion(n: int, p: int) -> tuple[int, ...]:
+    """The base-p digits of n >= 0 (p prime), least significant first, without trailing zeros."""
     _require_prime(p)
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -102,7 +81,8 @@ def padic_expansion(n: int, p: int) -> PadicExpansion:
     while m:
         m, r = divmod(m, p)
         digits.append(r)
-    return PadicExpansion(n, p, tuple(digits))
+    assert sum(a * p**i for i, a in enumerate(digits)) == n
+    return tuple(digits)
 
 
 def _digit_sum(n: int, p: int) -> int:
@@ -430,7 +410,7 @@ def constructive_partition(n: int, p: int, k: int) -> list[int]:
         raise ValueError("n must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    digits = padic_expansion(n, p).digits
+    digits = padic_expansion(n, p)
     s = sum(digits)
     if k > s:
         raise ValueError(f"construction needs k <= digit sum {s}, got k={k}")
@@ -473,8 +453,11 @@ def bernoulli_numbers(count: int) -> list[Fraction]:
     ))
     for m in range(len(_BERNOULLI), count):
         acc = Fraction(0)
+        binomial = 1  # C(m+1, j), grown along the row
         for j in range(m):
-            acc += math.comb(m + 1, j) * _BERNOULLI[j]
+            if _BERNOULLI[j]:  # B_j = 0 for odd j >= 3
+                acc += binomial * _BERNOULLI[j]
+            binomial = binomial * (m + 1 - j) // (j + 1)
         _BERNOULLI.append(-acc / (m + 1))
     return _BERNOULLI[:count]
 
@@ -489,7 +472,12 @@ def bernoulli_poly_denominator(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     B = bernoulli_numbers(n)
-    return math.lcm(*((math.comb(n, k) * B[k]).denominator for k in range(n)))
+    denominator = binomial = 1  # binomial: C(n, k), grown along the row
+    for k in range(n):
+        if B[k]:  # a zero B_k adds nothing to the lcm
+            denominator = math.lcm(denominator, (binomial * B[k]).denominator)
+        binomial = binomial * (n - k) // (k + 1)
+    return denominator
 
 
 def goldberg_denominator(n: int) -> int:

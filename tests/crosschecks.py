@@ -43,8 +43,9 @@ ENTRIES = [
        "7c96a22203f963681dbef21bca2c14cece8cb011172c2f8cdd371cc23afa6d27") for p in (2, 1)],
     # the partition oracle through degree 30; p(30) = 5604 is far within the scan budget
     ("digest", f"{V}eq3 --max 30", 0, "ace22d4eb805f5752083528b737027a5d887edee1e1f966d276eea1f8209b55e"),
-    # the Bernoulli-polynomial denominators through degree 500, from one table of B_0..B_499
+    # the Bernoulli-polynomial denominators through degrees 500 and 700, each from one table of B_0..B_{n-1}
     ("digest", f"{V}bernoulli --max 500", 0, "273d28a47aa939f6e648ca4f0a1737c6971b548e4bc9b7acfd9491f0d7899ede"),
+    ("digest", f"{V}bernoulli --max 700", 0, "b5c6df5e164abcb21baf6c6093f59f94e9fa5c0699e76cdeb3c08f442a8d981b"),
     # cor1 and cor2 read every word on both backends, goldberg one word per class on dp; cor2 exits 1 (refuted)
     *[same(f"{V}{check} --format {fmt}", DP, SERIES, code)
       for check, code in (("cor1 --max 11", 0), ("cor2 --max 12", 1), ("goldberg --max 14", 0))

@@ -77,6 +77,14 @@ MUTANTS = [
         "col[k] = product",
         KERNEL_TESTS,
     ),
+    # the dense series: one table of K^n coefficients per degree n
+    Mutant(
+        "series-check-counts-tables-only",
+        FREEALGEBRA,
+        "if [len(table) for table in self.tables] != [self.alphabet_size**n for n in range(self.max_degree + 1)]:",
+        "if len(self.tables) != self.max_degree + 1:",
+        ("tests/test_freealgebra.py::test_series_needs_k_to_the_n_coefficients_at_every_degree",),
+    ),
     # the per-word DP on integers, the class scans' kernel
     Mutant(
         "scaled-dp-descent-admits-equal-letters",
@@ -153,6 +161,13 @@ MUTANTS = [
         "return _BERNOULLI[:count]",
         "return _BERNOULLI",
         ("tests/test_numtheory.py::test_bernoulli_table_grows_once_and_answers_copies",),
+    ),
+    Mutant(
+        "bernoulli-skip-drops-b1",
+        "src/bchdenom/numtheory.py",
+        "if _BERNOULLI[j]:",
+        "if j % 2 == 0:",
+        ("tests/test_numtheory.py::test_bernoulli_numbers_first_values",),
     ),
     Mutant(
         "bernoulli-gate-sizes-count-not-its-square",

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from bchdenom import errors
 from bchdenom.errors import BudgetError
 from bchdenom.freealgebra import (
-    DegreeTable,
     TruncatedSeries,
     Word,
     _scaled_bch_coeff_word,
@@ -87,16 +86,13 @@ def test_word_order_is_the_order_of_letter_tuples():
 
 
 def test_degree_tables_compare_by_value_and_are_unhashable():
-    table = DegreeTable.zeros(2, 2)
-    assert table == DegreeTable(2, 2, [Fraction(0)] * 4)
+    series = TruncatedSeries.zero(2, 2)
+    assert series == TruncatedSeries(2, 2, [[Fraction(0)], [Fraction(0)] * 2, [Fraction(0)] * 4])
     with pytest.raises(TypeError):
-        hash(table)
-    table.coefficients[1] = Fraction(1, 2)
-    assert table != DegreeTable.zeros(2, 2)
-    with pytest.raises(ValueError):
-        DegreeTable(2, 2, [Fraction(0)] * 3)
-    with pytest.raises(ValueError):
-        TruncatedSeries(2, 2, [DegreeTable.zeros(0, 2), table])
+        hash(series)
+    series.tables[2][1] = Fraction(1, 2)
+    assert series != TruncatedSeries.zero(2, 2)
+    assert series.coefficient(W("AB")) == Fraction(1, 2)
 
 
 def test_word_string_rejects_bad_input():
@@ -110,9 +106,16 @@ def test_word_string_rejects_bad_input():
         W("ABC")  # C needs alphabet size 3
 
 
-def test_degree_table_size_checked():
-    with pytest.raises(ValueError):
-        DegreeTable(2, 2, [Fraction(0)] * 3)
+def test_series_needs_k_to_the_n_coefficients_at_every_degree():
+    tables = [[Fraction(0)] * 3**n for n in range(4)]
+    assert TruncatedSeries(3, 3, tables) == TruncatedSeries.zero(3, 3)
+    for bad in (
+        [*tables[:2], tables[2][:-1], tables[3]],  # a middle degree one short
+        [*tables[:2], tables[3]],  # degree 2 missing
+        tables[:3],  # the top degree missing
+    ):
+        with pytest.raises(ValueError, match=r"K\^n coefficients"):
+            TruncatedSeries(3, 3, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +126,9 @@ def random_series(K, N, seed, density=0.6):
     rng = random.Random(seed)
     series = TruncatedSeries.zero(K, N)
     for table in series.tables:
-        for i in range(len(table.coefficients)):
+        for i in range(len(table)):
             if rng.random() < density:
-                table.coefficients[i] = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                table[i] = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
     return series
 
 
@@ -138,7 +141,7 @@ def test_series_exp_generator():
 
 def test_series_exp_generator_one_letter_alphabet():
     e_a = series_exp_generator(0, 4, 1)
-    assert [t.coefficients for t in e_a.tables] == [[Fraction(1, factorial(n))] for n in range(5)]
+    assert e_a.tables == [[Fraction(1, factorial(n))] for n in range(5)]
 
 
 def test_series_multiply_exponentials():
@@ -169,7 +172,7 @@ def test_series_multiply_rejects_mismatch():
 
 def test_series_log1p_single_letter():
     y = TruncatedSeries.zero(2, 7)
-    y.tables[1].coefficients[0] = Fraction(1)  # Y = A
+    y.tables[1][0] = Fraction(1)  # Y = A
     log = series_log1p(y)
     for k in range(1, 8):
         assert log.coefficient(Word((0,) * k)) == Fraction((-1) ** (k + 1), k)
@@ -180,7 +183,7 @@ def test_series_log1p_degree_two():
     e_a = series_exp_generator(0, 2, 2)
     e_b = series_exp_generator(1, 2, 2)
     y = series_multiply(e_a, e_b)
-    y.tables[0].coefficients[0] -= 1
+    y.tables[0][0] -= 1
     log = series_log1p(y)
     assert log.coefficient(W("AB")) == Fraction(1, 2)
     assert log.coefficient(W("BA")) == Fraction(-1, 2)
@@ -204,7 +207,7 @@ def fraction_bch_series(K, N):
     product = series_exp_generator(0, N, K)
     for i in range(1, K):
         product = series_multiply(product, series_exp_generator(i, N, K))
-    product.tables[0].coefficients[0] -= 1
+    product.tables[0][0] -= 1
     return series_log1p(product)
 
 
@@ -220,14 +223,14 @@ def test_bch_series_matches_fraction_horner(K, N):
     reference = fraction_bch_series(K, N)
     for table, expected in zip(series.tables, reference.tables, strict=True):
         assert table == expected
-        assert all(type(c) is Fraction for c in table.coefficients)
+        assert all(type(c) is Fraction for c in table)
 
 
 @st.composite
 def sparse_series(draw, K, N):
     series = TruncatedSeries.zero(K, N)
     for table in series.tables:
-        size = len(table.coefficients)
+        size = len(table)
         entries = draw(
             st.dictionaries(
                 st.integers(min_value=0, max_value=size - 1),
@@ -236,7 +239,7 @@ def sparse_series(draw, K, N):
             )
         )
         for packed, value in entries.items():
-            table.coefficients[packed] = value
+            table[packed] = value
     return series
 
 
@@ -252,13 +255,12 @@ def test_series_multiply_associative_on_sparse_series(data):
 def test_bch_series_shares_one_fraction_per_distinct_value(K, N):
     # a degree holds one value per run-length class, built once and shared
     for table in bch_series(K, N).tables:
-        t = table.coefficients
-        assert len({id(c) for c in t}) == len(set(t))
+        assert len({id(c) for c in table}) == len(set(table))
 
 
 def test_bch_series_degree_one():
     series = bch_series(2, 1)
-    assert series.tables[1].coefficients == [Fraction(1), Fraction(1)]
+    assert series.tables[1] == [Fraction(1), Fraction(1)]
 
 
 def test_bch_series_pinned_degree_11(series2_14):
@@ -345,6 +347,6 @@ def test_scaled_dp_matches_series_on_every_word(K, N):
 
 def test_substitution_collapse_small():
     series = bch_series(2, 6)
-    assert sum(series.tables[1].coefficients) == 2
+    assert sum(series.tables[1]) == 2
     for degree in range(2, 7):
-        assert sum(series.tables[degree].coefficients) == 0
+        assert sum(series.tables[degree]) == 0

@@ -74,12 +74,12 @@ def test_digit_sum_rejects_nonprime_base(bad):
 
 @given(st.integers(min_value=0, max_value=10**9), st.sampled_from(SMALL_PRIMES))
 def test_padic_expansion_reconstructs(n, p):
-    exp = nt.padic_expansion(n, p)
-    assert sum(a * p**i for i, a in enumerate(exp.digits)) == n
-    assert all(0 <= a < p for a in exp.digits)
-    if exp.digits:
-        assert exp.digits[-1] != 0
-    assert exp.digit_sum == nt.digit_sum(n, p)
+    digits = nt.padic_expansion(n, p)
+    assert sum(a * p**i for i, a in enumerate(digits)) == n
+    assert all(0 <= a < p for a in digits)
+    if digits:
+        assert digits[-1] != 0
+    assert sum(digits) == nt.digit_sum(n, p)
 
 
 def test_padic_valuation_examples():
@@ -196,13 +196,14 @@ def test_prime_factorization_is_an_immutable_value():
 
 
 def test_padic_expansion_checks_its_digits():
-    assert nt.padic_expansion(10, 3) == nt.PadicExpansion(10, 3, (1, 0, 1))
-    with pytest.raises(AttributeError):
-        nt.padic_expansion(10, 3).digits = ()
-    with pytest.raises(ValueError, match="reconstruct"):
-        nt.PadicExpansion(10, 3, (1, 1))
-    with pytest.raises(ValueError, match="trailing zero"):
-        nt.PadicExpansion(3, 3, (0, 1, 0))
+    assert nt.padic_expansion(10, 3) == (1, 0, 1)
+    assert nt.padic_expansion(9, 3) == (0, 0, 1)
+    for p in SMALL_PRIMES:
+        assert nt.padic_expansion(0, p) == ()
+    with pytest.raises(ValueError, match="expected a prime"):
+        nt.padic_expansion(10, 4)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        nt.padic_expansion(-1, 3)
 
 
 def test_common_denominator_trivial():
@@ -453,6 +454,14 @@ def test_bernoulli_poly_denominator_examples():
     # B_4(x) - B_4 = x^4 - 2x^3 + x^2 has integer coefficients
     assert nt.bernoulli_poly_denominator(4) == 1
     assert nt.bernoulli_poly_denominator(23) == 30
+
+
+def test_bernoulli_poly_denominator_is_the_lcm_over_every_term():
+    # every k < n, zero B_k included, each C(n, k) from math.comb
+    B = fresh_bernoulli(80)
+    for n in range(1, 81):
+        expected = math.lcm(*((math.comb(n, k) * B[k]).denominator for k in range(n)))
+        assert nt.bernoulli_poly_denominator(n) == expected
 
 
 def test_goldberg_denominator_examples():
