@@ -1,69 +1,34 @@
-"""Frozen value records built from ``__slots__``, without ``dataclasses``.
+"""Frozen value records: named tuples whose fields are checked on every construction.
 
-``dataclasses`` imports ``inspect`` (with ``ast``, ``dis`` and
-``tokenize``) and writes every record's methods through ``exec`` when the
-class is defined; every CLI run imports the records, so that would be
-start-up time.  A record names its fields once, in ``__slots__``, is built
-from them by position or by name, and validates them in ``_check``.
-Equality, hashing, ``repr`` and pickling follow from the slots, as from a
-frozen dataclass's fields; a list field makes ``hash`` a ``TypeError``.
+``collections.namedtuple`` gives construction by position or by name, equality, hashing, ``repr``,
+immutability and pickling, where ``dataclasses`` would import ``inspect`` (with ``ast``, ``dis`` and
+``tokenize``) into every CLI run's start-up.  A record is a tuple of its fields: it iterates, indexes
+and equals a plain tuple of the same fields, and a list field makes ``hash`` a ``TypeError``.
 """
 
-from __future__ import annotations
-
-_set = object.__setattr__
+from collections import namedtuple
 
 
-class Record:
-    """Equal to a record of the same class with equal fields; fields cannot be reassigned."""
+def record(name: str, fields: str) -> type:
+    """A ``namedtuple(name, fields)`` whose every record, copy and ``_replace`` passes ``_check``.
 
-    __slots__ = ()
+    A subclass sets ``__slots__ = ()``, so that it holds its fields alone, and overrides ``_check``.
+    """
+    base = namedtuple(name, fields)
 
-    def __init__(self, *values, **named) -> None:
-        names = self.__slots__
-        if named or len(values) != len(names):
-            values = self._bind(values, named)
-        for name, value in zip(names, values):
-            _set(self, name, value)
-        self._check()
+    class Record(base):
+        __slots__ = ()
 
-    def _bind(self, values: tuple, named: dict) -> list:
-        # the TypeErrors a written signature would raise
-        names, cls = self.__slots__, self.__class__.__qualname__
-        if len(values) > len(names):
-            raise TypeError(f"{cls}() takes {len(names)} fields but {len(values)} were given")
-        if repeated := [name for name in names[: len(values)] if name in named]:
-            raise TypeError(f"{cls}() got multiple values for field {repeated[0]!r}")
-        if unknown := [name for name in named if name not in names]:
-            raise TypeError(f"{cls}() got an unexpected field {unknown[0]!r}")
-        if missing := [name for name in names[len(values) :] if name not in named]:
-            raise TypeError(f"{cls}() missing field(s): {', '.join(missing)}")
-        return [*values, *(named[name] for name in names[len(values) :])]
+        def __new__(cls, *values, **named):
+            self = base.__new__(cls, *values, **named)
+            self._check()
+            return self
 
-    def _check(self) -> None:
-        """Raise if the fields do not make a valid record."""
+        @classmethod
+        def _make(cls, values):
+            return cls(*values)
 
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        def _check(self) -> None:
+            """Raise if the fields do not make a valid record."""
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __reduce__(self):
-        # rebuilt through __init__, so a copy or an unpickled record is checked again
-        return self.__class__, self._fields()
+    return Record

@@ -63,7 +63,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from . import numtheory
-from ._records import Record
+from ._records import record
 from .errors import check_budget
 from .freealgebra import (
     TruncatedSeries,
@@ -96,7 +96,8 @@ class BackendDisagreementError(RuntimeError):
     """The two backends of "both" differ at a word: reported as a violation, exit status 1."""
 
 
-class DenominatorReport(Record):
+class DenominatorReport(record("DenominatorReport", "degree alphabet_size d_n common_denominator observed_lcm"
+                               " minimal divisibility_ok witness_max")):
     """Outcome of one full degree scan.
 
     ``witness_max`` is the lexicographically smallest word whose
@@ -105,10 +106,7 @@ class DenominatorReport(Record):
     to build the full lcm) this is the first word attaining it.
     """
 
-    __slots__ = (
-        "degree", "alphabet_size", "d_n", "common_denominator",
-        "observed_lcm", "minimal", "divisibility_ok", "witness_max",
-    )
+    __slots__ = ()
 
     def _check(self) -> None:
         assert not self.divisibility_ok or self.common_denominator % self.observed_lcm == 0
@@ -128,10 +126,10 @@ class DenominatorReport(Record):
         }
 
 
-class CongruenceReport(Record):
-    """Residue check of the numerators a_w = h_w * (n! * d_n) at one degree."""
+class CongruenceReport(record("CongruenceReport", "p degree expected_residue violations exceptional_zero_failures")):
+    """Residue check of the numerators a_w = h_w * (n! * d_n) at one degree, modulo the prime p."""
 
-    __slots__ = ("p", "degree", "modulus", "expected_residue", "violations", "exceptional_zero_failures")
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -141,7 +139,7 @@ class CongruenceReport(Record):
         return {
             "p": self.p,
             "degree": self.degree,
-            "modulus": self.modulus,
+            "modulus": self.p,
             "expected_residue": self.expected_residue,
             "violations": [
                 {"word": w.to_string(2), "numerator": str(a), "residue": r}
@@ -152,10 +150,11 @@ class CongruenceReport(Record):
         }
 
 
-class GoldbergDegreeResult(Record):
+class GoldbergDegreeResult(record("GoldbergDegreeResult", "degree goldberg_denominator passed witness"
+                                  " witness_denominator ratio")):
     """Whether every degree-n denominator divides denom((B_{n-1}+B_{n-2})/n!)."""
 
-    __slots__ = ("degree", "goldberg_denominator", "passed", "witness", "witness_denominator", "ratio")
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -168,14 +167,14 @@ class GoldbergDegreeResult(Record):
         }
 
 
-class TableEntry(Record):
+class TableEntry(record("TableEntry", "value denominator_factorization numerator word")):
     """A coefficient of a degree, with its arithmetic: the row of a word or of a distinct value.
 
     In a row of a distinct value, ``word`` is the lexicographically
     smallest word attaining the value.
     """
 
-    __slots__ = ("value", "denominator_factorization", "numerator", "word")
+    __slots__ = ()
 
     @classmethod
     def of(cls, word: Word, value: Fraction, alphabet_size: int) -> TableEntry:
@@ -335,17 +334,20 @@ def degree_coefficients(
     word with ``bch_coeff_word``.  With ``parallelism`` above 1 the
     per-word DP runs on ``pool`` (an open pool from ``worker_pool``, such
     as the one ``shared_scan`` shares across a run), or on a pool opened
-    for this call.  The scan budget bounds the words the scan computes
-    (``scan_count``): given ``words`` on the per-word DP by the degree's
-    class count, else all K^n.  ``scan_limit`` is accepted and ignored,
-    because ``perfbench/traced_cli.py`` still passes it.
+    for this call.  The scan budget bounds the words the scan computes:
+    given ``words`` on the per-word DP by their number, else all K^n
+    (``scan_count``).  ``scan_limit`` is accepted and ignored, because
+    ``perfbench/traced_cli.py`` still passes it.
     """
     _check_degree(n)
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    scan_count(n, alphabet_size, per_class=words is not None and backend == DP_BACKEND)
+    if words is not None and backend == DP_BACKEND:
+        check_budget(lambda m: len(words), n, lambda count, m: f"scan of {count} given words of degree {n}")
+    else:
+        scan_count(n, alphabet_size)
     total = alphabet_size**n
     if words is not None and not all(0 <= packed < total for packed in words):
         raise ValueError(f"packed word out of range for degree {n}")
@@ -547,7 +549,6 @@ def _congruence_scan(
     return CongruenceReport(
         p=p,
         degree=n,
-        modulus=p,
         expected_residue=expected,
         violations=tuple(violations),
         exceptional_zero_failures=tuple(zero_failures),

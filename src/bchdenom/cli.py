@@ -321,7 +321,8 @@ def _eq3_rows(args: argparse.Namespace) -> Iterator[tuple]:
 
 
 def _bernoulli_rows(args: argparse.Namespace) -> Iterator[tuple]:
-    numtheory.bernoulli_numbers(args.max)  # the whole table, held to the budget, before the first row
+    # the terms through the largest degree, held to the budget before the first row; announced as for eq3
+    _announce(args.max, 2, f"{numtheory.check_bernoulli_budget(args.max)} Bernoulli terms")
     for n in range(1, args.max + 1):
         poly = numtheory.bernoulli_poly_denominator(n)
         kernel = numtheory.squarefree_kernel(n)
@@ -398,10 +399,11 @@ def _coeff_rows(args: argparse.Namespace) -> Iterator[tuple]:
     if word.degree < 1:
         raise ValueError("the word must be nonempty")
     # the DP's cell updates grow as n^3 (about n^3/6 for a word whose letters never fall)
-    check_budget(lambda m: m**3, word.degree, lambda updates, m: (
+    steps = check_budget(lambda m: m**3, word.degree, lambda updates, m: (
         f"per-word DP of {updates} steps for {m} letters" if m == word.degree
         else f"per-word DP of {word.degree} letters, at least the {updates} steps for {m},"
     ))
+    _announce(word.degree, 2, f"{steps} DP steps")  # from degree 12 on, as for two letters
     entry = bch.TableEntry.of(word, bch_coeff_word(word, args.alphabet), args.alphabet)
     common, _ = numtheory.common_denominator(word.degree)
     record = _word_record(entry, args.alphabet)

@@ -29,10 +29,9 @@ The backends share no arithmetic and are cross-checked in the test suite.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 from math import comb, factorial, lcm
 
-from ._records import Record
+from ._records import record
 from .errors import check_budget
 
 _UPPERCASE = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -41,23 +40,17 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@total_ordering
-class Word(Record):
+class Word(record("Word", "letters")):
     """An immutable word over generator indices 0..K-1; its length is the degree.
 
     Words order as their letter tuples, so a degree's words sort lexicographically.
     """
 
-    __slots__ = ("letters",)
+    __slots__ = ()
 
     def _check(self) -> None:
         if min(self.letters, default=0) < 0:
             raise ValueError("letters must be >= 0")
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return self.letters < other.letters
-        return NotImplemented
 
     @property
     def degree(self) -> int:
@@ -112,10 +105,10 @@ def all_words(degree: int, alphabet_size: int):
         yield Word.unpack(packed, degree, alphabet_size)
 
 
-class TruncatedSeries(Record):
+class TruncatedSeries(record("TruncatedSeries", "max_degree alphabet_size tables")):
     """A series truncated beyond ``max_degree``: ``tables[n]`` lists the K^n coefficients of degree n by packed word."""
 
-    __slots__ = ("max_degree", "alphabet_size", "tables")
+    __slots__ = ()
 
     def _check(self) -> None:
         if [len(table) for table in self.tables] != [self.alphabet_size**n for n in range(self.max_degree + 1)]:

@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from ._records import Record
+from ._records import record
 from .errors import check_budget
 
 
@@ -120,11 +120,9 @@ def padic_valuation(m: int, p: int) -> int:
 
 
 def factorial_valuation(n: int, p: int) -> int:
-    """v_p(n!) = (n - s_p(n)) / (p - 1).
+    """v_p(n!) = (n - s_p(n)) / (p - 1), checked under ``assert`` against the floor sum of n / p^i, i >= 1.
 
-    The floor-sum form sum_{i>=1} floor(n / p^i) is recomputed under
-    ``assert`` so test runs double-check the closed form at no production
-    cost.
+    The check costs a second digit sum and the floor sum on every call, CLI runs included: none uses ``-O``.
     """
     _require_prime(p)
     if n < 0:
@@ -144,13 +142,13 @@ def _factorial_valuation_floor_sum(n: int, p: int) -> int:
     return total
 
 
-class PrimeFactorization(Record):
+class PrimeFactorization(record("PrimeFactorization", "factors")):
     """Ordered prime factorization: ((p1, e1), (p2, e2), ...) with p1 < p2 < ...
 
     Exponents are >= 1; the empty tuple represents 1.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ()
 
     def _check(self) -> None:
         last = 1
@@ -438,19 +436,23 @@ def constructive_partition(n: int, p: int, k: int) -> list[int]:
 _BERNOULLI = [Fraction(1)]
 
 
-def bernoulli_numbers(count: int) -> list[Fraction]:
-    """B_0, ..., B_{count-1} as exact fractions, convention B_1 = -1/2: a copy of ``_BERNOULLI``'s first entries.
-
-    The table grows by the binomial recurrence sum_{k<=m} C(m+1, k) B_k = 0.  count^2, the terms
-    that recurrence and ``bernoulli_poly_denominator``'s lcms sum through count, is first held to
-    the scan budget.
-    """
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    check_budget(lambda m: m * m, count, lambda terms, m: (
+def check_bernoulli_budget(count: int) -> int:
+    """count^2, the terms ``bernoulli_numbers`` and ``bernoulli_poly_denominator`` sum through count, once in budget."""
+    return check_budget(lambda m: m * m, count, lambda terms, m: (
         f"Bernoulli recurrence of {terms} terms through B_{m - 1}" if m == count
         else f"Bernoulli recurrence through B_{count - 1}, at least the {terms} terms through B_{m - 1},"
     ))
+
+
+def bernoulli_numbers(count: int) -> list[Fraction]:
+    """B_0, ..., B_{count-1} as exact fractions, convention B_1 = -1/2: a copy of ``_BERNOULLI``'s first entries.
+
+    The table grows by the binomial recurrence sum_{k<=m} C(m+1, k) B_k = 0, once count has passed
+    ``check_bernoulli_budget``.
+    """
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    check_bernoulli_budget(count)
     for m in range(len(_BERNOULLI), count):
         acc = Fraction(0)
         binomial = 1  # C(m+1, j), grown along the row

@@ -129,6 +129,39 @@ MUTANTS = [
         "if runs <= alphabet_size * falls]",
         ("tests/test_symmetry.py::test_orders_are_those_the_words_make",),
     ),
+    # the closed form d_n, the class count the DP scans are held to, and the minimality verdict
+    Mutant(
+        "dn-exponent-misses-an-equal-power",
+        "src/bchdenom/numtheory.py",
+        "while q <= s:",
+        "while q < s:",
+        ("tests/test_numtheory.py::test_compute_dn_examples",),
+    ),
+    Mutant(
+        "class-count-recurrence-takes-one-part-fewer",
+        "src/bchdenom/bch.py",
+        "parts[r - m][m]",
+        "parts[r - m][m - 1]",
+        (
+            "tests/test_symmetry.py::test_class_representatives_count_partitions",
+            "tests/test_symmetry.py::test_class_count_is_the_number_of_representatives",
+        ),
+    ),
+    Mutant(
+        "minimal-verdict-admits-a-smaller-lcm",
+        "src/bchdenom/bch.py",
+        "minimal=observed == common,",
+        "minimal=observed <= common,",
+        ("tests/test_cli.py::test_exit_code_contract[minimal-violation-dp]",),
+    ),
+    # the record factory: a record built by _make, and so by _replace, is checked
+    Mutant(
+        "record-make-skips-the-check",
+        "src/bchdenom/_records.py",
+        "return cls(*values)",
+        "return tuple.__new__(cls, values)",
+        ("tests/test_records.py::test_replace_and_make_run_the_check",),
+    ),
     # the one gate every run's size passes, and the CLI's order: check, then announce
     Mutant(
         "gate-refuses-a-size-equal-to-the-budget",

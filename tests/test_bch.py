@@ -109,6 +109,15 @@ def test_dp_report_budget_counts_class_words(monkeypatch):
         degree_coefficients(8, 3, "dp")  # every word, as for table
 
 
+def test_dp_budget_counts_the_words_it_is_given(monkeypatch):
+    # a given word list is held to the budget by its length, not by the degree's 22 classes
+    table = degree_coefficients(8, 2)
+    monkeypatch.setattr(errors, "SCAN_BUDGET", 100)
+    with pytest.raises(BudgetError, match="scan of 256 given words of degree 8 exceeds the scan budget 100"):
+        degree_coefficients(8, 2, "dp", words=list(range(256)))
+    assert degree_coefficients(8, 2, "dp", words=list(range(100))) == table[:100]
+
+
 def test_dp_report_refuses_before_listing_a_class(monkeypatch):
     # p(71) classes are counted, not listed: the partitions the listing walks are never asked for
     listed = []
@@ -230,7 +239,7 @@ def test_corollary_prime_small(p, expected, scan):
     report = check_corollary_prime(p, **scan)
     assert report.expected_residue == (-bch.compute_dn(p)[0]) % p == expected
     assert report.passed
-    assert report.degree == p and report.modulus == p
+    assert report.degree == p
 
 
 def test_corollary_prime_validation():

@@ -276,6 +276,21 @@ def test_verify_bernoulli_refuses_what_it_cannot_finish(capsys, monkeypatch):
     assert err == "budget exceeded: Bernoulli recurrence of 121 terms through B_10 exceeds the scan budget 100\n"
 
 
+@pytest.mark.parametrize("argv, announced", [
+    (("verify", "--what", "bernoulli", "--max", "12"), "degree 12 (144 Bernoulli terms)"),
+    (("verify", "--what", "bernoulli", "--max", "30"), "degree 30 (900 Bernoulli terms)"),
+    (("coeff", "AB" * 6), "degree 12 (1728 DP steps)"),
+    (("coeff", "AAB" * 5, "--format", "json"), "degree 15 (3375 DP steps)"),
+])
+def test_bernoulli_and_coeff_announce_from_degree_12(capsys, monkeypatch, argv, announced):
+    # as eq3: the count its gate held, on stderr once the gate has passed, from degree 12 on
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and err == f"scanning {announced}...\n"
+    monkeypatch.setattr(errors, "SCAN_BUDGET", 100)  # a refused run prints the refusal alone
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err.startswith("budget exceeded:") and err.count("\n") == 1
+
+
 def test_verify_theorem_and_minimal(capsys):
     code, out, _ = run(capsys, "verify", "--what", "theorem", "--max", "6", "--format", "json")
     assert code == 0
