@@ -225,26 +225,16 @@ def _smallest_word(lengths: tuple[int, ...], asc: int, desc: int, alphabet_size:
 
 
 def _orders(runs: int, alphabet_size: int) -> list[tuple[int, int]]:
-    """Each merged class order of ``runs`` runs that K letters allow, as (rises, falls) with rises >= falls.
-
-    Such an order starts at letter 0, and its falls cut its rises into falls + 1 stretches that each
-    climb at most K - 1: it has words exactly when rises <= (K - 1) * (falls + 1), or runs <= K * (falls + 1).
-    """
-    return [(runs - 1 - falls, falls) for falls in range((runs + 1) // 2) if runs <= alphabet_size * (falls + 1)]
+    """Each merged class order (rises, falls), rises >= falls, of ``runs`` runs that ``_letters_fit`` allows from 0."""
+    orders = ((runs - 1 - falls, falls) for falls in range((runs + 1) // 2))
+    return [order for order in orders if _letters_fit(alphabet_size, 0, *order)]
 
 
 def class_count(n: int, alphabet_size: int = 2) -> int:
-    """How many words ``class_representatives(n, K)`` lists, counted without listing them.
-
-    ``parts[r][m]`` counts the partitions of r into exactly m parts: p(r, m) = p(r-1, m-1) + p(r-m, m).
-    Each has a word for each of its ``_orders(m, K)``, the orders with rises <= (K - 1) * (falls + 1).
-    """
+    """How many words ``class_representatives(n, K)`` lists: ``len(_orders(m, K))`` per partition of n into m parts."""
     _check_degree(n)
-    parts = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
-    for r in range(1, n + 1):
-        for m in range(1, r + 1):
-            parts[r][m] = parts[r - 1][m - 1] + parts[r - m][m]
-    return sum(parts[n][m] * len(_orders(m, alphabet_size)) for m in range(1, n + 1))
+    row = numtheory.partition_counts_by_parts(n)
+    return sum(count * len(_orders(m, alphabet_size)) for m, count in enumerate(row))
 
 
 def class_representatives(n: int, alphabet_size: int = 2) -> list[int]:
@@ -257,15 +247,16 @@ def class_representatives(n: int, alphabet_size: int = 2) -> list[int]:
     other cannot start at letter 0, this one does.  Else both rise first,
     the other at least as high, and exactly as high only when both rise to
     1; then both fall back to 0 after the same shortest length, which
-    leaves the same comparison with one rise and one fall fewer.  K letters allow
-    the order with more rises exactly when rises <= (K - 1) * (falls + 1) (``_orders``);
-    the count of these words (``scan_count``) is held to the budget before any is listed.
+    leaves the same comparison with one rise and one fall fewer.  So each
+    partition gives a word for each order K letters allow (``_orders``); the
+    count of these words (``scan_count``) is held to the budget before any is listed.
     """
     scan_count(n, alphabet_size, per_class=True)
+    orders = [_orders(runs, alphabet_size) for runs in range(n + 1)]
     return sorted(
         _smallest_word(lengths, rises, falls, alphabet_size)
         for lengths in numtheory.partitions(n)
-        for rises, falls in _orders(len(lengths), alphabet_size)
+        for rises, falls in orders[len(lengths)]
     )
 
 
@@ -293,19 +284,21 @@ def _check_degree(n: int) -> None:
         raise ValueError("degree must be >= 1")
 
 
-def scan_count(n: int, alphabet_size: int, per_class: bool = False) -> int:
+def scan_count(n: int, alphabet_size: int, per_class: bool = False, lower_bound: bool = False) -> int:
     """How many words a scan of degree n computes, once the gate (``check_budget``) has passed them.
 
     A class-reduced scan (``per_class``) computes one word per run-length class, whose words
     share a denominator (``class_representatives``, counted by ``class_count``; p(n) words for
-    two letters), and any other scan all K^n words.  Neither count falls as n grows.
+    two letters), and any other scan all K^n words.  Neither count falls as n grows, so a gate on
+    a ``lower_bound`` n of a degree not yet known refuses what that degree would; its refusal says so.
     """
     if per_class:
         return check_budget(lambda m: class_count(m, alphabet_size), n, lambda count, m: (
             f"scan of {count} words of degree {n}" if m == n
             else f"scan of degree {n}, at least the {count} words of degree {m},"
         ))
-    return check_budget(lambda m: alphabet_size**m, n, lambda count, m: f"scan of {alphabet_size}^{n} words")
+    least = "at least " if lower_bound else ""
+    return check_budget(lambda m: alphabet_size**m, n, lambda count, m: f"scan of {least}{alphabet_size}^{n} words")
 
 
 def degree_coefficients(

@@ -266,12 +266,18 @@ def _degree_rows(verdict: str, args: argparse.Namespace) -> Iterator[tuple]:
 
 
 def _congruence_rows(args: argparse.Namespace) -> Iterator[tuple]:
-    """cor1 at the prime degrees p <= N, cor2 at the degrees p + 1 <= N of the odd primes p."""
+    """cor1 at the prime degrees p <= N, cor2 at the degrees p + 1 <= N of the odd primes p.
+
+    The largest prime up to N - shift exceeds half of it (Bertrand's postulate), so that lower bound
+    of the largest degree is held to the budget before the primes, N bytes of sieve, are listed.
+    """
     what, N = args.what, args.max
+    shift = 0 if what == "cor1" else 1
+    bch.scan_count((N - shift) // 2 + 1 + shift, args.alphabet, lower_bound=True)
     if what == "cor1":
-        check, primes, shift = bch.check_corollary_prime, numtheory.primes_below(N + 1), 0
+        check, primes = bch.check_corollary_prime, numtheory.primes_below(N + 1)
     else:
-        check, primes, shift = bch.check_corollary_prime_plus_one, numtheory.primes_below(N)[1:], 1
+        check, primes = bch.check_corollary_prime_plus_one, numtheory.primes_below(N)[1:]
     failed = False
     with _scan(args, primes[-1] + shift) as scan:  # each degree's every word
         for p in primes:

@@ -303,17 +303,21 @@ def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def partition_count(n: int) -> int:
-    """p(n), the number of partitions of n >= 0, by the O(n^2) recurrence on the parts allowed.
+def partition_counts_by_parts(n: int) -> list[int]:
+    """[p(n, 0), ..., p(n, n)]: how many partitions of n >= 0 have exactly m parts, none enumerated.
 
-    ``counts[m]`` is the number of partitions of m into the parts tried so far; nothing is
-    enumerated.
+    ``parts[r][m]`` = p(r, m) = p(r-1, m-1) + p(r-m, m): a part is 1, or m parts are each 1 more than those of r - m.
     """
-    counts = [1] + [0] * n
-    for part in range(1, n + 1):
-        for m in range(part, n + 1):
-            counts[m] += counts[m - part]
-    return counts[n]
+    parts = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
+    for r in range(1, n + 1):
+        for m in range(1, r + 1):
+            parts[r][m] = parts[r - 1][m - 1] + parts[r - m][m]
+    return parts[n]
+
+
+def partition_count(n: int) -> int:
+    """p(n), the number of partitions of n >= 0: the sum of ``partition_counts_by_parts(n)``."""
+    return sum(partition_counts_by_parts(n))
 
 
 def check_partition_budget(n: int) -> int:

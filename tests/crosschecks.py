@@ -66,6 +66,8 @@ ENTRIES = [
         f"{V}minimal --alphabet 3 --max 10000000", "table --degree 1000000", "table --degree 1553 --format json",
         "dn --max 100000",
     )],
+    # cor1 and cor2 at 10^30, refused on a lower bound of the largest degree before the primes are listed
+    *[("refused", f"{V}{check} --max {10**30}", 5) for check in ("cor1", "cor2")],
     # the benchmark's command lines and --help print the stdout it gates on
     ("digest", " ".join(BENCH["HELP_ARGV"]), 0, BENCH["HELP_SHA256"]),
     *[("digest", " ".join(w.argv), w.exit_code, w.stdout_sha256) for w in BENCH["WORKLOADS"].values()],

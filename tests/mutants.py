@@ -39,6 +39,10 @@ class Mutant(NamedTuple):
 
 FREEALGEBRA = "src/bchdenom/freealgebra.py"
 KERNEL_TESTS = ("tests/test_freealgebra.py",)
+ORDERS_TESTS = (
+    "tests/test_symmetry.py::test_letters_fit_matches_the_letter_sequences",
+    "tests/test_symmetry.py::test_orders_are_those_the_words_make",
+)
 
 MUTANTS = [
     # the per-word DP on Fractions: a block grown leftward stops at a descent
@@ -114,22 +118,22 @@ MUTANTS = [
         "weight = weight * (j + 1)",
         KERNEL_TESTS,
     ),
-    # the class orders K letters allow
+    # the letters a run of rises and falls needs, which decide the class orders K letters allow
     Mutant(
         "orders-bound-strict",
         "src/bchdenom/bch.py",
-        "if runs <= alphabet_size * (falls + 1)]",
-        "if runs < alphabet_size * (falls + 1)]",
-        ("tests/test_symmetry.py::test_orders_are_those_the_words_make",),
+        "return rises <= top - letter + falls * top and",
+        "return rises < top - letter + falls * top and",
+        ORDERS_TESTS,
     ),
     Mutant(
         "orders-bound-one-stretch-short",
         "src/bchdenom/bch.py",
-        "if runs <= alphabet_size * (falls + 1)]",
-        "if runs <= alphabet_size * falls]",
-        ("tests/test_symmetry.py::test_orders_are_those_the_words_make",),
+        "falls <= letter + rises * top",
+        "falls <= letter + (rises - 1) * top",
+        ORDERS_TESTS,
     ),
-    # the closed form d_n, the class count the DP scans are held to, and the minimality verdict
+    # the closed form d_n, the partition counts the DP scans are held to, and the minimality verdict
     Mutant(
         "dn-exponent-misses-an-equal-power",
         "src/bchdenom/numtheory.py",
@@ -139,10 +143,11 @@ MUTANTS = [
     ),
     Mutant(
         "class-count-recurrence-takes-one-part-fewer",
-        "src/bchdenom/bch.py",
+        "src/bchdenom/numtheory.py",
         "parts[r - m][m]",
         "parts[r - m][m - 1]",
         (
+            "tests/test_numtheory.py::test_partition_count_matches_the_enumeration",
             "tests/test_symmetry.py::test_class_representatives_count_partitions",
             "tests/test_symmetry.py::test_class_count_is_the_number_of_representatives",
         ),
@@ -186,6 +191,26 @@ MUTANTS = [
         "    _announce(degree, args.alphabet, f\"{count} words\" if per_class else f\"{args.alphabet}**{degree} words\")\n"
         "    bch.scan_count(degree, args.alphabet, per_class)\n",
         ("tests/test_cli.py::test_dp_class_scan_budget_exceeded",),
+    ),
+    # a gate moved after the work it guards: cor1 and cor2 sieve the primes up to --max before any gate
+    Mutant(
+        "congruence-gate-after-the-sieve",
+        "src/bchdenom/cli.py",
+        "    bch.scan_count((N - shift) // 2 + 1 + shift, args.alphabet, lower_bound=True)\n"
+        "    if what == \"cor1\":\n"
+        "        check, primes = bch.check_corollary_prime, numtheory.primes_below(N + 1)\n"
+        "    else:\n"
+        "        check, primes = bch.check_corollary_prime_plus_one, numtheory.primes_below(N)[1:]\n",
+        "    if what == \"cor1\":\n"
+        "        check, primes = bch.check_corollary_prime, numtheory.primes_below(N + 1)\n"
+        "    else:\n"
+        "        check, primes = bch.check_corollary_prime_plus_one, numtheory.primes_below(N)[1:]\n"
+        "    bch.scan_count((N - shift) // 2 + 1 + shift, args.alphabet, lower_bound=True)\n",
+        (
+            "tests/test_cli.py::test_congruence_far_range_is_refused_before_the_primes_are_listed[cor1-10**19]",
+            "tests/test_cli.py::test_congruence_far_range_is_refused_before_the_primes_are_listed[cor2-10**19]",
+            "tests/test_cli_properties.py::test_every_command_line_keeps_the_exit_code_contract[verify-cor1]",
+        ),
     ),
     # the Bernoulli table every call shares, and the gates of bernoulli and coeff
     Mutant(

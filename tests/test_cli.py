@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -213,6 +214,21 @@ def test_far_refusal_is_quick_in_a_fresh_interpreter():
     )
     assert done.returncode == 3 and done.stdout == ""
     assert done.stderr == "budget exceeded: scan of 3^10000000 words exceeds the scan budget 4194304\n"
+
+
+@pytest.mark.parametrize(
+    "what, far", [(what, far) for what in ("cor1", "cor2") for far in (10**8, 10**19, 10**30)],
+    ids=[f"{what}-10**{digits}" for what in ("cor1", "cor2") for digits in (8, 19, 30)],
+)
+def test_congruence_far_range_is_refused_before_the_primes_are_listed(capsys, what, far):
+    # the largest prime up to N exceeds N / 2 (Bertrand), so that lower bound of the largest degree is
+    # held to the budget before the primes up to N, a sieve of N bytes, are listed: the sieve came
+    # first, which took 5.7 s and 363 MB at 10^8 and raised OverflowError (exit 1) from 10^19
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--what", what, "--max", str(far))
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err == f"budget exceeded: scan of at least 2^{far // 2 + 1} words exceeds the scan budget 4194304\n"
 
 
 @pytest.mark.parametrize(

@@ -312,6 +312,14 @@ def test_Dn_bruteforce_bound(monkeypatch):
     assert nt.Dn_bruteforce(5) == 720
 
 
+def test_partitions_by_parts_match_the_enumeration():
+    # p(n, m), the partitions of n into exactly m parts, for m = 0..n; the row sums to p(n)
+    for n in range(26):
+        row = nt.partition_counts_by_parts(n)
+        assert row == [sum(1 for parts in nt.partitions(n) if len(parts) == m) for m in range(n + 1)]
+        assert sum(row) == nt.partition_count(n)
+
+
 def test_partition_count_matches_the_enumeration():
     assert [nt.partition_count(n) for n in range(26)] == [sum(1 for _ in nt.partitions(n)) for n in range(26)]
     # p(70) is the last count within the scan budget of 2^22

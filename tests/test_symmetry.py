@@ -177,6 +177,15 @@ def test_orders_are_those_the_words_make(K):
         assert sorted(made[runs]) == sorted(bch._orders(runs, K)), runs
 
 
+@pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
+def test_orders_are_the_closed_form(K):
+    # the falls cut the rises into falls + 1 stretches from letter 0, each climbing at most K - 1:
+    # rises <= (K - 1) * (falls + 1), that is runs <= K * (falls + 1)
+    for runs in range(1, 13):
+        closed_form = [(runs - 1 - falls, falls) for falls in range((runs + 1) // 2) if runs <= K * (falls + 1)]
+        assert bch._orders(runs, K) == closed_form, runs
+
+
 def test_class_representatives_count_partitions():
     # two letters: one class per partition of n, p(n) words
     for n in range(1, 26):
