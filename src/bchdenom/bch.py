@@ -109,8 +109,10 @@ class DenominatorReport(record("DenominatorReport", "degree alphabet_size d_n co
     __slots__ = ()
 
     def _check(self) -> None:
-        assert not self.divisibility_ok or self.common_denominator % self.observed_lcm == 0
-        assert not self.minimal or self.divisibility_ok
+        if self.divisibility_ok and self.common_denominator % self.observed_lcm:
+            raise ValueError("divisibility_ok needs an lcm that divides n! * d_n")
+        if self.minimal and not self.divisibility_ok:
+            raise ValueError("minimal needs divisibility_ok")
 
     def to_json_dict(self) -> dict:
         # big integers as decimal strings: they outgrow 64-bit consumers
@@ -284,21 +286,15 @@ def _check_degree(n: int) -> None:
         raise ValueError("degree must be >= 1")
 
 
-def scan_count(n: int, alphabet_size: int, per_class: bool = False, lower_bound: bool = False) -> int:
+def scan_count(n: int, alphabet_size: int, per_class: bool = False) -> int:
     """How many words a scan of degree n computes, once the gate (``check_budget``) has passed them.
 
     A class-reduced scan (``per_class``) computes one word per run-length class, whose words
     share a denominator (``class_representatives``, counted by ``class_count``; p(n) words for
-    two letters), and any other scan all K^n words.  Neither count falls as n grows, so a gate on
-    a ``lower_bound`` n of a degree not yet known refuses what that degree would; its refusal says so.
+    two letters), and any other scan all K^n words.  Neither count falls as n grows.
     """
-    if per_class:
-        return check_budget(lambda m: class_count(m, alphabet_size), n, lambda count, m: (
-            f"scan of {count} words of degree {n}" if m == n
-            else f"scan of degree {n}, at least the {count} words of degree {m},"
-        ))
-    least = "at least " if lower_bound else ""
-    return check_budget(lambda m: alphabet_size**m, n, lambda count, m: f"scan of {least}{alphabet_size}^{n} words")
+    count = (lambda m: class_count(m, alphabet_size)) if per_class else (lambda m: alphabet_size**m)
+    return check_budget(count, n, f"scan of degree {n}", "words")
 
 
 def degree_coefficients(
@@ -338,7 +334,7 @@ def degree_coefficients(
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     if words is not None and backend == DP_BACKEND:
-        check_budget(lambda m: len(words), n, lambda count, m: f"scan of {count} given words of degree {n}")
+        check_budget(lambda m: len(words), 1, f"scan of degree {n}", "given words")  # no degree changes it: sized once
     else:
         scan_count(n, alphabet_size)
     total = alphabet_size**n

@@ -241,7 +241,7 @@ def _scan(args: argparse.Namespace, degree: int, per_class: bool = False) -> Abs
     """
     per_class = per_class and args.backend == bch.DP_BACKEND
     count = bch.scan_count(degree, args.alphabet, per_class)
-    _announce(degree, args.alphabet, f"{count} words" if per_class else f"{args.alphabet}**{degree} words")
+    _announce(degree, args.alphabet, f"{count} words")
     return bch.shared_scan(args.alphabet, args.backend, args.parallelism, degree)
 
 
@@ -273,7 +273,8 @@ def _congruence_rows(args: argparse.Namespace) -> Iterator[tuple]:
     """
     what, N = args.what, args.max
     shift = 0 if what == "cor1" else 1
-    bch.scan_count((N - shift) // 2 + 1 + shift, args.alphabet, lower_bound=True)
+    least = (N - shift) // 2 + 1 + shift
+    check_budget(lambda m: args.alphabet**m, least, f"{what} scan of degree {least} or more", "words")
     if what == "cor1":
         check, primes = bch.check_corollary_prime, numtheory.primes_below(N + 1)
     else:
@@ -374,9 +375,8 @@ def _dn_rows(n_max: int) -> Iterator[tuple]:
     """
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (nor the function before 3.10.7)
     if digits:
-        limit = (10**digits - 1, f"the limit of {digits} digits for integer string conversion")
-        what = f"n!*d_n of degree {n_max}"
-        check_budget(lambda n: numtheory.common_denominator(n)[0], n_max, lambda common, m: what, limit)
+        limit = (digits, f"the limit of {digits} digits for integer string conversion")
+        check_budget(_common_digits, n_max, f"n!*d_n of degree {n_max}", "digits", limit)
     for n in range(1, n_max + 1):
         d_n, d_fact = numtheory.compute_dn(n)
         kernel = numtheory.squarefree_kernel(n)
@@ -384,6 +384,18 @@ def _dn_rows(n_max: int) -> Iterator[tuple]:
         values = (n, str(d_n), str(kernel), str(common), str(d_fact), str(common_fact))
         plain = f"{n:>3} {d_n:>6} {kernel:>6} {common:>24}  {d_fact!s:<14} {common_fact}"
         yield dict(zip(_DN_FIELDS, values)), plain, None
+
+
+def _common_digits(n: int) -> int:
+    """The decimal digits of n! * d_n, counted without ``str``, whose digit limit is the one checked.
+
+    Its bits give a count from below (bit_length * log10(2)), raised past each power of ten it reaches.
+    """
+    common, _ = numtheory.common_denominator(n)
+    count = common.bit_length() * 1233 >> 12  # 1233 / 4096 < log10(2)
+    while common >= 10**count:
+        count += 1
+    return count
 
 
 _WORD_FIELDS = ("word", "h_num", "h_den", "a", "denom_factorization")
@@ -405,10 +417,7 @@ def _coeff_rows(args: argparse.Namespace) -> Iterator[tuple]:
     if word.degree < 1:
         raise ValueError("the word must be nonempty")
     # the DP's cell updates grow as n^3 (about n^3/6 for a word whose letters never fall)
-    steps = check_budget(lambda m: m**3, word.degree, lambda updates, m: (
-        f"per-word DP of {updates} steps for {m} letters" if m == word.degree
-        else f"per-word DP of {word.degree} letters, at least the {updates} steps for {m},"
-    ))
+    steps = check_budget(lambda m: m**3, word.degree, f"per-word DP for {word.degree} letters", "steps")
     _announce(word.degree, 2, f"{steps} DP steps")  # from degree 12 on, as for two letters
     entry = bch.TableEntry.of(word, bch_coeff_word(word, args.alphabet), args.alphabet)
     common, _ = numtheory.common_denominator(word.degree)

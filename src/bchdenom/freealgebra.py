@@ -217,7 +217,7 @@ def bch_series(alphabet_size: int, max_degree: int) -> TruncatedSeries:
     if max_degree < 1:
         raise ValueError("max degree must be >= 1")
     K = alphabet_size
-    check_budget(lambda m: K**m, max_degree, lambda size, m: f"degree table of {K}^{max_degree} entries")
+    check_budget(lambda m: K**m, max_degree, f"series through degree {max_degree}", "table entries")
     N = max_degree
     scale = lcm(*range(1, N + 1))
     horner = [[(-1) ** (N + 1) * scale // N]]

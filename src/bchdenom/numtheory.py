@@ -326,10 +326,7 @@ def check_partition_budget(n: int) -> int:
     The gate (``check_budget``) counts the degrees below n first, so that a degree far past the
     budget is refused before its own O(n^2) count runs.
     """
-    return check_budget(partition_count, n, lambda count, m: (
-        f"enumeration of the {count} partitions of {n}" if m == n
-        else f"enumeration of the partitions of {n}, at least the {count} of {m},"
-    ))
+    return check_budget(partition_count, n, f"partition enumeration of {n}", "partitions")
 
 
 def Dn_bruteforce(n: int) -> int:
@@ -442,10 +439,7 @@ _BERNOULLI = [Fraction(1)]
 
 def check_bernoulli_budget(count: int) -> int:
     """count^2, the terms ``bernoulli_numbers`` and ``bernoulli_poly_denominator`` sum through count, once in budget."""
-    return check_budget(lambda m: m * m, count, lambda terms, m: (
-        f"Bernoulli recurrence of {terms} terms through B_{m - 1}" if m == count
-        else f"Bernoulli recurrence through B_{count - 1}, at least the {terms} terms through B_{m - 1},"
-    ))
+    return check_budget(lambda m: m * m, count, f"Bernoulli recurrence through B_{count - 1}", "terms")
 
 
 def bernoulli_numbers(count: int) -> list[Fraction]:

@@ -2,7 +2,8 @@
 
 Each entry runs ``python -m bchdenom.cli`` in a fresh interpreter, ``src`` on PYTHONPATH, without
 BCHDENOM_PARALLELISM or COLUMNS.  ``same``: two command lines exit with a given code and print one stdout;
-``digest``: one exits with a given code and stdout SHA-256; ``refused``: one exits 3 with no stdout in time.
+``digest``: one exits with a given code and stdout SHA-256; ``refused``: one exits 3 in time, with no stdout
+and one stderr line, a refusal in the words ``errors.check_budget`` gives it (``REFUSAL``).
 A ``same`` or ``digest`` run that has not exited after ``TIMEOUT_S`` fails its entry.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -23,6 +25,11 @@ ENV = {k: v for k, v in os.environ.items() if k not in ("BCHDENOM_PARALLELISM", 
 ENV["PYTHONPATH"] = str(ROOT / "src")
 V, DP, SERIES = "verify --what ", "--backend dp --parallelism 2", "--backend series"
 TIMEOUT_S = 300  # for each run of a same or digest entry; the slowest takes about 10 s here
+#: A budget refusal's stderr line: "<what> of [at least ]<count> <unit> exceeds <limit>", with a decimal count
+REFUSAL = re.compile(
+    r"budget exceeded: .+ of (at least )?[0-9]+ [a-z]+( [a-z]+)* exceeds "
+    r"(the scan budget [0-9]+|the limit of [0-9]+ digits for integer string conversion)"
+)
 
 
 def same(command: str, one: str, other: str, code: int = 0) -> tuple:
@@ -74,11 +81,11 @@ ENTRIES = [
 ]
 
 
-def run(command: str, timeout: float | None = None) -> tuple[int, bytes]:
-    """The exit code and stdout of ``bchdenom.cli`` on ``command``, split at spaces."""
+def run(command: str, timeout: float | None = None) -> tuple[int, bytes, bytes]:
+    """The exit code, stdout and stderr of ``bchdenom.cli`` on ``command``, split at spaces."""
     argv = [sys.executable, "-m", "bchdenom.cli", *command.split()]
     done = subprocess.run(argv, capture_output=True, env=ENV, timeout=timeout)
-    return done.returncode, done.stdout
+    return done.returncode, done.stdout, done.stderr
 
 
 def check(entry: tuple) -> str | None:
@@ -87,18 +94,21 @@ def check(entry: tuple) -> str | None:
     timeout = expected[0] if kind == "refused" else TIMEOUT_S
     try:
         if kind == "same":
-            (code, out), (other_code, other_out) = run(command, timeout), run(expected[0], timeout)
+            (code, out, _), (other_code, other_out, _) = run(command, timeout), run(expected[0], timeout)
             if not code == other_code == expected[1]:
                 return f"exit {code} and {other_code}, not {expected[1]}"
             common = os.path.commonprefix([out.splitlines(True), other_out.splitlines(True)])  # a list of lines
             return None if out == other_out else f"stdout differs from line {len(common) + 1}"
-        code, out = run(command, timeout)
+        code, out, err = run(command, timeout)
     except subprocess.TimeoutExpired:
         return f"no exit within {timeout} s"
     if kind == "digest":
         digest = hashlib.sha256(out).hexdigest()
         return None if [code, digest] == expected else f"exit {code}, stdout SHA-256 {digest}"
-    return None if code == 3 and not out else f"exit {code} with {len(out)} bytes of stdout"
+    if code != 3 or out:
+        return f"exit {code} with {len(out)} bytes of stdout"
+    lines = err.decode().splitlines()
+    return None if len(lines) == 1 and REFUSAL.fullmatch(lines[0]) else f"stderr is not one refusal line: {err!r}"
 
 
 def main() -> int:

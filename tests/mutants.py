@@ -2,7 +2,8 @@
 
 Each mutant is one exact edit of a source file, (file, old text, new
 text), with the tier-1 tests that must fail on it.  The script copies
-``src``, ``tests`` and ``pyproject.toml`` into a temporary directory,
+``src``, ``tests``, ``perfbench`` (whose workloads ``tests/crosschecks.py``
+reads) and ``pyproject.toml`` into a temporary directory,
 checks that every named test passes there unchanged, then applies each
 edit in turn, runs its tests and restores the file.  A mutant survives
 when its tests still pass; an edit whose old text does not occur exactly
@@ -159,13 +160,21 @@ MUTANTS = [
         "minimal=observed <= common,",
         ("tests/test_cli.py::test_exit_code_contract[minimal-violation-dp]",),
     ),
-    # the record factory: a record built by _make, and so by _replace, is checked
+    # the record factory: a record built by _make, and so by _replace, is checked; checks raise, not assert
     Mutant(
         "record-make-skips-the-check",
         "src/bchdenom/_records.py",
         "return cls(*values)",
         "return tuple.__new__(cls, values)",
         ("tests/test_records.py::test_replace_and_make_run_the_check",),
+    ),
+    Mutant(
+        "report-drops-the-divisibility-check",
+        "src/bchdenom/bch.py",
+        "        if self.divisibility_ok and self.common_denominator % self.observed_lcm:\n"
+        "            raise ValueError(\"divisibility_ok needs an lcm that divides n! * d_n\")\n",
+        "",
+        ("tests/test_records.py",),
     ),
     # the one gate every run's size passes, and the CLI's order: check, then announce
     Mutant(
@@ -183,12 +192,19 @@ MUTANTS = [
         ("tests/test_cli.py::test_refusal_far_past_the_budget_counts_only_low_degrees",),
     ),
     Mutant(
+        "gate-words-an-exact-refusal-as-at-least",
+        "src/bchdenom/errors.py",
+        'least = "at least " if m < n else ""',
+        'least = "at least " if m <= n else ""',
+        ("tests/test_errors.py::test_a_refusal_at_n_itself_is_worded_exactly",),
+    ),
+    Mutant(
         "announce-before-the-check",
         "src/bchdenom/cli.py",
         "    count = bch.scan_count(degree, args.alphabet, per_class)\n"
-        "    _announce(degree, args.alphabet, f\"{count} words\" if per_class else f\"{args.alphabet}**{degree} words\")\n",
-        "    count = bch.class_count(degree, args.alphabet) if per_class else None\n"
-        "    _announce(degree, args.alphabet, f\"{count} words\" if per_class else f\"{args.alphabet}**{degree} words\")\n"
+        "    _announce(degree, args.alphabet, f\"{count} words\")\n",
+        "    count = bch.class_count(degree, args.alphabet) if per_class else args.alphabet**degree\n"
+        "    _announce(degree, args.alphabet, f\"{count} words\")\n"
         "    bch.scan_count(degree, args.alphabet, per_class)\n",
         ("tests/test_cli.py::test_dp_class_scan_budget_exceeded",),
     ),
@@ -196,7 +212,7 @@ MUTANTS = [
     Mutant(
         "congruence-gate-after-the-sieve",
         "src/bchdenom/cli.py",
-        "    bch.scan_count((N - shift) // 2 + 1 + shift, args.alphabet, lower_bound=True)\n"
+        "    check_budget(lambda m: args.alphabet**m, least, f\"{what} scan of degree {least} or more\", \"words\")\n"
         "    if what == \"cor1\":\n"
         "        check, primes = bch.check_corollary_prime, numtheory.primes_below(N + 1)\n"
         "    else:\n"
@@ -205,7 +221,7 @@ MUTANTS = [
         "        check, primes = bch.check_corollary_prime, numtheory.primes_below(N + 1)\n"
         "    else:\n"
         "        check, primes = bch.check_corollary_prime_plus_one, numtheory.primes_below(N)[1:]\n"
-        "    bch.scan_count((N - shift) // 2 + 1 + shift, args.alphabet, lower_bound=True)\n",
+        "    check_budget(lambda m: args.alphabet**m, least, f\"{what} scan of degree {least} or more\", \"words\")\n",
         (
             "tests/test_cli.py::test_congruence_far_range_is_refused_before_the_primes_are_listed[cor1-10**19]",
             "tests/test_cli.py::test_congruence_far_range_is_refused_before_the_primes_are_listed[cor2-10**19]",
@@ -266,8 +282,8 @@ def _pytest(workdir: Path, tests) -> int | None:
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="bchdenom-mutants-") as tmp:
         work = Path(tmp)
-        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for part in ("src", "tests"):
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "out")
+        for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, work / part, ignore=skip)
         shutil.copy2(ROOT / "pyproject.toml", work)
 

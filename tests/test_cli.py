@@ -82,7 +82,9 @@ def test_dn_refuses_what_it_cannot_print(capsys, str_digits, output_format):
     assert len(out.splitlines()) == 306 + (output_format != "json")  # and a header
     code, out, err = run(capsys, "dn", "--max", "307", "--format", output_format)
     assert code == 3 and out == ""
-    assert err == "budget exceeded: n!*d_n of degree 307 exceeds the limit of 640 digits for integer string conversion\n"
+    assert err == (
+        "budget exceeded: n!*d_n of degree 307 of 642 digits exceeds the limit of 640 digits for integer string conversion\n"
+    )
 
 
 def test_dn_far_past_the_digit_limit_sizes_only_low_degrees(capsys, monkeypatch, str_digits):
@@ -91,7 +93,10 @@ def test_dn_far_past_the_digit_limit_sizes_only_low_degrees(capsys, monkeypatch,
     monkeypatch.setattr(cli.numtheory, "common_denominator", _counted_below(cli.numtheory.common_denominator, 512))
     code, out, err = run(capsys, "dn", "--max", "1000000")
     assert code == 3 and out == ""
-    assert err == "budget exceeded: n!*d_n of degree 1000000 exceeds the limit of 640 digits for integer string conversion\n"
+    assert err == (
+        "budget exceeded: n!*d_n of degree 1000000 of at least 1183 digits exceeds the limit of 640 digits"
+        " for integer string conversion\n"
+    )
 
 
 def test_dn_without_a_digit_limit_refuses_nothing(capsys, str_digits):
@@ -146,7 +151,7 @@ def test_verify_eq3_budget_exceeded(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == (
-        "budget exceeded: enumeration of the 4697205 partitions of 71 exceeds the scan budget 4194304\n"
+        "budget exceeded: partition enumeration of 71 of 4697205 partitions exceeds the scan budget 4194304\n"
     )
 
 
@@ -166,7 +171,7 @@ def test_dp_class_scan_budget_exceeded(capsys, monkeypatch, argv, degree, classe
     monkeypatch.setattr(cli.numtheory, "partitions", _never_enumerated(None))
     code, out, err = run(capsys, "verify", *argv, "--backend", "dp")
     assert code == 3 and out == ""
-    assert err == f"budget exceeded: scan of {classes} words of degree {degree} exceeds the scan budget 4194304\n"
+    assert err == f"budget exceeded: scan of degree {degree} of {classes} words exceeds the scan budget 4194304\n"
 
 
 def _counted_below(real, bound=200):
@@ -180,16 +185,16 @@ def _counted_below(real, bound=200):
     return spy
 
 
-FAR_CLASSES = "scan of degree 100000, at least the {} words of degree {}"
+FAR_CLASSES = "scan of degree 100000 of at least {} words"
 
 
 @pytest.mark.parametrize(
     "argv, what",
     [
-        (["minimal", "--backend", "dp"], FAR_CLASSES.format(bch.class_count(128), 128)),
-        (["goldberg", "--backend", "dp"], FAR_CLASSES.format(bch.class_count(128), 128)),
-        (["theorem", "--alphabet", "3", "--backend", "dp"], FAR_CLASSES.format(bch.class_count(64, 3), 64)),
-        (["eq3"], f"enumeration of the partitions of 100000, at least the {cli.numtheory.partition_count(128)} of 128"),
+        (["minimal", "--backend", "dp"], FAR_CLASSES.format(bch.class_count(128))),
+        (["goldberg", "--backend", "dp"], FAR_CLASSES.format(bch.class_count(128))),
+        (["theorem", "--alphabet", "3", "--backend", "dp"], FAR_CLASSES.format(bch.class_count(64, 3))),
+        (["eq3"], f"partition enumeration of 100000 of at least {cli.numtheory.partition_count(128)} partitions"),
     ],
     ids=["minimal", "goldberg", "theorem-three-letters", "eq3"],
 )
@@ -200,7 +205,7 @@ def test_refusal_far_past_the_budget_counts_only_low_degrees(capsys, monkeypatch
     monkeypatch.setattr(cli.numtheory, "partition_count", _counted_below(cli.numtheory.partition_count))
     code, out, err = run(capsys, "verify", "--what", argv[0], "--max", "100000", *argv[1:])
     assert code == 3 and out == ""
-    assert err == f"budget exceeded: {what}, exceeds the scan budget {errors.SCAN_BUDGET}\n"
+    assert err == f"budget exceeded: {what} exceeds the scan budget {errors.SCAN_BUDGET}\n"
 
 
 def test_far_refusal_is_quick_in_a_fresh_interpreter():
@@ -213,7 +218,9 @@ def test_far_refusal_is_quick_in_a_fresh_interpreter():
         [sys.executable, "-m", "bchdenom.cli", *argv], capture_output=True, text=True, env=env, timeout=5
     )
     assert done.returncode == 3 and done.stdout == ""
-    assert done.stderr == "budget exceeded: scan of 3^10000000 words exceeds the scan budget 4194304\n"
+    assert done.stderr == (
+        f"budget exceeded: scan of degree 10000000 of at least {3**16} words exceeds the scan budget 4194304\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -228,7 +235,10 @@ def test_congruence_far_range_is_refused_before_the_primes_are_listed(capsys, wh
     code, out, err = run(capsys, "verify", "--what", what, "--max", str(far))
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
-    assert err == f"budget exceeded: scan of at least 2^{far // 2 + 1} words exceeds the scan budget 4194304\n"
+    assert err == (
+        f"budget exceeded: {what} scan of degree {far // 2 + 1} or more of at least {2**32} words"
+        " exceeds the scan budget 4194304\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -242,7 +252,9 @@ def test_table_is_refused_before_its_header(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli.numtheory, "common_denominator", _counted_below(None, 0))
     code, out, err = run(capsys, "table", "--degree", *argv)
     assert code == 3 and out == ""
-    assert err == f"budget exceeded: scan of 2^{argv[0]} words exceeds the scan budget 4194304\n"
+    assert err == (
+        f"budget exceeded: scan of degree {argv[0]} of at least {2**32} words exceeds the scan budget 4194304\n"
+    )
 
 
 def test_verify_eq3_budget_is_the_scan_budget(capsys, monkeypatch):
@@ -252,8 +264,8 @@ def test_verify_eq3_budget_is_the_scan_budget(capsys, monkeypatch):
     assert code == 0 and out.count("PASS") == 20 and err == "scanning degree 20 (627 partitions)...\n"
     code, out, err = run(capsys, "verify", "--what", "eq3", "--max", "22")
     assert code == 3 and out == ""
-    assert "792 partitions of 21" not in err and "1002 partitions of 22" in err  # p(22), the largest degree
-    assert "--" not in err and "compositions" not in err  # no flag raises it
+    # p(22), the largest degree's count, and no flag that raises the budget
+    assert err == "budget exceeded: partition enumeration of 22 of 1002 partitions exceeds the scan budget 627\n"
 
 
 def test_verify_enum_bound_hard_cap(capsys):
@@ -289,7 +301,7 @@ def test_verify_bernoulli_refuses_what_it_cannot_finish(capsys, monkeypatch):
     assert code == 0 and out.count("PASS") == 10 and err == ""
     code, out, err = run(capsys, "verify", "--what", "bernoulli", "--max", "11")
     assert code == 3 and out == ""
-    assert err == "budget exceeded: Bernoulli recurrence of 121 terms through B_10 exceeds the scan budget 100\n"
+    assert err == "budget exceeded: Bernoulli recurrence through B_10 of 121 terms exceeds the scan budget 100\n"
 
 
 @pytest.mark.parametrize("argv, announced", [
@@ -452,10 +464,10 @@ def test_verify_dp_scan_byte_identical(capsys, monkeypatch, what):
     [
         ("2", "13", "dp", "101"),
         ("3", "14", "dp", "253"),
-        ("2", "13", "series", "2**13"),
+        pytest.param("2", "13", "series", "8192", id="2-13-series-2**13"),
         # the gate is the degree's 2**12 words, not the degree: 5**6 = 15,625 and 3**8 = 6,561
         # announce, 3**7 = 2,187 does not
-        ("5", "6", "both", "5**6"),
+        pytest.param("5", "6", "both", "15625", id="5-6-both-5**6"),
         ("3", "8", "dp", "34"),
         ("3", "7", "dp", None),
     ],
@@ -472,8 +484,8 @@ def test_verify_announces_the_words_it_computes(capsys, alphabet, degree, backen
 @pytest.mark.parametrize(
     "what, max_degree, announced",
     [
-        ("cor1", "14", "scanning degree 13 (2**13 words)...\n"),  # 13 is the largest prime <= 14
-        ("cor2", "13", "scanning degree 12 (2**12 words)...\n"),  # 11 + 1 is the largest p + 1 <= 13
+        ("cor1", "14", "scanning degree 13 (8192 words)...\n"),  # 13 is the largest prime <= 14
+        ("cor2", "13", "scanning degree 12 (4096 words)...\n"),  # 11 + 1 is the largest p + 1 <= 13
         ("cor1", "12", ""),  # its largest degree, 11, has fewer than PROGRESS_WORDS words
     ],
 )
@@ -623,11 +635,11 @@ def test_coeff_refuses_a_word_whose_dp_it_cannot_finish(capsys, monkeypatch):
     monkeypatch.setattr(cli, "bch_coeff_word", no_dp)
     code, out, err = run(capsys, "coeff", "ABABABABABA", "--format", "json")
     assert code == 3 and out == ""
-    assert err == "budget exceeded: per-word DP of 1331 steps for 11 letters exceeds the scan budget 1000\n"
+    assert err == "budget exceeded: per-word DP for 11 letters of 1331 steps exceeds the scan budget 1000\n"
     monkeypatch.setattr(errors, "SCAN_BUDGET", 1 << 22)
     for word, what in (
-        ("A" * 162, "per-word DP of 4251528 steps for 162 letters"),  # 161 letters pass (161^3 = 4173281)
-        ("AB" * 1500 + "A", "per-word DP of 3001 letters, at least the 16777216 steps for 256,"),
+        ("A" * 162, "per-word DP for 162 letters of 4251528 steps"),  # 161 letters pass (161^3 = 4173281)
+        ("AB" * 1500 + "A", "per-word DP for 3001 letters of at least 16777216 steps"),  # 256^3, the first over
     ):
         code, out, err = run(capsys, "coeff", word)
         assert code == 3 and out == ""
@@ -1165,15 +1177,17 @@ def test_exit_code_contract(capsys, monkeypatch, argv, patch, expected):
 
 # (argv, patched scan budget or None, what the refusal counts): one of each kind of size
 BUDGET_REFUSALS = {
-    "series-table": (["table", "--degree", "25"], None, "scan of 2^25 words"),
-    "per-word-scan": (["verify", "--what", "cor1", "--max", "23", "--backend", "dp"], None, "scan of 2^23 words"),
+    "series-table": (["table", "--degree", "25"], None, f"scan of degree 25 of {2**25} words"),
+    "per-word-scan": (
+        ["verify", "--what", "cor1", "--max", "23", "--backend", "dp"], None, f"scan of degree 23 of {2**23} words"
+    ),
     "class-scan": (
         ["verify", "--what", "minimal", "--alphabet", "3", "--max", "8", "--backend", "dp"],
         len(bch.class_representatives(8, 3)) - 1,
-        f"scan of {len(bch.class_representatives(8, 3))} words of degree 8",
+        f"scan of degree 8 of {len(bch.class_representatives(8, 3))} words",
     ),
     "partitions": (
-        ["verify", "--what", "eq3", "--max", "71"], None, "enumeration of the 4697205 partitions of 71"
+        ["verify", "--what", "eq3", "--max", "71"], None, "partition enumeration of 71 of 4697205 partitions"
     ),
 }
 

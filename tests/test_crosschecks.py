@@ -29,7 +29,7 @@ def test_importing_the_runner_leaves_sys_path_as_it_was():
 
 
 def test_digest_fails_on_a_corrupted_digest_and_on_a_wrong_exit_code():
-    code, out = crosschecks.run("dn --max 3")
+    code, out, _ = crosschecks.run("dn --max 3")
     digest = hashlib.sha256(out).hexdigest()
     assert code == 0 and crosschecks.check(("digest", "dn --max 3", 0, digest)) is None
     corrupted = ("0" if digest[0] != "0" else "1") + digest[1:]
@@ -42,6 +42,21 @@ def test_refused_fails_on_a_command_that_exits_0_and_on_its_timeout():
     assert crosschecks.check(("refused", "dn --max 3", 30)).startswith("exit 0 with ")
     # no interpreter starts within a millisecond
     assert crosschecks.check(("refused", "table --degree 25", 0.001)) == "no exit within 0.001 s"
+
+
+def test_refused_fails_unless_stderr_is_one_refusal_line(monkeypatch):
+    refusal = b"budget exceeded: scan of degree 25 of 33554432 words exceeds the scan budget 4194304\n"
+    for err, holds in (
+        (refusal, True),
+        (b"scanning degree 25 (33554432 words)...\n" + refusal, False),  # an announcement before it
+        (refusal + b"Traceback (most recent call last):\n", False),  # a line after it
+        (refusal.replace(b"33554432", b"2^25"), False),  # a count not in decimal
+        (b"budget exceeded: scan of 2^25 words, past the budget\n", False),  # a wording of its own
+        (b"", False),
+    ):
+        monkeypatch.setattr(crosschecks, "run", lambda command, timeout=None: (3, b"", err))
+        why = crosschecks.check(("refused", "table --degree 25", 30))
+        assert why is None if holds else why == f"stderr is not one refusal line: {err!r}"
 
 
 def test_same_and_digest_fail_on_their_timeout(monkeypatch):

@@ -303,10 +303,10 @@ def test_Dn_bruteforce_degree_11():
 
 def test_Dn_bruteforce_bound(monkeypatch):
     # the oracle's p(n) partitions are held to the one scan budget, counted before any is enumerated
-    with pytest.raises(BudgetError, match="4697205 partitions of 71 exceeds the scan budget 4194304"):
+    with pytest.raises(BudgetError, match="^partition enumeration of 71 of 4697205 partitions exceeds the scan budget"):
         nt.Dn_bruteforce(71)
     monkeypatch.setattr(errors, "SCAN_BUDGET", 6)  # p(5) = 7
-    with pytest.raises(BudgetError, match="the 7 partitions of 5"):
+    with pytest.raises(BudgetError, match="^partition enumeration of 5 of 7 partitions exceeds"):
         nt.Dn_bruteforce(5)
     monkeypatch.setattr(errors, "SCAN_BUDGET", 7)
     assert nt.Dn_bruteforce(5) == 720
@@ -450,9 +450,9 @@ def test_bernoulli_numbers_are_held_to_the_scan_budget(monkeypatch):
     # count^2 terms: the recurrence's, and the polynomial denominators' lcms through count
     monkeypatch.setattr(errors, "SCAN_BUDGET", 100)
     assert len(nt.bernoulli_numbers(10)) == 10
-    with pytest.raises(BudgetError, match="^Bernoulli recurrence of 121 terms through B_10 exceeds the scan budget"):
+    with pytest.raises(BudgetError, match="^Bernoulli recurrence through B_10 of 121 terms exceeds the scan budget"):
         nt.bernoulli_numbers(11)
-    with pytest.raises(BudgetError, match="through B_99999, at least the 256 terms through B_15,"):
+    with pytest.raises(BudgetError, match="^Bernoulli recurrence through B_99999 of at least 256 terms exceeds"):
         nt.bernoulli_numbers(100000)
 
 

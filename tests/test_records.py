@@ -30,7 +30,7 @@ INVALID = {
     Word: ("letters", (0, -1), ValueError, "letters must be >= 0"),
     PrimeFactorization: ("factors", ((3, 1), (2, 1)), ValueError, "strictly increasing"),
     TruncatedSeries: ("tables", [[Fraction(1)], []], ValueError, r"K\^n coefficients"),
-    DenominatorReport: ("observed_lcm", 4, AssertionError, None),  # an lcm that does not divide n! * d_n
+    DenominatorReport: ("observed_lcm", 4, ValueError, r"divides n! \* d_n"),  # an lcm not dividing n! * d_n
 }
 
 
@@ -120,5 +120,7 @@ def test_check_runs_on_every_construction():
         Word(letters=(0, -1))
     with pytest.raises(ValueError, match=r"K\^n coefficients"):
         TruncatedSeries(max_degree=1, alphabet_size=2, tables=[[Fraction(1)], []])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match=r"divides n! \* d_n"):
         DenominatorReport(2, 2, 1, 2, 4, False, True, AB)  # an lcm that does not divide n! * d_n
+    with pytest.raises(ValueError, match="minimal needs divisibility_ok"):
+        DenominatorReport(2, 2, 1, 2, 2, True, False, AB)
