@@ -156,45 +156,43 @@ def main(argv: list[str] | None = None) -> int:
 # verify, and the one row loop every command prints through (_report)
 
 
-class _CheckEmitter:
-    """One output line per record, as JSON, CSV or plain text.
+def _report(
+    output_format: str,
+    rows: Generator[tuple, None, None],
+    fields: Sequence[str] | None = None,
+    header: str | None = None,
+) -> int:
+    """Print every row; then print the first failure record, always as JSON, and return 1, or return 0.
 
-    CSV has the columns ``fields`` (default: the first record's keys,
-    sorted) and a header row of their names; plain text has the ``header``
-    line, if any.  Either header comes before the first record.  ``json``
-    and ``csv`` are imported only for the format that writes them, so a
-    plain run never loads them.
+    A row is (record, plain line, failure record or None); a row may leave out (as None) a record
+    its format does not print, and every failure after the first.  CSV has the columns ``fields``
+    (default: the first record's keys, sorted) and a header row of their names; plain text has the
+    ``header`` line, if any.  Either header comes before the first row.  ``json`` and ``csv`` are
+    imported only for the format that writes them, so a plain run never loads them.  ``rows`` is
+    closed on every way out, a closed stdout too, and with it any worker pool it holds.
     """
-
-    def __init__(
-        self, output_format: str, *, fields: Sequence[str] | None = None, header: str | None = None
-    ):
-        self.output_format = output_format
-        self.fields = fields
-        self.header = header
-        self.started = False
+    failure = None
+    with closing(rows):
         if output_format == "json":
             import json
-
-            self.dumps = json.dumps
         elif output_format == "csv":
             import csv
 
-            self.writer = csv.writer(sys.stdout, lineterminator="\n")
-
-    def emit(self, record: dict, plain: str) -> None:
-        if self.output_format == "json":
-            print(self.dumps(record))
-        elif self.output_format == "csv":
-            if not self.started:
-                self.fields = self.fields or sorted(record)
-                self.writer.writerow(self.fields)
-            self.writer.writerow([_csv_cell(record.get(k)) for k in self.fields])
-        else:
-            if not self.started and self.header is not None:
-                print(self.header)
-            print(plain)
-        self.started = True
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+        for count, (record, plain, failed) in enumerate(rows):
+            if output_format == "json":
+                print(json.dumps(record))
+            elif output_format == "csv":
+                if not count:
+                    fields = fields or sorted(record)
+                    writer.writerow(fields)
+                writer.writerow([_csv_cell(record.get(k)) for k in fields])
+            else:
+                if not count and header is not None:
+                    print(header)
+                print(plain)
+            failure = failed if failure is None else failure
+    return EXIT_OK if failure is None else _violation(failure)
 
 
 def _csv_cell(value):
@@ -205,21 +203,6 @@ def _csv_cell(value):
     return "" if value is None else value
 
 
-def _report(emitter: _CheckEmitter, rows: Generator[tuple, None, None]) -> int:
-    """Emit every row; then print the first failure record, always as JSON, and return 1, or return 0.
-
-    A row is (record, plain line, failure record or None); a row may leave out (as None) a record
-    its format does not print, and every failure after the first.  ``rows`` is closed on every
-    way out, a closed stdout too, and with it any worker pool it holds.
-    """
-    failure = None
-    with closing(rows):
-        for record, plain, failed in rows:
-            emitter.emit(record, plain)
-            failure = failed if failure is None else failure
-    return EXIT_OK if failure is None else _violation(failure)
-
-
 def _violation(record: dict) -> int:
     import json
 
@@ -228,7 +211,7 @@ def _violation(record: dict) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    return _report(_CheckEmitter(args.format), _CHECKS[args.what][0](args))
+    return _report(args.format, _CHECKS[args.what][0](args))
 
 
 def _scan(args: argparse.Namespace, degree: int, per_class: bool = False) -> AbstractContextManager[dict]:
@@ -365,7 +348,7 @@ _DN_FIELDS = ("n", "d_n", "kernel", "common_denominator", "d_n_factorization", "
 
 def _cmd_dn(args: argparse.Namespace) -> int:
     header = f"{'n':>3} {'d_n':>6} {'kernel':>6} {'n!*d_n':>24}  {'d_n factors':<14} n!*d_n factors"
-    return _report(_CheckEmitter(args.format, fields=_DN_FIELDS, header=header), _dn_rows(args.max))
+    return _report(args.format, _dn_rows(args.max), _DN_FIELDS, header)
 
 
 def _dn_rows(n_max: int) -> Iterator[tuple]:
@@ -409,7 +392,7 @@ def _word_record(entry: bch.TableEntry, alphabet_size: int) -> dict:
 
 
 def _cmd_coeff(args: argparse.Namespace) -> int:
-    return _report(_CheckEmitter(args.format, fields=_WORD_FIELDS), _coeff_rows(args))
+    return _report(args.format, _coeff_rows(args), _WORD_FIELDS)
 
 
 def _coeff_rows(args: argparse.Namespace) -> Iterator[tuple]:
@@ -437,7 +420,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     bch.scan_count(args.degree, args.alphabet)  # n! * d_n only once the degree has passed the budget
     common, _ = numtheory.common_denominator(args.degree)
     header = f"degree {args.degree}, alphabet {args.alphabet}, common denominator {common}"
-    return _report(_CheckEmitter(args.format, fields=_WORD_FIELDS, header=header), _table_rows(args))
+    return _report(args.format, _table_rows(args), _WORD_FIELDS, header)
 
 
 def _table_rows(args: argparse.Namespace) -> Iterator[tuple]:

@@ -76,7 +76,7 @@ class Word(record("Word", "letters")):
     @classmethod
     def from_string(cls, text: str, alphabet_size: int = 2) -> "Word":
         """Parse 'AAB' (letters A.. for K <= 26) or '0,0,1' (any K; '5' for K > 26)."""
-        if alphabet_size > 26 and "," not in text and not text.isdecimal():
+        if alphabet_size > 26 and "," not in text and not text.removeprefix("-").isdecimal():
             raise ValueError("alphabets beyond 26 letters use comma-separated indices")
         try:
             if "," in text or alphabet_size > 26:

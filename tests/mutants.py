@@ -82,13 +82,27 @@ MUTANTS = [
         "col[k] = product",
         KERNEL_TESTS,
     ),
-    # the dense series: one table of K^n coefficients per degree n
+    # the dense series: one table of K^n coefficients per degree n, built by Horner steps
     Mutant(
         "series-check-counts-tables-only",
         FREEALGEBRA,
         "if [len(table) for table in self.tables] != [self.alphabet_size**n for n in range(self.max_degree + 1)]:",
         "if len(self.tables) != self.max_degree + 1:",
         ("tests/test_freealgebra.py::test_series_needs_k_to_the_n_coefficients_at_every_degree",),
+    ),
+    Mutant(
+        "series-log-term-sign-swapped",
+        FREEALGEBRA,
+        "horner[0][0] = (-1) ** (k + 1) * scale // k",
+        "horner[0][0] = (-1) ** k * scale // k",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "series-exp-weight-dropped",
+        FREEALGEBRA,
+        "lo, w = head * size, comb(T, j)",
+        "lo, w = head * size, 1",
+        KERNEL_TESTS,
     ),
     # the per-word DP on integers, the class scans' kernel
     Mutant(
@@ -176,6 +190,27 @@ MUTANTS = [
         "",
         ("tests/test_records.py",),
     ),
+    # the pool's chunks joined in task order, and "both" comparing the backends word by word
+    Mutant(
+        "pool-chunks-joined-out-of-order",
+        "src/bchdenom/bch.py",
+        "pool.map(_dp_scan_chunk, tasks)",
+        "pool.map(_dp_scan_chunk, tasks[::-1])",
+        (
+            "tests/test_bch.py::test_degree_report_parallel_matches_serial",
+            "tests/test_cli.py::test_verify_dp_scan_byte_identical",
+        ),
+    ),
+    Mutant(
+        "both-backends-never-compared",
+        "src/bchdenom/bch.py",
+        "if a != b:",
+        "if False:",
+        (
+            "tests/test_cli.py::test_every_pool_a_verify_run_opens_is_exited[disagreement]",
+            "tests/test_cli.py::test_exit_code_contract[minimal-backend-disagreement]",
+        ),
+    ),
     # the one gate every run's size passes, and the CLI's order: check, then announce
     Mutant(
         "gate-refuses-a-size-equal-to-the-budget",
@@ -256,6 +291,14 @@ MUTANTS = [
         "check_budget(lambda m: m**3, word.degree,",
         "check_budget(lambda m: m**2, word.degree,",
         ("tests/test_cli.py::test_coeff_refuses_a_word_whose_dp_it_cannot_finish",),
+    ),
+    # the one row loop: a plain header comes once, before the first row
+    Mutant(
+        "report-prints-the-header-before-every-row",
+        "src/bchdenom/cli.py",
+        "if not count and header is not None:",
+        "if header is not None:",
+        ("tests/test_golden_output.py",),
     ),
     # acceptance criterion 08: the uniform prime-plus-one residue is refuted, by sign
     Mutant(

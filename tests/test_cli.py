@@ -522,12 +522,13 @@ def test_goldberg_prints_each_degree_as_it_finishes(monkeypatch):
     printed = []
 
     class ClosedAfterFirstRow:
-        def emit(self, record, plain):
-            printed.append(plain)
+        def write(self, text):
+            printed.append(text)
             raise BrokenPipeError
 
+    monkeypatch.setattr(sys, "stdout", ClosedAfterFirstRow())
     with pytest.raises(BrokenPipeError):
-        cli._report(ClosedAfterFirstRow(), cli._goldberg_rows(args))
+        cli._report("plain", cli._goldberg_rows(args))
     assert printed == ["goldberg n=4: divides"] and computed == [4]
 
 
@@ -988,11 +989,11 @@ def test_every_pool_a_verify_run_opens_is_exited(
 
 
 def test_closed_stdout_exits_the_pool(monkeypatch, recording_pool):
-    # the emitter's first write fails as on a closed pipe: _report closes the rows, and so the pool
+    # the first write to stdout fails as on a closed pipe: _report closes the rows, and so the pool
     monkeypatch.setattr(bch, "_usable_cpus", lambda: 2)
 
     class ClosedStdout:
-        def emit(self, record, plain):
+        def write(self, text):
             raise BrokenPipeError
 
     commands = [
@@ -1002,8 +1003,9 @@ def test_closed_stdout_exits_the_pool(monkeypatch, recording_pool):
     for opened, (argv, rows) in enumerate(commands, 1):
         args = cli.build_parser().parse_args([*argv, "--backend", "dp", "--parallelism", "2"])
         # the kept traceback holds the rows, so only an explicit close exits the pool here
+        monkeypatch.setattr(sys, "stdout", ClosedStdout())
         with pytest.raises(BrokenPipeError) as closed:
-            cli._report(ClosedStdout(), rows(args))
+            cli._report("plain", rows(args))
         assert closed.traceback
         assert recording_pool.sizes == [2] * opened
         assert len(recording_pool.exits) == opened
@@ -1089,6 +1091,7 @@ EXIT_CASES = {
     "coeff-malformed": (["coeff", "AXB"], None, 2),
     "coeff-letters-beyond-26": (["coeff", "AB", "--alphabet", "27"], None, 2),
     "coeff-one-index-beyond-26": (["coeff", "5", "--alphabet", "27"], None, 0),
+    "coeff-negative-index-beyond-26": (["coeff", "-1", "--alphabet", "30"], None, 2),
     "table-pass": (["table", "--degree", "4"], None, 0),
     "table-dedup-pass": (["table", "--degree", "4", "--dedup", "--backend", "dp"], None, 0),
     "table-degree-0": (["table", "--degree", "0"], None, 2),

@@ -106,6 +106,26 @@ def test_word_string_rejects_bad_input():
         W("ABC")  # C needs alphabet size 3
 
 
+INPUT_CHECKS = {
+    "unpack-past-k-to-the-n": (lambda: Word.unpack(8, 3, 2), "packed index out of range for degree"),
+    "unpack-negative": (lambda: Word.unpack(-1, 3, 2), "packed index out of range for degree"),
+    "coefficient-past-max-degree": (
+        lambda: TruncatedSeries.zero(2, 2).coefficient(W("AAB")),
+        "word degree exceeds truncation degree",
+    ),
+    "exp-generator-index-k": (lambda: series_exp_generator(2, 3, 2), "generator index out of range"),
+    # beyond 26 letters a negative index, bare or listed, is refused as a letter, not as a form
+    "negative-bare-index-beyond-26": (lambda: W("-1", 30), "letters must be >= 0"),
+    "negative-listed-index-beyond-26": (lambda: W("1,-1", 30), "letters must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("call, message", INPUT_CHECKS.values(), ids=INPUT_CHECKS.keys())
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_series_needs_k_to_the_n_coefficients_at_every_degree():
     tables = [[Fraction(0)] * 3**n for n in range(4)]
     assert TruncatedSeries(3, 3, tables) == TruncatedSeries.zero(3, 3)

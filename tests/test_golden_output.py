@@ -1,7 +1,7 @@
 """Golden stdout digests: ``dn``, ``coeff``, ``table``, ``verify`` and ``--help``, byte for byte.
 
 The SHA-256 digests of ``dn``, ``coeff`` and ``table`` were recorded from
-the CLI before these commands shared ``verify``'s emitter, and those of
+the CLI before these commands shared ``verify``'s row loop, and those of
 ``verify --what minimal`` before ``bch_series`` stopped expanding the
 exponential product, so any byte either change makes shows here.  Those
 of ``verify --what cor1|cor2|goldberg`` were recorded before the two

@@ -514,3 +514,28 @@ def test_prime_factorization_invariants():
         nt.PrimeFactorization(((4, 1),))
     assert nt.PrimeFactorization(((2, 3),)).exponent(2) == 3
     assert nt.PrimeFactorization(((2, 3),)).exponent(5) == 0
+
+
+# ---------------------------------------------------------------------------
+# input checks
+
+INPUT_CHECKS = {
+    "digit_sum-n-negative": (lambda: nt.digit_sum(-1, 2), "n must be >= 0"),
+    "factorial_valuation-n-negative": (lambda: nt.factorial_valuation(-1, 2), "n must be >= 0"),
+    "compositions-n-negative": (lambda: list(nt.compositions(-1)), "n must be >= 0"),
+    "padic_valuation-m-negative": (lambda: nt.padic_valuation(-4, 2), "m must be >= 1"),
+    "factorization-of-0": (lambda: nt.PrimeFactorization.of(0), "m must be >= 1"),
+    "compute_dn-n-0": (lambda: nt.compute_dn(0), "n must be >= 1"),
+    "squarefree_kernel-n-0": (lambda: nt.squarefree_kernel(0), "n must be >= 1"),
+    "Dn_bruteforce-n-0": (lambda: nt.Dn_bruteforce(0), "n must be >= 1"),
+    "bernoulli_poly_denominator-n-0": (lambda: nt.bernoulli_poly_denominator(0), "n must be >= 1"),
+    "constructive_partition-n-0": (lambda: nt.constructive_partition(0, 2, 1), "n must be >= 1"),
+    "constructive_partition-k-0": (lambda: nt.constructive_partition(5, 2, 0), "k must be >= 1"),
+    "bernoulli_numbers-count-negative": (lambda: nt.bernoulli_numbers(-1), "count must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("call, message", INPUT_CHECKS.values(), ids=INPUT_CHECKS.keys())
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
