@@ -25,8 +25,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_BROKEN_PIPE = 141
 
-PARALLELISM_ENV = "BCHDENOM_PARALLELISM"
-
 PROGRESS_WORDS = 2**12  # a scan whose largest degree has this many words or more announces itself on stderr
 
 
@@ -85,11 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         """The flags of the commands that compute a degree's coefficients."""
         p.add_argument("--backend", choices=bch.BACKENDS, default="series")
         p.add_argument(
-            "--parallelism",
-            type=_parallelism,
-            # a string default goes through type=, so a bad value is a usage error
-            default=os.environ.get(PARALLELISM_ENV, "1"),
-            help="worker count or 'auto' (default from $BCHDENOM_PARALLELISM or 1)",
+            "--parallelism", type=_parallelism, default=1, metavar="N", help="worker count or 'auto' (default 1)"
         )
 
     p_dn = sub.add_parser("dn", help="tabulate d_n, its kernel, and n!*d_n")
@@ -426,6 +420,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _table_rows(args: argparse.Namespace) -> Iterator[tuple]:
     """One row per distinct nonzero value (``--dedup``) or per word, from one scan of the degree."""
     n, K = args.degree, args.alphabet
+    width = len(Word((K - 1,) * n).to_string(K)) + 2  # the widest word (an index past 9 takes two digits)
     with _scan(args, n) as scan:
         if args.dedup:
             entries = bch.coefficient_value_table(n, K, **scan)
@@ -435,7 +430,7 @@ def _table_rows(args: argparse.Namespace) -> Iterator[tuple]:
         for entry in entries:
             record = _word_record(entry, K)
             plain = "" if args.format != "plain" else (  # only the plain format prints this line
-                f"{record['word']:<{n + 2}} h={entry.value!s:<16} a={entry.numerator!s:<12} "
+                f"{record['word']:<{width}} h={entry.value!s:<16} a={entry.numerator!s:<12} "
                 f"denom={record['denom_factorization']}"
             )
             yield record, plain, None

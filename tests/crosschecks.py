@@ -1,9 +1,9 @@
 """The slow checks beyond tier-1, as one table of CLI runs: ``python3 tests/crosschecks.py``.
 
-Each entry runs ``python -m bchdenom.cli`` in a fresh interpreter, ``src`` on PYTHONPATH, without
-BCHDENOM_PARALLELISM or COLUMNS.  ``same``: two command lines exit with a given code and print one stdout;
-``digest``: one exits with a given code and stdout SHA-256; ``refused``: one exits 3 in time, with no stdout
-and one stderr line, a refusal in the words ``errors.check_budget`` gives it (``REFUSAL``).
+Each entry runs ``python -m bchdenom.cli`` in a fresh interpreter, ``src`` on PYTHONPATH, without COLUMNS.
+``same``: two command lines exit with a given code and print one stdout; ``digest``: one exits with a given
+code and stdout SHA-256; ``refused``: one exits 3 in time, with no stdout and one stderr line, a refusal
+in the words ``errors.check_budget`` gives it (``REFUSAL``).
 A ``same`` or ``digest`` run that has not exited after ``TIMEOUT_S`` fails its entry.
 """
 
@@ -21,7 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))  # by path: sys.path stays as it was
 
-ENV = {k: v for k, v in os.environ.items() if k not in ("BCHDENOM_PARALLELISM", "COLUMNS")}
+ENV = {k: v for k, v in os.environ.items() if k != "COLUMNS"}
 ENV["PYTHONPATH"] = str(ROOT / "src")
 V, DP, SERIES = "verify --what ", "--backend dp --parallelism 2", "--backend series"
 TIMEOUT_S = 300  # for each run of a same or digest entry; the slowest takes about 10 s here

@@ -44,6 +44,10 @@ ORDERS_TESTS = (
     "tests/test_symmetry.py::test_letters_fit_matches_the_letter_sequences",
     "tests/test_symmetry.py::test_orders_are_those_the_words_make",
 )
+SMALLEST_WORD_TESTS = (
+    "tests/test_symmetry.py::test_smallest_word_is_the_least_word_of_its_run_structure",
+    "tests/test_symmetry.py::test_class_representatives_are_the_class_minima",
+)
 
 MUTANTS = [
     # the per-word DP on Fractions: a block grown leftward stops at a descent
@@ -147,6 +151,42 @@ MUTANTS = [
         "falls <= letter + rises * top",
         "falls <= letter + (rises - 1) * top",
         ORDERS_TESTS,
+    ),
+    # a class's least word: a fall takes the shortest unused run, a rise the longest, each to the least letter
+    Mutant(
+        "smallest-word-fall-takes-the-longest-run",
+        "src/bchdenom/bch.py",
+        "run, nxt, desc = unused.pop(), fall, desc - 1",
+        "run, nxt, desc = unused.pop(0), fall, desc - 1",
+        SMALLEST_WORD_TESTS,
+    ),
+    Mutant(
+        "smallest-word-rise-takes-the-shortest-run",
+        "src/bchdenom/bch.py",
+        "run, nxt, asc = unused.pop(0), max(",
+        "run, nxt, asc = unused.pop(), max(",
+        SMALLEST_WORD_TESTS,
+    ),
+    Mutant(
+        "smallest-word-rise-one-letter-too-high",
+        "src/bchdenom/bch.py",
+        "max(letter + 1, desc - (asc - 1) * T)",
+        "max(letter + 2, desc - (asc - 1) * T)",
+        SMALLEST_WORD_TESTS,
+    ),
+    Mutant(
+        "smallest-word-one-letter-fall-never-taken",
+        "src/bchdenom/bch.py",
+        "fall < letter and _letters_fit",
+        "fall < letter - 1 and _letters_fit",
+        SMALLEST_WORD_TESTS,
+    ),
+    Mutant(
+        "smallest-word-fall-stops-short-of-the-least-letter",
+        "src/bchdenom/bch.py",
+        "fall = max(0, desc - 1 - asc * T)",
+        "fall = max(0, desc - asc * T)",
+        SMALLEST_WORD_TESTS,
     ),
     # the closed form d_n, the partition counts the DP scans are held to, and the minimality verdict
     Mutant(

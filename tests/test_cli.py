@@ -111,9 +111,7 @@ def test_dn_rejects_bad_max(capsys):
     assert "error" in err
 
 
-def test_dn_and_coeff_take_no_scan_flags(capsys, monkeypatch):
-    # neither command computes a scan, so neither reads $BCHDENOM_PARALLELISM
-    monkeypatch.setenv("BCHDENOM_PARALLELISM", "zero")
+def test_dn_and_coeff_take_no_scan_flags(capsys):
     code, out, err = run(capsys, "dn", "--max", "3")
     assert code == 0 and err == ""
     assert len(out.strip().splitlines()) == 4  # header + 3 rows
@@ -212,7 +210,7 @@ def test_far_refusal_is_quick_in_a_fresh_interpreter():
     # three letters at degree 10^7: the gate sizes 3^m at m = 1, 2, 4, 8, 16 and refuses at 16, where
     # working out 3^10000000, for the budget and again for the announcement, took seconds
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**{k: v for k, v in os.environ.items() if k != cli.PARALLELISM_ENV}, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": src}
     argv = ["verify", "--what", "minimal", "--alphabet", "3", "--max", "10000000"]
     done = subprocess.run(
         [sys.executable, "-m", "bchdenom.cli", *argv], capture_output=True, text=True, env=env, timeout=5
@@ -694,6 +692,14 @@ def test_table_degree_two_plain(capsys):
     assert [line.split()[0] for line in lines[1:]] == ["AA", "AB", "BA", "BB"]
 
 
+@pytest.mark.parametrize("dedup", [[], ["--dedup"]], ids=["every-word", "dedup"])
+def test_table_plain_columns_align_beyond_26_letters(capsys, dedup):
+    # h= follows the widest word ("29,29"), two spaces of padding and one more, after "0,1" as after "28,18"
+    code, out, _ = run(capsys, "table", "--degree", "2", "--alphabet", "30", *dedup)
+    assert code == 0
+    assert {line.index("h=") for line in out.splitlines()[1:]} == {len("29,29") + 3}
+
+
 def test_table_degree_one(capsys):
     code, out, _ = run(capsys, "table", "--degree", "1", "--format", "csv")
     rows = list(csv.reader(io.StringIO(out)))
@@ -830,11 +836,17 @@ def test_unknown_command_usage(capsys):
     assert cli.main(["frobnicate"]) == 2
 
 
-def test_parallelism_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("BCHDENOM_PARALLELISM", "2")
-    code, out, _ = run(capsys, "table", "--degree", "3", "--backend", "dp", "--format", "csv")
-    assert code == 0
-    assert len(out.strip().splitlines()) == 9
+@pytest.mark.parametrize("value", ["2", "0", "zero"])
+@pytest.mark.parametrize(
+    "argv", [["table", "--degree", "3"], ["verify", "--what", "minimal", "--max", "6"]], ids=["table", "verify"]
+)
+def test_parallelism_comes_from_the_flag_alone(capsys, monkeypatch, argv, value):
+    # the environment sets no worker count: the run is the one without the variable, not a usage error
+    monkeypatch.delenv("BCHDENOM_PARALLELISM", raising=False)
+    unset = run(capsys, *argv, "--backend", "dp")
+    monkeypatch.setenv("BCHDENOM_PARALLELISM", value)
+    assert run(capsys, *argv, "--backend", "dp") == unset
+    assert unset[0] == 0
 
 
 def test_parallelism_auto(capsys):
@@ -844,16 +856,6 @@ def test_parallelism_auto(capsys):
 
 def test_parallelism_rejects_garbage(capsys):
     assert cli.main(["table", "--degree", "3", "--parallelism", "zero"]) == 2
-
-
-@pytest.mark.parametrize("value", ["0", "zero"])
-def test_parallelism_env_garbage_is_a_usage_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("BCHDENOM_PARALLELISM", value)
-    code, out, err = run(capsys, "table", "--degree", "3")
-    assert code == 2
-    assert out == "" and "parallelism" in err
-    # an explicit flag overrides the bad default
-    assert run(capsys, "table", "--degree", "3", "--parallelism", "1")[0] == 0
 
 
 class _RecordingPool:
@@ -1041,7 +1043,7 @@ def test_serial_runs_do_not_import_multiprocessing(argv):
         f"sys.stderr.write(repr((code, [m for m in {unused!r} if m in sys.modules])))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "BCHDENOM_PARALLELISM": "1"}
+    env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert done.stderr.splitlines()[-1] == "(0, [])"
 

@@ -77,11 +77,10 @@ COMMAND_LINES = {
 
 
 def call(argv: list[str]) -> tuple[int, str, str]:
-    """``cli.main(argv)``'s exit code, stdout and stderr, with the budget lowered and no parallelism set."""
+    """``cli.main(argv)``'s exit code, stdout and stderr, with the budget lowered."""
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         patch.setattr(errors, "SCAN_BUDGET", BUDGET)
-        patch.delenv(cli.PARALLELISM_ENV, raising=False)
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
 
