@@ -114,19 +114,6 @@ class DenominatorReport(record("DenominatorReport", "degree alphabet_size d_n co
         if self.minimal and not self.divisibility_ok:
             raise ValueError("minimal needs divisibility_ok")
 
-    def to_json_dict(self) -> dict:
-        # big integers as decimal strings: they outgrow 64-bit consumers
-        return {
-            "degree": self.degree,
-            "alphabet": self.alphabet_size,
-            "d_n": str(self.d_n),
-            "common_denominator": str(self.common_denominator),
-            "observed_lcm": str(self.observed_lcm),
-            "minimal": self.minimal,
-            "divisibility_ok": self.divisibility_ok,
-            "witness": self.witness_max.to_string(self.alphabet_size),
-        }
-
 
 class CongruenceReport(record("CongruenceReport", "p degree expected_residue violations exceptional_zero_failures")):
     """Residue check of the numerators a_w = h_w * (n! * d_n) at one degree, modulo the prime p."""
@@ -137,36 +124,12 @@ class CongruenceReport(record("CongruenceReport", "p degree expected_residue vio
     def passed(self) -> bool:
         return not self.violations and not self.exceptional_zero_failures
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "degree": self.degree,
-            "modulus": self.p,
-            "expected_residue": self.expected_residue,
-            "violations": [
-                {"word": w.to_string(2), "numerator": str(a), "residue": r}
-                for w, a, r in self.violations
-            ],
-            "exceptional_zero_failures": [w.to_string(2) for w in self.exceptional_zero_failures],
-            "passed": self.passed,
-        }
-
 
 class GoldbergDegreeResult(record("GoldbergDegreeResult", "degree goldberg_denominator passed witness"
                                   " witness_denominator ratio")):
     """Whether every degree-n denominator divides denom((B_{n-1}+B_{n-2})/n!)."""
 
     __slots__ = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "goldberg_denominator": str(self.goldberg_denominator),
-            "passed": self.passed,
-            "witness": None if self.witness is None else self.witness.to_string(2),
-            "witness_denominator": None if self.witness_denominator is None else str(self.witness_denominator),
-            "ratio": None if self.ratio is None else str(self.ratio),
-        }
 
 
 class TableEntry(record("TableEntry", "value denominator_factorization numerator word")):

@@ -233,12 +233,13 @@ def _degree_rows(verdict: str, args: argparse.Namespace) -> Iterator[tuple]:
     what, K, N = args.what, args.alphabet, args.max
     with _scan(args, N, per_class=True) as scan:
         for n in range(1, N + 1):
-            report = bch.degree_report(n, K, **scan)
-            ok, fields = getattr(report, verdict), report.to_json_dict()
-            plain = (
-                f"{what} n={n}: {'PASS' if ok else 'FAIL'} "
-                f"(lcm {report.observed_lcm}, n!*d_n {report.common_denominator})"
-            )
+            r = bch.degree_report(n, K, **scan)
+            ok, lcm, common = getattr(r, verdict), str(r.observed_lcm), str(r.common_denominator)
+            # big integers as decimal strings: they outgrow 64-bit consumers
+            fields = {"degree": n, "alphabet": K, "d_n": str(r.d_n), "common_denominator": common,
+                      "observed_lcm": lcm, "minimal": r.minimal, "divisibility_ok": r.divisibility_ok,
+                      "witness": r.witness_max.to_string(K)}
+            plain = f"{what} n={n}: {'PASS' if ok else 'FAIL'} (lcm {lcm}, n!*d_n {common})"
             yield {"check": what, "passed": ok, **fields}, plain, None if ok else {"check": what, **fields}
 
 
@@ -263,7 +264,7 @@ def _congruence_rows(args: argparse.Namespace) -> Iterator[tuple]:
             # a record names every violating word, so it is built only where it is printed: on every
             # json and csv row, and in plain format for the first failure alone
             printed = args.format != "plain" or not (report.passed or failed)
-            record = {"check": what, **report.to_json_dict()} if printed else None
+            record = _congruence_record(what, report) if printed else None
             failed = failed or not report.passed
             degree = "" if report.degree == p else f" (degree {report.degree})"
             plain = (
@@ -273,15 +274,33 @@ def _congruence_rows(args: argparse.Namespace) -> Iterator[tuple]:
             yield record, plain, None if report.passed else record
 
 
+def _congruence_record(what: str, report: bch.CongruenceReport) -> dict:
+    """The record of a cor1 or cor2 degree, naming every violating word with its numerator and residue."""
+    return {
+        "check": what,
+        "p": report.p,
+        "degree": report.degree,
+        "modulus": report.p,
+        "expected_residue": report.expected_residue,
+        "violations": [{"word": w.to_string(2), "numerator": str(a), "residue": r} for w, a, r in report.violations],
+        "exceptional_zero_failures": [w.to_string(2) for w in report.exceptional_zero_failures],
+        "passed": report.passed,
+    }
+
+
 def _goldberg_rows(args: argparse.Namespace) -> Iterator[tuple]:
     N = args.max
     with _scan(args, N, per_class=True) as scan:
         for n in range(4, N + 1):
             r = bch.goldberg_check(n, **scan)
-            outcome = "divides" if r.passed else (
-                f"FAILS at {r.witness.to_string(2)} (denominator {r.witness_denominator}, ratio {r.ratio})"
-            )
-            record = {"check": "goldberg", **r.to_json_dict()}
+            if r.passed:
+                witness = denominator = ratio = None
+                outcome = "divides"
+            else:
+                witness, denominator, ratio = r.witness.to_string(2), str(r.witness_denominator), str(r.ratio)
+                outcome = f"FAILS at {witness} (denominator {denominator}, ratio {ratio})"
+            record = {"check": "goldberg", "degree": r.degree, "goldberg_denominator": str(r.goldberg_denominator),
+                      "passed": r.passed, "witness": witness, "witness_denominator": denominator, "ratio": ratio}
             # expected pattern: all degrees through 10 pass, degree 11 fails
             unexpected = r.degree <= 11 and r.passed != (r.degree <= 10)
             yield record, f"goldberg n={r.degree}: {outcome}", record if unexpected else None

@@ -8,7 +8,8 @@ checks that every named test passes there unchanged, then applies each
 edit in turn, runs its tests and restores the file.  A mutant survives
 when its tests still pass; an edit whose old text does not occur exactly
 once is reported as stale.  Exit 0 when every mutant is killed, else 1
-(2 when the named tests fail on the unchanged code).
+(2 when the named tests fail on the unchanged code, after pytest's
+``FAILED`` line of each failing test).
 
 Run from anywhere, with the standard library and pytest::
 
@@ -351,15 +352,14 @@ MUTANTS = [
 ]
 
 
-def _pytest(workdir: Path, tests) -> int | None:
-    """pytest's exit code on ``tests`` in ``workdir``, or None on a timeout."""
+def _pytest(workdir: Path, tests, *flags: str) -> subprocess.CompletedProcess | None:
+    """pytest's run of ``tests`` in ``workdir`` with ``flags``, its output as text, or None on a timeout."""
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *flags, *tests]
     try:
-        done = subprocess.run(command, cwd=workdir, env=env, capture_output=True, timeout=TIMEOUT_S)
+        return subprocess.run(command, cwd=workdir, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return None
-    return done.returncode
 
 
 def main() -> int:
@@ -371,8 +371,13 @@ def main() -> int:
         shutil.copy2(ROOT / "pyproject.toml", work)
 
         tests = sorted({t for m in MUTANTS for t in m.tests})
-        if _pytest(work, tests) != 0:
+        baseline = _pytest(work, tests)  # every test, not to the first failure, so each failing one is named
+        if baseline is None or baseline.returncode != 0:
             print(f"the named tests fail on the unchanged code: {' '.join(tests)}")
+            # pytest's short summary: a FAILED line per failing test, an ERROR line per test not collected
+            output = "" if baseline is None else baseline.stdout + baseline.stderr
+            summary = [line for line in output.splitlines() if line.startswith(("FAILED", "ERROR"))]
+            print("\n".join(summary) or (f"timed out after {TIMEOUT_S} s" if baseline is None else output))
             return 2
 
         failed = []
@@ -386,9 +391,10 @@ def main() -> int:
             target.write_text(original.replace(m.old, m.new))
             start = time.perf_counter()
             try:
-                code = _pytest(work, m.tests)
+                done = _pytest(work, m.tests, "-x")
             finally:
                 target.write_text(original)
+            code = None if done is None else done.returncode
             # pytest exits 1 when tests failed; any other code (no tests found, a usage error) kills nothing
             verdict = "TIMEOUT" if code is None else "killed" if code == 1 else "SURVIVED"
             print(f"{verdict:<9} {m.name} ({time.perf_counter() - start:.1f} s)", flush=True)

@@ -150,28 +150,6 @@ def test_denominator_report_is_immutable(series2_6):
     assert hash(report) == hash(degree_report(6, 2, bch.DP_BACKEND))
 
 
-def test_report_json_contract(series2_6):
-    data = degree_report(6, 2, series=series2_6).to_json_dict()
-    assert list(data) == [
-        "degree",
-        "alphabet",
-        "d_n",
-        "common_denominator",
-        "observed_lcm",
-        "minimal",
-        "divisibility_ok",
-        "witness",
-    ]
-    assert data["degree"] == 6
-    assert data["alphabet"] == 2
-    assert data["d_n"] == "2"
-    assert data["common_denominator"] == "1440"
-    assert data["observed_lcm"] == "1440"
-    assert data["minimal"] is True
-    assert data["divisibility_ok"] is True
-    assert isinstance(data["witness"], str) and len(data["witness"]) == 6
-
-
 # ---------------------------------------------------------------------------
 # numerators over the common denominator
 

@@ -132,6 +132,32 @@ def test_verify_eq3(capsys):
     assert err == ""  # 2**10 words are fewer than PROGRESS_WORDS
 
 
+def test_report_json_contract(capsys):
+    # a degree row: its check and verdict, then the report's fields, big integers as decimal strings
+    code, out, _ = run(capsys, "verify", "--what", "minimal", "--max", "6", "--format", "json")
+    row = json.loads(out.splitlines()[-1])
+    assert code == 0 and list(row)[:2] == ["check", "passed"]
+    data = {k: v for k, v in row.items() if k not in ("check", "passed")}
+    assert list(data) == [
+        "degree",
+        "alphabet",
+        "d_n",
+        "common_denominator",
+        "observed_lcm",
+        "minimal",
+        "divisibility_ok",
+        "witness",
+    ]
+    assert data["degree"] == 6
+    assert data["alphabet"] == 2
+    assert data["d_n"] == "2"
+    assert data["common_denominator"] == "1440"
+    assert data["observed_lcm"] == "1440"
+    assert data["minimal"] is True
+    assert data["divisibility_ok"] is True
+    assert isinstance(data["witness"], str) and len(data["witness"]) == 6
+
+
 def _never_enumerated(real):
     """A patch factory, as in EXIT_CASES, for a partition enumerator that must not run."""
 
@@ -1211,13 +1237,13 @@ def test_plain_cor2_builds_only_the_printed_record(capsys, monkeypatch):
     # every cor2 degree fails, and a record names each violating word; plain format prints the
     # first failure's record alone, so it builds that one only
     calls = []
-    real = bch.CongruenceReport.to_json_dict
-    monkeypatch.setattr(bch.CongruenceReport, "to_json_dict", lambda r: calls.append(r.p) or real(r))
+    real = cli._congruence_record
+    monkeypatch.setattr(cli, "_congruence_record", lambda what, r: calls.append(r.p) or real(what, r))
     code, out, _ = run(capsys, "verify", "--what", "cor2", "--max", "12")
     *lines, last = out.splitlines()
     assert code == 1 and calls == [3]
     assert [line.split(":")[0] for line in lines] == [f"cor2 p={p} (degree {p + 1})" for p in (3, 5, 7, 11)]
-    assert json.loads(last) == {"check": "cor2", **real(bch.check_corollary_prime_plus_one(3))}
+    assert json.loads(last) == real("cor2", bch.check_corollary_prime_plus_one(3))
 
 
 def _broken_at(degrees, broken):

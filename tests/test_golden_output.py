@@ -6,7 +6,10 @@ the CLI before these commands shared ``verify``'s row loop, and those of
 exponential product, so any byte either change makes shows here.  Those
 of ``verify --what cor1|cor2|goldberg`` were recorded before the two
 congruence checks shared one scan, and those of ``verify --what
-theorem|eq3|bernoulli`` before the records shared one constructor.  Each
+theorem|eq3|bernoulli`` before the records shared one constructor.  The
+last four (``minimal`` as CSV and over 27 letters, ``theorem`` and
+``goldberg`` on the per-word DP) were recorded before ``cli`` alone wrote
+the ``verify`` JSON records.  Each
 digest comes with the exit code of its run: cor2 exits 1, because the
 uniform residue it checks is refuted.
 """
@@ -57,6 +60,11 @@ GOLDEN = {
     ("verify", "--what", "bernoulli", "--max", "20", "--format", "plain"): (0, "8eb56e15151595a64a82f38a0455650d2c03dacdae0462627c35c351accb4a27"),
     ("verify", "--what", "bernoulli", "--max", "20", "--format", "json"): (0, "53938894fed35af7a0fd8b22bfa2f4767a0cd9246eac0f0e123843171d147851"),
     ("verify", "--what", "bernoulli", "--max", "20", "--format", "csv"): (0, "8a5143776768654db4526df6f5f1e933b4a7ac14e31f794ec76f52e3da77c7cf"),
+    ("verify", "--what", "minimal", "--max", "16", "--format", "csv"): (0, "09ba5cc4562b27bf7c3561cb1acc15b309d33ddd627340bc4aed11e54e1d25e6"),
+    ("verify", "--what", "theorem", "--max", "14", "--backend", "dp", "--format", "json"): (0, "5f9328456d4a1fe6e8b23584efa8cf786f248c4baaf83da6735d786667408832"),
+    ("verify", "--what", "goldberg", "--max", "12", "--backend", "dp", "--format", "json"): (0, "daf87331f5c6327f8658ee11a56953bec0848ac1c7d83cad9b1e13e86ac6efa6"),
+    # 27 letters: the witnesses are spelled as comma-separated indices
+    ("verify", "--what", "minimal", "--max", "3", "--alphabet", "27", "--format", "json"): (0, "e5cf994090fe04ae62ee65f3186725589004caa32844c5f97ef905e888ee6ff4"),
 }
 
 #: ``bchdenom --help`` at argparse's default 80 columns; the benchmark's
