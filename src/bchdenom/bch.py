@@ -96,9 +96,8 @@ class BackendDisagreementError(RuntimeError):
     """The two backends of "both" differ at a word: reported as a violation, exit status 1."""
 
 
-class DenominatorReport(record("DenominatorReport", "degree alphabet_size d_n common_denominator observed_lcm"
-                               " minimal divisibility_ok witness_max")):
-    """Outcome of one full degree scan.
+class DenominatorReport(record("DenominatorReport", "degree alphabet_size d_n common_denominator observed_lcm witness_max")):
+    """Outcome of one full degree scan: the lcm of its denominators, and the verdicts read from it.
 
     ``witness_max`` is the lexicographically smallest word whose
     denominator is maximal; when the lcm is attained by a single word
@@ -108,11 +107,13 @@ class DenominatorReport(record("DenominatorReport", "degree alphabet_size d_n co
 
     __slots__ = ()
 
-    def _check(self) -> None:
-        if self.divisibility_ok and self.common_denominator % self.observed_lcm:
-            raise ValueError("divisibility_ok needs an lcm that divides n! * d_n")
-        if self.minimal and not self.divisibility_ok:
-            raise ValueError("minimal needs divisibility_ok")
+    @property
+    def divisibility_ok(self) -> bool:
+        return self.common_denominator % self.observed_lcm == 0
+
+    @property
+    def minimal(self) -> bool:
+        return self.observed_lcm == self.common_denominator
 
 
 class CongruenceReport(record("CongruenceReport", "p degree expected_residue violations exceptional_zero_failures")):
@@ -125,11 +126,18 @@ class CongruenceReport(record("CongruenceReport", "p degree expected_residue vio
         return not self.violations and not self.exceptional_zero_failures
 
 
-class GoldbergDegreeResult(record("GoldbergDegreeResult", "degree goldberg_denominator passed witness"
-                                  " witness_denominator ratio")):
-    """Whether every degree-n denominator divides denom((B_{n-1}+B_{n-2})/n!)."""
+class GoldbergDegreeResult(record("GoldbergDegreeResult", "degree goldberg_denominator witness witness_denominator")):
+    """Whether every degree-n denominator divides denom((B_{n-1}+B_{n-2})/n!), else the first word that fails."""
 
     __slots__ = ()
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
+
+    @property
+    def ratio(self) -> Fraction | None:
+        return None if self.witness is None else Fraction(self.goldberg_denominator, self.witness_denominator)
 
 
 class TableEntry(record("TableEntry", "value denominator_factorization numerator word")):
@@ -344,13 +352,16 @@ def worker_pool(backend: str, parallelism: int) -> AbstractContextManager[Pool |
 
     It yields None (no pool) when the scans are serial or read only the
     dense series (backend "series"); "dp" and "both" run the per-word DP
-    on it.  The pool has ``_pool_size(parallelism)`` workers.
+    on it.  The pool has ``_pool_size(parallelism)`` workers, which ignore
+    SIGINT: Ctrl-C interrupts the parent alone, and the context's exit terminates them.
     """
     if parallelism <= 1 or backend == SERIES_BACKEND:
         return nullcontext()
-    import multiprocessing  # only here: serial runs skip its import
+    import multiprocessing  # only here: serial runs skip its import (and the signal module it imports)
+    import signal
 
-    return multiprocessing.Pool(_pool_size(parallelism))
+    ignore_sigint = (signal.SIGINT, signal.SIG_IGN)
+    return multiprocessing.Pool(_pool_size(parallelism), initializer=signal.signal, initargs=ignore_sigint)
 
 
 @contextmanager
@@ -409,18 +420,15 @@ def _report_values(n: int, alphabet_size: int, backend: str, scan: dict) -> dict
 
     The words (one per class on the per-word DP, else every word) are
     listed here, once per degree, after the scan budget has counted them
-    (``scan_count``),
-    and computed through ``degree_coefficients`` with the other backend
-    keywords ``scan``.  The values come from ``_first_words``.
+    (``scan_count``), and computed through ``degree_coefficients`` with
+    the other backend keywords ``scan``.  The values come from ``_first_words``.
     """
     words = class_representatives(n, alphabet_size) if backend == DP_BACKEND else None
     firsts, _ = _first_words(degree_coefficients(n, alphabet_size, backend, words=words, **scan), words)
     return firsts
 
 
-def degree_report(
-    n: int, alphabet_size: int = 2, backend: str = SERIES_BACKEND, **scan
-) -> DenominatorReport:
+def degree_report(n: int, alphabet_size: int = 2, backend: str = SERIES_BACKEND, **scan) -> DenominatorReport:
     """Scan one degree and compare denominators against n! * d_n.
 
     It reads the values ``_report_values`` gives; ``scan`` holds the other
@@ -434,16 +442,7 @@ def degree_report(
     # two letters); the witness is then the first word of maximal
     # denominator, which holds the first such value (max keeps the first)
     witness_packed = firsts[max(firsts, key=attrgetter("denominator"))]
-    return DenominatorReport(
-        degree=n,
-        alphabet_size=alphabet_size,
-        d_n=d_n,
-        common_denominator=common,
-        observed_lcm=observed,
-        minimal=observed == common,
-        divisibility_ok=common % observed == 0,
-        witness_max=Word.unpack(witness_packed, n, alphabet_size),
-    )
+    return DenominatorReport(n, alphabet_size, d_n, common, observed, Word.unpack(witness_packed, n, alphabet_size))
 
 
 def numerator_over_common(word: Word, alphabet_size: int = 2, *, coefficient: Fraction) -> int:
@@ -552,8 +551,8 @@ def goldberg_check(n: int, backend: str = SERIES_BACKEND, **scan) -> GoldbergDeg
     """Test denom((B_{n-1}+B_{n-2})/n!) as the common denominator of degree n >= 4.
 
     The degree passes when every coefficient denominator divides it, else
-    the result names the lexicographically first failing word and the
-    non-integer quotient.  It reads the values ``_report_values`` gives,
+    the result names the lexicographically first failing word and its
+    denominator (the non-integer quotient is ``ratio``).  It reads the values ``_report_values`` gives,
     as ``degree_report`` does; ``scan`` holds the other backend keywords of
     ``degree_coefficients``, as ``shared_scan`` gives them.  The candidate
     first fails at degree 11.
@@ -564,11 +563,8 @@ def goldberg_check(n: int, backend: str = SERIES_BACKEND, **scan) -> GoldbergDeg
     candidate = numtheory.goldberg_denominator(n)
     failing = next((h for h in firsts if candidate % h.denominator), None)
     if failing is None:
-        return GoldbergDegreeResult(n, candidate, True, None, None, None)
-    witness = Word.unpack(firsts[failing], n, 2)
-    return GoldbergDegreeResult(
-        n, candidate, False, witness, failing.denominator, Fraction(candidate, failing.denominator)
-    )
+        return GoldbergDegreeResult(n, candidate, None, None)
+    return GoldbergDegreeResult(n, candidate, Word.unpack(firsts[failing], n, 2), failing.denominator)
 
 
 def coefficient_value_table(

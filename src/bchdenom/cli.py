@@ -1,9 +1,9 @@
 """Command-line front end: every computation and check as a subcommand.
 
-Exit codes: 0 all checks passed, 1 a check failed (a JSON violation
-record is printed), 2 usage error, 3 resource budget exceeded, 141 stdout
-was closed before the output was written (as by ``| head``; the shell's
-status for a process killed by SIGPIPE).
+Exit codes: 0 all checks passed, 1 a check failed (a JSON violation record is printed), 2 usage
+error, 3 resource budget exceeded, 130 interrupted (as by Ctrl-C), 141 stdout was closed before the
+output was written (as by ``| head``); 130 and 141 are the shell's statuses for a process killed by
+SIGINT and by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERRUPTED = 130
 EXIT_BROKEN_PIPE = 141
 
 PROGRESS_WORDS = 2**12  # a scan whose largest degree has this many words or more announces itself on stderr
@@ -136,6 +137,9 @@ def main(argv: list[str] | None = None) -> int:
         # to devnull, so that the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:  # the rows printed so far stay on stdout; a pool's workers ignore SIGINT
+        _warn("interrupted")
+        return EXIT_INTERRUPTED
     except BudgetError as exc:
         _warn(f"budget exceeded: {exc}")
         return EXIT_BUDGET

@@ -41,6 +41,9 @@ class Mutant(NamedTuple):
 
 FREEALGEBRA = "src/bchdenom/freealgebra.py"
 KERNEL_TESTS = ("tests/test_freealgebra.py",)
+# the kernel faults Ree's shuffle law catches by itself: all but the two sign swaps, which negate all of H
+# (a Lie element too), and scaled-dp-descent-admits-equal-letters
+KERNEL_AND_LAW_TESTS = (*KERNEL_TESTS, "tests/test_shuffle_law.py::test_every_shuffle_sum_vanishes")
 ORDERS_TESTS = (
     "tests/test_symmetry.py::test_letters_fit_matches_the_letter_sequences",
     "tests/test_symmetry.py::test_orders_are_those_the_words_make",
@@ -57,14 +60,14 @@ MUTANTS = [
         FREEALGEBRA,
         "for j in range(i - 2, -1, -1):\n            letter = letters[j]\n            if letter > right:",
         "for j in range(i - 2, -1, -1):\n            letter = letters[j]\n            if letter >= right:",
-        KERNEL_TESTS,
+        KERNEL_AND_LAW_TESTS,
     ),
     Mutant(
         "fraction-dp-piece-kept-at-letter-change",
         FREEALGEBRA,
         "right = letter\n                piece = 1\n            else:\n                piece += 1\n                c = c / piece",
         "right = letter\n            else:\n                piece += 1\n                c = c / piece",
-        KERNEL_TESTS,
+        KERNEL_AND_LAW_TESTS,
     ),
     Mutant(
         "fraction-dp-term-sign-swapped",
@@ -78,14 +81,14 @@ MUTANTS = [
         FREEALGEBRA,
         "product = fj if c is _ONE else c if fj is _ONE else fj * c",
         "product = fj",
-        KERNEL_TESTS,
+        KERNEL_AND_LAW_TESTS,
     ),
     Mutant(
         "fraction-dp-overwrites-instead-of-adding",
         FREEALGEBRA,
         "col[k] = product if held is _ZERO else held + product",
         "col[k] = product",
-        KERNEL_TESTS,
+        KERNEL_AND_LAW_TESTS,
     ),
     # the dense series: one table of K^n coefficients per degree n, built by Horner steps
     Mutant(
@@ -100,14 +103,14 @@ MUTANTS = [
         FREEALGEBRA,
         "horner[0][0] = (-1) ** (k + 1) * scale // k",
         "horner[0][0] = (-1) ** k * scale // k",
-        KERNEL_TESTS,
+        KERNEL_AND_LAW_TESTS,
     ),
     Mutant(
         "series-exp-weight-dropped",
         FREEALGEBRA,
         "lo, w = head * size, comb(T, j)",
         "lo, w = head * size, 1",
-        KERNEL_TESTS,
+        KERNEL_AND_LAW_TESTS,
     ),
     # the per-word DP on integers, the class scans' kernel
     Mutant(
@@ -122,7 +125,7 @@ MUTANTS = [
         FREEALGEBRA,
         "right = letter\n                piece = 1\n            else:\n                piece += 1\n            weight",
         "right = letter\n            else:\n                piece += 1\n            weight",
-        KERNEL_TESTS,
+        KERNEL_AND_LAW_TESTS,
     ),
     Mutant(
         "scaled-dp-term-sign-swapped",
@@ -136,7 +139,7 @@ MUTANTS = [
         FREEALGEBRA,
         "weight = weight * (j + 1) // piece",
         "weight = weight * (j + 1)",
-        KERNEL_TESTS,
+        KERNEL_AND_LAW_TESTS,
     ),
     # the letters a run of rises and falls needs, which decide the class orders K letters allow
     Mutant(
@@ -189,7 +192,7 @@ MUTANTS = [
         "fall = max(0, desc - asc * T)",
         SMALLEST_WORD_TESTS,
     ),
-    # the closed form d_n, the partition counts the DP scans are held to, and the minimality verdict
+    # the closed form d_n, the partition counts the DP scans are held to, and the reports' verdicts
     Mutant(
         "dn-exponent-misses-an-equal-power",
         "src/bchdenom/numtheory.py",
@@ -211,25 +214,31 @@ MUTANTS = [
     Mutant(
         "minimal-verdict-admits-a-smaller-lcm",
         "src/bchdenom/bch.py",
-        "minimal=observed == common,",
-        "minimal=observed <= common,",
+        "return self.observed_lcm == self.common_denominator",
+        "return self.observed_lcm <= self.common_denominator",
         ("tests/test_cli.py::test_exit_code_contract[minimal-violation-dp]",),
     ),
-    # the record factory: a record built by _make, and so by _replace, is checked; checks raise, not assert
+    Mutant(
+        "report-drops-the-divisibility-check",
+        "src/bchdenom/bch.py",
+        "return self.common_denominator % self.observed_lcm == 0",
+        "return True",
+        ("tests/test_cli.py::test_exit_code_contract[theorem-violation]",),
+    ),
+    Mutant(
+        "goldberg-verdict-always-passes",
+        "src/bchdenom/bch.py",
+        "return self.witness is None",
+        "return True",
+        ("tests/test_cli.py::test_verify_goldberg",),
+    ),
+    # the record factory: a record built by _make, and so by _replace, is checked
     Mutant(
         "record-make-skips-the-check",
         "src/bchdenom/_records.py",
         "return cls(*values)",
         "return tuple.__new__(cls, values)",
         ("tests/test_records.py::test_replace_and_make_run_the_check",),
-    ),
-    Mutant(
-        "report-drops-the-divisibility-check",
-        "src/bchdenom/bch.py",
-        "        if self.divisibility_ok and self.common_denominator % self.observed_lcm:\n"
-        "            raise ValueError(\"divisibility_ok needs an lcm that divides n! * d_n\")\n",
-        "",
-        ("tests/test_records.py",),
     ),
     # the pool's chunks joined in task order, and "both" comparing the backends word by word
     Mutant(
@@ -303,6 +312,16 @@ MUTANTS = [
             "tests/test_cli.py::test_congruence_far_range_is_refused_before_the_primes_are_listed[cor2-10**19]",
             "tests/test_cli_properties.py::test_every_command_line_keeps_the_exit_code_contract[verify-cor1]",
         ),
+    ),
+    # Ctrl-C: exit 130 and one stderr line, not a traceback
+    Mutant(
+        "interrupt-not-caught",
+        "src/bchdenom/cli.py",
+        "    except KeyboardInterrupt:  # the rows printed so far stay on stdout; a pool's workers ignore SIGINT\n"
+        "        _warn(\"interrupted\")\n"
+        "        return EXIT_INTERRUPTED\n",
+        "",
+        ("tests/test_cli.py::test_ctrl_c_exits_130_with_one_line_and_leaves_no_process",),
     ),
     # the Bernoulli table every call shares, and the gates of bernoulli and coeff
     Mutant(

@@ -7,6 +7,8 @@ import io
 import json
 import multiprocessing
 import os
+import re
+import signal
 import subprocess
 import sys
 import time
@@ -578,14 +580,7 @@ def test_verify_goldberg_regression_exits_1(capsys, monkeypatch):
         r = real(n, **kwargs)
         if n != 11:
             return r
-        return bch.GoldbergDegreeResult(
-            degree=r.degree,
-            goldberg_denominator=r.goldberg_denominator,
-            passed=True,
-            witness=None,
-            witness_denominator=None,
-            ratio=None,
-        )
+        return r._replace(witness=None, witness_denominator=None)
 
     monkeypatch.setattr(cli.bch, "goldberg_check", degree_11_passes)
     code, out, err = run(capsys, "verify", "--what", "goldberg", "--max", "11")
@@ -891,7 +886,7 @@ class _RecordingPool:
     tasks: list[int] = []
     exits: list[_RecordingPool] = []
 
-    def __init__(self, processes):
+    def __init__(self, processes, initializer=None, initargs=()):
         self.sizes.append(processes)
 
     def __enter__(self):
@@ -1059,9 +1054,10 @@ def test_usable_cpus_without_affinity(monkeypatch):
 )
 def test_serial_runs_do_not_import_multiprocessing(argv):
     # a fresh interpreter: only a run that opens a worker pool imports
-    # multiprocessing, no run imports dataclasses (or the inspect module
-    # it brings), and only a JSON or CSV run imports json or csv
-    unused = ("multiprocessing", "dataclasses", "inspect", "json", "csv")
+    # multiprocessing (and signal, which its workers' initializer calls), no
+    # run imports dataclasses (or the inspect module it brings), and only a
+    # JSON or CSV run imports json or csv
+    unused = ("multiprocessing", "signal", "dataclasses", "inspect", "json", "csv")
     script = (
         "import sys\n"
         "from bchdenom import cli\n"
@@ -1092,6 +1088,32 @@ def test_closed_stdout_exits_141_without_traceback():
     assert proc.wait() == cli.EXIT_BROKEN_PIPE == 141
     assert "Traceback" not in err and "BrokenPipeError" not in err
     proc.stderr.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="POSIX process groups")
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+def test_ctrl_c_exits_130_with_one_line_and_leaves_no_process(parallelism):
+    # Ctrl-C reaches the terminal's whole process group, a pool's workers too: here it is sent to the
+    # run's own group once the first row is out (unbuffered, so a row reaches the pipe as it is
+    # printed), and the run takes seconds more to finish
+    if int(parallelism) > bch._usable_cpus():
+        pytest.skip("the pool would be lowered to one worker")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = ["verify", "--what", "minimal", "--max", "30", "--backend", "dp", "--parallelism", parallelism]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bchdenom.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": "1"}, text=True, start_new_session=True,
+    )
+    first = proc.stdout.readline()
+    os.killpg(proc.pid, signal.SIGINT)
+    rest, err = proc.communicate(timeout=60)
+    assert proc.returncode == cli.EXIT_INTERRUPTED == 130
+    assert "Traceback" not in err and err.splitlines()[-1] == "interrupted" and err.count("interrupted") == 1
+    rows = (first + rest).splitlines(keepends=True)
+    assert rows and all(re.fullmatch(r"minimal n=\d+: PASS \(lcm \d+, n!\*d_n \d+\)\n", row) for row in rows)
+    assert len(rows) < 30  # interrupted, not finished
+    with pytest.raises(ProcessLookupError):  # no worker outlived the run
+        os.killpg(proc.pid, 0)
 
 
 def _plus_one(real):

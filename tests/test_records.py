@@ -19,9 +19,9 @@ RECORDS = {
     "Word": (Word, ((0, 1, 1),)),
     "PrimeFactorization": (PrimeFactorization, (((2, 3), (3, 1)),)),
     "TruncatedSeries": (TruncatedSeries, (1, 2, [[Fraction(1)], [Fraction(1), Fraction(1)]])),
-    "DenominatorReport": (DenominatorReport, (2, 2, 1, 2, 2, True, True, AB)),
+    "DenominatorReport": (DenominatorReport, (2, 2, 1, 2, 2, AB)),
     "CongruenceReport": (CongruenceReport, (3, 4, 0, ((AB, 1, 1),), ())),
-    "GoldbergDegreeResult": (GoldbergDegreeResult, (11, 2, False, AB, 4, Fraction(1, 2))),
+    "GoldbergDegreeResult": (GoldbergDegreeResult, (11, 2, AB, 4)),
     "TableEntry": (TableEntry, (Fraction(1, 2), PrimeFactorization(((2, 1),)), 1, AB)),
 }
 
@@ -30,7 +30,6 @@ INVALID = {
     Word: ("letters", (0, -1), ValueError, "letters must be >= 0"),
     PrimeFactorization: ("factors", ((3, 1), (2, 1)), ValueError, "strictly increasing"),
     TruncatedSeries: ("tables", [[Fraction(1)], []], ValueError, r"K\^n coefficients"),
-    DenominatorReport: ("observed_lcm", 4, ValueError, r"divides n! \* d_n"),  # an lcm not dividing n! * d_n
 }
 
 
@@ -120,7 +119,16 @@ def test_check_runs_on_every_construction():
         Word(letters=(0, -1))
     with pytest.raises(ValueError, match=r"K\^n coefficients"):
         TruncatedSeries(max_degree=1, alphabet_size=2, tables=[[Fraction(1)], []])
-    with pytest.raises(ValueError, match=r"divides n! \* d_n"):
-        DenominatorReport(2, 2, 1, 2, 4, False, True, AB)  # an lcm that does not divide n! * d_n
-    with pytest.raises(ValueError, match="minimal needs divisibility_ok"):
-        DenominatorReport(2, 2, 1, 2, 2, True, False, AB)
+
+
+def test_report_verdicts_are_read_from_the_fields():
+    # degree 4, where n! * d_n = 24: an lcm equal to it, one that divides it, and one that does not
+    reports = [DenominatorReport(4, 2, 1, 24, observed, AB) for observed in (24, 12, 16)]
+    assert [(r.minimal, r.divisibility_ok) for r in reports] == [(True, True), (False, True), (False, False)]
+    passing, failing = GoldbergDegreeResult(10, 6, None, None), GoldbergDegreeResult(11, 2, AB, 4)
+    assert (passing.passed, passing.ratio) == (True, None)
+    assert (failing.passed, failing.ratio) == (False, Fraction(1, 2))
+    # the fields hold what a scan found, and no verdict
+    found = ("degree", "alphabet_size", "d_n", "common_denominator", "observed_lcm", "witness_max")
+    assert DenominatorReport._fields == found
+    assert GoldbergDegreeResult._fields == ("degree", "goldberg_denominator", "witness", "witness_denominator")

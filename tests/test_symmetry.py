@@ -12,7 +12,6 @@ unreduced scan.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import groupby, product
 from math import lcm
@@ -219,8 +218,6 @@ def full_scan_report(n: int, K: int, backend: str = "dp") -> DenominatorReport:
         d_n=compute_dn(n)[0],
         common_denominator=common,
         observed_lcm=observed,
-        minimal=observed == common,
-        divisibility_ok=common % observed == 0,
         witness_max=Word.unpack(witness, n, K),
     )
 
@@ -244,13 +241,10 @@ def full_scan_goldberg(n_max: int) -> list[GoldbergDegreeResult]:
     results = []
     for n in range(4, n_max + 1):
         candidate = goldberg_denominator(n)
-        result = GoldbergDegreeResult(n, candidate, True, None, None, None)
+        result = GoldbergDegreeResult(n, candidate, None, None)
         for packed, c in enumerate(coefficients(n, 2, "dp")):
             if candidate % c.denominator:
-                witness = Word.unpack(packed, n, 2)
-                result = GoldbergDegreeResult(
-                    n, candidate, False, witness, c.denominator, Fraction(candidate, c.denominator)
-                )
+                result = GoldbergDegreeResult(n, candidate, Word.unpack(packed, n, 2), c.denominator)
                 break
         results.append(result)
     return results
